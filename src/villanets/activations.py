@@ -2,8 +2,9 @@
 
 Each activation carries the constants every bound downstream needs:
 the sup of |sigma|, the Lipschitz constant of sigma, the sups of the first
-and second derivatives, the Lipschitz constant of sigma', and sigma(0).
-All evaluation paths use overflow-safe forms so large pre-activations
+and second derivatives, and sigma(0).  The sup of |sigma''| is also the
+Lipschitz constant of sigma'.  Every formula is written once, in
+:meth:`Activation.derivs`, in overflow-safe form so large pre-activations
 (|beta*x| up to ~700) stay finite.
 """
 
@@ -35,9 +36,8 @@ class Activation:
         sup_value: sup |sigma(x)| over the reals (inf for softplus).
         lipschitz: Lipschitz constant of sigma.
         d1_sup: sup |sigma'(x)|.
-        d2_sup: sup |sigma''(x)|.
-        d1_lipschitz: Lipschitz constant of sigma'. For these C-infinity
-            scalar maps it coincides with d2_sup, so the two are unified.
+        d2_sup: sup |sigma''(x)|, which is also the Lipschitz constant of
+            sigma'.
         at_zero: sigma(0). The constant offset vector for a width-p layer
             is sigma(0) * ones(p), with 2-norm sqrt(p) * |sigma(0)|.
     """
@@ -48,47 +48,48 @@ class Activation:
     lipschitz: float
     d1_sup: float
     d2_sup: float
-    d1_lipschitz: float
     at_zero: float
 
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.sup_value)
 
+    def derivs(self, x: np.ndarray, order: int) -> tuple:
+        """(sigma, sigma', sigma'')[: order + 1] at the array ``x``, all from
+        one expit or tanh.
+
+        ``x`` is not checked: the public views below check their input, and
+        the model checks weights and data where they enter.
+        """
+        b = self.beta
+        if self.kind == "tanh":
+            t = np.tanh(x)
+            d1 = 1.0 - t * t if order else None
+            d2 = -2.0 * t * d1 if order > 1 else None
+            return (t, d1, d2)[: order + 1]
+        s = expit(b * x) if order or self.kind == "sigmoid" else None
+        if self.kind == "softplus":
+            # log(1 + e^(beta x)) / beta via stable log-sum-exp; its slope is s
+            value, d1 = np.logaddexp(0.0, b * x) / b, s
+            d2 = b * s * (1.0 - s) if order > 1 else None
+        else:
+            value = s
+            d1 = b * s * (1.0 - s) if order else None
+            d2 = b * d1 * (1.0 - 2.0 * s) if order > 1 else None
+        return (value, d1, d2)[: order + 1]
+
+    def _view(self, x, k: int):
+        out = self.derivs(_check_finite(x), k)[k]
+        return float(out) if out.ndim == 0 else out
+
     def __call__(self, x):
-        x = _check_finite(x)
-        if self.kind == "sigmoid":
-            out = expit(self.beta * x)
-        elif self.kind == "tanh":
-            out = np.tanh(x)
-        else:  # softplus: log(1 + e^(beta x)) / beta, via stable log-sum-exp
-            out = np.logaddexp(0.0, self.beta * x) / self.beta
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return self._view(x, 0)
 
     def d1(self, x):
-        x = _check_finite(x)
-        if self.kind == "sigmoid":
-            s = expit(self.beta * x)
-            out = self.beta * s * (1.0 - s)
-        elif self.kind == "tanh":
-            t = np.tanh(x)
-            out = 1.0 - t * t
-        else:  # softplus' is the sigmoid of beta*x
-            out = expit(self.beta * x)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return self._view(x, 1)
 
     def d2(self, x):
-        x = _check_finite(x)
-        if self.kind == "sigmoid":
-            s = expit(self.beta * x)
-            out = self.beta**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
-        elif self.kind == "tanh":
-            t = np.tanh(x)
-            out = -2.0 * t * (1.0 - t * t)
-        else:
-            s = expit(self.beta * x)
-            out = self.beta * s * (1.0 - s)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return self._view(x, 2)
 
     def table(self) -> dict:
         """Constant table for reporting (JSON-friendly)."""
@@ -99,7 +100,6 @@ class Activation:
             "lipschitz": self.lipschitz,
             "d1_sup": self.d1_sup,
             "d2_sup": self.d2_sup,
-            "d1_lipschitz": self.d1_lipschitz,
             "at_zero": self.at_zero,
         }
 
@@ -119,13 +119,11 @@ def make(kind: str, beta: float = 1.0) -> Activation:
         raise ValueError("beta must be positive")
     if kind == "sigmoid":
         d2 = beta**2 / (6.0 * math.sqrt(3.0))
-        return Activation("sigmoid", beta, 1.0, beta / 4.0, beta / 4.0, d2, d2, 0.5)
+        return Activation("sigmoid", beta, 1.0, beta / 4.0, beta / 4.0, d2, 0.5)
     if kind == "tanh":
         d2 = 4.0 / (3.0 * math.sqrt(3.0))
-        return Activation("tanh", 1.0, 1.0, 1.0, 1.0, d2, d2, 0.0)
-    return Activation(
-        "softplus", beta, math.inf, 1.0, 1.0, beta / 4.0, beta / 4.0, math.log(2.0) / beta
-    )
+        return Activation("tanh", 1.0, 1.0, 1.0, 1.0, d2, 0.0)
+    return Activation("softplus", beta, math.inf, 1.0, 1.0, beta / 4.0, math.log(2.0) / beta)
 
 
 def sigmoid(beta: float = 1.0) -> Activation:

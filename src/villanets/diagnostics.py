@@ -24,8 +24,8 @@ def v_s(spec: LossSpec, s: float, w=None) -> float:
     """||grad||_F^2 / s - laplacian, the divergence diagnostic."""
     if s <= 0:
         raise ValueError("s must be positive")
-    g = model.grad(spec, w)
-    return float(np.sum(g * g) / s - model.laplacian(spec, w))
+    g, lap = model.evaluate(spec, model.weights(spec, w), ("grad", "laplacian"))
+    return float(np.sum(g * g) / s - lap)
 
 
 def ray_quadratic_coeff(spec: LossSpec) -> float:
@@ -149,9 +149,8 @@ def villani_scan(
         direction /= np.linalg.norm(direction)
         for k, r in enumerate(radii):
             w = r * direction
-            g = model.grad(spec, w)
+            g, lap = model.evaluate(spec, w, ("grad", "laplacian"))
             gsq = float(np.sum(g * g))
-            lap = model.laplacian(spec, w)
             v_values[i, k] = gsq / s - lap
             if gsq < grad_lower_bound(spec, w):
                 grad_viol += 1

@@ -22,8 +22,8 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss leaves the finite regime; carries the last
-    finite state for post-mortems."""
+    """Raised when the weights or the loss leave the finite regime; carries
+    the last finite state for post-mortems."""
 
     def __init__(self, message: str, last_w: np.ndarray, step: int):
         super().__init__(message)
@@ -54,6 +54,8 @@ class InitSpec:
             raise ValueError("tau must be positive")
         if self.mode == "explicit" and self.w0 is None:
             raise ValueError("explicit init needs w0")
+        if self.w0 is not None and not np.isfinite(np.asarray(self.w0, dtype=np.float64)).all():
+            raise ValueError("w0 must be finite")
 
     def sample(self, rng: np.random.Generator, p: int, d: int, lam: float, s: float):
         if self.mode == "zero":
@@ -114,25 +116,18 @@ def _digest(rng: np.random.Generator) -> str:
 
 
 def sgd_step(spec: LossSpec, w: np.ndarray, batch_indices, s: float) -> np.ndarray:
-    """One update W <- (1 - s*lam) W + (s/b) sum_{i in B} (y_i - f(x_i)) grad_W f(x_i)."""
+    """One update W <- (1 - s*lam) W + (s/b) sum_{i in B} (y_i - f(x_i)) grad_W f(x_i).
+
+    ``w`` must be finite; the integrators check the weights of every step."""
     batch_indices = np.asarray(batch_indices)
     if batch_indices.size == 0:
         raise ValueError("batch must be non-empty")
-    xb = spec.data.xs[batch_indices]
-    yb = spec.data.ys[batch_indices]
-    pre = w @ xb.T
-    r = yb - spec.net.a @ spec.net.act(pre)
-    coef = (spec.net.a[:, None] * spec.net.act.d1(pre)) * r[None, :]
-    return (1.0 - s * spec.lam) * w + (s / batch_indices.size) * (coef @ xb)
+    return w - s * model.evaluate(spec, w, ("grad",), batch_indices)[0]
 
 
-def _check_finite_loss(value: float, w: np.ndarray, last_w: np.ndarray, step: int):
-    if not math.isfinite(value) or value > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"loss left the finite regime at step {step} (loss={value!r})",
-            last_w=last_w,
-            step=step,
-        )
+def _diverged(what: str, step: int, last_w: np.ndarray) -> DivergenceError:
+    return DivergenceError(f"{what} left the finite regime at step {step}",
+                           last_w=last_w, step=step)
 
 
 def run_sgd(spec: LossSpec, config: SgdConfig, eval_fn=None) -> Trajectory:
@@ -140,7 +135,12 @@ def run_sgd(spec: LossSpec, config: SgdConfig, eval_fn=None) -> Trajectory:
     replacement, one draw per step.  ``batch_size == n`` uses the full
     dataset deterministically, so that setting is exact gradient descent
     (and inherits its descent guarantee for steps below the inverse
-    smoothness bound).  Deterministic given ``config.seed``."""
+    smoothness bound).  Deterministic given ``config.seed``.
+
+    Raises :class:`DivergenceError` at the first step whose weights are not
+    finite, or at the first log point whose loss exceeds
+    ``DIVERGENCE_LIMIT``, whatever ``log_every`` is.
+    """
     config.validate(spec.n)
     rng = np.random.default_rng(config.seed)
     s = config.step_size
@@ -148,24 +148,26 @@ def run_sgd(spec: LossSpec, config: SgdConfig, eval_fn=None) -> Trajectory:
     w = config.init.sample(rng, spec.p, spec.d, spec.lam, s)
     times, steps, losses, gnorms, evals = [], [], [], [], []
 
-    def log(k: int, wk: np.ndarray):
+    def log(k: int, wk: np.ndarray, last_w: np.ndarray):
+        value, g = model.evaluate(spec, wk, ("loss", "grad"))
+        if not value <= DIVERGENCE_LIMIT:  # also true for NaN
+            raise _diverged(f"loss ({float(value)!r})", k, last_w)
         times.append(k * s)
         steps.append(k)
-        losses.append(model.loss(spec, wk))
-        gnorms.append(float(np.linalg.norm(model.grad(spec, wk))))
+        losses.append(float(value))
+        gnorms.append(float(np.linalg.norm(g)))
         if eval_fn is not None:
             evals.append(np.atleast_1d(np.asarray(eval_fn(wk), dtype=np.float64)))
 
-    log(0, w)
-    _check_finite_loss(losses[0], w, w, 0)
+    log(0, w, w)
     for k in range(1, config.steps + 1):
         batch = (full_batch if full_batch is not None
                  else rng.integers(0, spec.n, size=config.batch_size))
         w_next = sgd_step(spec, w, batch, s)
+        if not np.isfinite(w_next).all():
+            raise _diverged("weights", k, w)
         if k % config.log_every == 0 or k == config.steps:
-            current = model.loss(spec, w_next)
-            _check_finite_loss(current, w_next, w, k)
-            log(k, w_next)
+            log(k, w_next, w)
         w = w_next
     return Trajectory(
         times=np.array(times),
@@ -191,7 +193,8 @@ def run_sde(
     """Euler-Maruyama for dW = -grad(W) dt + sqrt(s) dB.
 
     Each step: W <- W - dt * grad + sqrt(s * dt) * G with i.i.d. standard
-    normal G.  ``s = 0`` reduces to explicit-Euler gradient flow.
+    normal G.  ``s = 0`` reduces to explicit-Euler gradient flow.  Raises
+    :class:`DivergenceError` as :func:`run_sgd` does.
     """
     if s < 0 or dt <= 0 or t_max <= 0:
         raise ValueError("need s >= 0, dt > 0, t_max > 0")
@@ -203,23 +206,25 @@ def run_sde(
     times, steps, losses, gnorms = [], [], [], []
     weights = [] if record_weights else None
 
-    def log(k: int, wk: np.ndarray):
+    def log(k: int, wk: np.ndarray, last_w: np.ndarray):
+        value, g = model.evaluate(spec, wk, ("loss", "grad"))
+        if not value <= DIVERGENCE_LIMIT:  # also true for NaN
+            raise _diverged(f"loss ({float(value)!r})", k, last_w)
         times.append(k * dt)
         steps.append(k)
-        losses.append(model.loss(spec, wk))
-        gnorms.append(float(np.linalg.norm(model.grad(spec, wk))))
+        losses.append(float(value))
+        gnorms.append(float(np.linalg.norm(g)))
         if record_weights:
             weights.append(wk.copy())
 
-    log(0, w)
-    _check_finite_loss(losses[0], w, w, 0)
+    log(0, w, w)
     for k in range(1, n_steps + 1):
-        g = model.grad(spec, w)
+        g = model.evaluate(spec, w, ("grad",))[0]
         w_next = w - dt * g + noise_scale * rng.standard_normal((spec.p, spec.d))
+        if not np.isfinite(w_next).all():
+            raise _diverged("weights", k, w)
         if k % log_every == 0 or k == n_steps:
-            current = model.loss(spec, w_next)
-            _check_finite_loss(current, w_next, w, k)
-            log(k, w_next)
+            log(k, w_next, w)
         w = w_next
     return Trajectory(
         times=np.array(times),

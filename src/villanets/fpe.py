@@ -105,14 +105,7 @@ class DecayFit:
 
 def tabulate_potential(spec: LossSpec, points: np.ndarray) -> np.ndarray:
     """Loss at each flattened weight-space point (rows of ``points``)."""
-    k = points.shape[0]
-    w_all = points.reshape(k, spec.p, spec.d)
-    pre = np.einsum("kpd,nd->kpn", w_all, spec.data.xs)
-    f = np.einsum("p,kpn->kn", spec.net.a, spec.net.act(pre))
-    r = f - spec.data.ys[None, :]
-    data_term = 0.5 * np.mean(r * r, axis=1)
-    reg = 0.5 * spec.lam * np.sum(points * points, axis=1)
-    return data_term + reg
+    return model.evaluate(spec, points.reshape(-1, spec.p, spec.d), ("loss",))[0]
 
 
 def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="uniform") -> FpeGrid:
@@ -233,6 +226,11 @@ def explicit_dt_limit(grid: FpeGrid) -> float:
     return grid.h**2 / (2.0 * grid.dim * d_coef + grid.h * max_slope)
 
 
+def _backward_euler(g_mat: sp.csr_matrix, dt: float):
+    """LU factor of I - dt * G, the matrix of one implicit step."""
+    return spla.splu(sp.identity(g_mat.shape[0], format="csc") - dt * g_mat.tocsc())
+
+
 def step_fpe(grid: FpeGrid, dt: float, method: str = "explicit") -> FpeGrid:
     """Advance the density one step; returns a new grid.
 
@@ -248,18 +246,16 @@ def step_fpe(grid: FpeGrid, dt: float, method: str = "explicit") -> FpeGrid:
             raise ValueError(f"explicit step dt={dt} exceeds stability limit {limit:.3e}")
         rho = grid.rho + dt * (g_mat @ grid.rho)
     elif method == "implicit":
-        a_mat = (sp.identity(grid.size, format="csc") - dt * g_mat.tocsc())
-        rho = spla.splu(a_mat).solve(grid.rho)
+        rho = _backward_euler(g_mat, dt).solve(grid.rho)
     else:
         raise ValueError(f"unknown method {method!r}")
     return replace(grid, rho=rho)
 
 
-def chi_squared(grid: FpeGrid, mu: GibbsMeasure | None = None) -> float:
+def chi_squared(rho: np.ndarray, mu: GibbsMeasure, cell_volume: float) -> float:
     """Squared Gibbs-weighted L2 distance  sum (rho - mu)^2 / mu * h^dim."""
-    mu = mu or gibbs(grid)
-    diff = grid.rho - mu.values
-    return float(np.sum(diff * diff / mu.values) * grid.cell_volume)
+    diff = rho - mu.values
+    return float(np.sum(diff * diff / mu.values) * cell_volume)
 
 
 def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
@@ -272,8 +268,7 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
     mu = gibbs(grid)
-    g_mat = generator(grid)
-    lu = spla.splu(sp.identity(grid.size, format="csc") - dt * g_mat.tocsc())
+    lu = _backward_euler(generator(grid), dt)
     n_steps = max(2, int(round(t_max / dt)))
     rho = grid.rho.copy()
     times = np.empty(n_steps + 1)
@@ -282,8 +277,7 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     vol = grid.cell_volume
     for k in range(n_steps + 1):
         times[k] = k * dt
-        diff = rho - mu.values
-        chi2[k] = np.sum(diff * diff / mu.values) * vol
+        chi2[k] = chi_squared(rho, mu, vol)
         mass[k] = np.sum(rho) * vol
         if k < n_steps:
             rho = lu.solve(rho)
@@ -382,13 +376,11 @@ def suggest_half_width(spec: LossSpec, s: float, tail: float = 1e-8) -> float:
     dim = spec.p * spec.d
     sigma = math.sqrt(s / (2.0 * spec.lam))
 
-    def fun(flat):
-        return model.loss(spec, flat.reshape(spec.p, spec.d))
+    def fun_and_grad(flat):
+        value, g = model.evaluate(spec, flat.reshape(spec.p, spec.d), ("loss", "grad"))
+        return float(value), g.ravel()
 
-    def jac(flat):
-        return model.grad(spec, flat.reshape(spec.p, spec.d)).ravel()
-
-    res = minimize(fun, np.zeros(spec.p * spec.d), jac=jac, method="L-BFGS-B")
+    res = minimize(fun_and_grad, np.zeros(dim), jac=True, method="L-BFGS-B")
     center = float(np.max(np.abs(res.x)))
     quantile = float(norm.isf(tail / (2.0 * dim)))
     return center + sigma * (quantile + 1.0)

@@ -5,7 +5,8 @@ p-by-d matrix W trainable.  The training objective on n pairs (x_i, y_i) is
 
     mean_i 0.5 * (y_i - f(x_i))^2  +  (lam / 2) * ||W||_F^2
 
-Gradient and Laplacian (trace of the Hessian) are hand-coded closed forms;
+Gradient and Laplacian (trace of the Hessian) are hand-coded closed forms,
+computed with the loss from one forward pass by :func:`evaluate`;
 finite-difference oracles in the test suite certify them.  The module also
 provides the two landscape constants used throughout:
 
@@ -162,84 +163,85 @@ class LossSpec:
         return LossSpec(Net(self.net.a, w, self.net.act), self.data, self.lam)
 
 
-def _weights(spec: LossSpec, w) -> np.ndarray:
+def weights(spec: LossSpec, w=None) -> np.ndarray:
+    """The net's own weights, or a caller-supplied (p, d) override checked
+    for shape and finiteness."""
     if w is None:
         return spec.net.w
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (spec.p, spec.d):
         raise ValueError(f"weight override must have shape {(spec.p, spec.d)}")
+    if not np.isfinite(w).all():
+        raise ValueError("weight override must be finite")
     return w
 
 
-def forward(net: Net, x: np.ndarray) -> float:
-    """Evaluate f(x) = a . sigma(W x) for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.d,):
-        raise ValueError(f"x must have shape ({net.d},)")
-    return float(net.a @ net.act(net.w @ x))
+def _forward(net: Net, w: np.ndarray, xs: np.ndarray, order: int):
+    """Net outputs at the rows of ``xs``, and sigma's derivatives up to ``order``."""
+    sig = net.act.derivs(w @ xs.T, order)             # each (..., p, n)
+    return net.a @ sig[0], sig
+
+
+_ORDER = {"loss": 0, "grad": 1, "laplacian": 2}
+
+
+def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
+    """The ``outputs`` named, any of 'loss', 'grad' and 'laplacian', in the
+    order named, from one forward pass at ``w``.
+
+    Only the named outputs are computed, and sigma is differentiated only as
+    far as the highest needs.  ``w`` is one (p, d) matrix or a (k, p, d)
+    stack, which gives every output a leading axis of length k.  ``batch``
+    restricts the data term to a non-empty array of sample indices.  ``w``
+    is not checked here, in the inner loop, but where weights enter
+    (:func:`weights`, the integrators), so it must be finite.
+
+    With r_i = f(x_i) - y_i and means over the samples, row j of the
+    gradient is mean_i a_j r_i sigma'(w_j.x_i) x_i + lam w_j, and the
+    Laplacian is sum_j mean_i [a_j^2 sigma'^2 + r_i a_j sigma''] ||x_i||^2
+    plus lam * p * d.
+    """
+    xs, ys = spec.data.xs, spec.data.ys
+    if batch is not None:
+        xs, ys = xs[batch], ys[batch]
+    a, lam, n = spec.net.a, spec.lam, xs.shape[0]
+    f, sig = _forward(spec.net, w, xs, max(_ORDER[name] for name in outputs))
+    r = f - ys                                        # (..., n)
+    out = []
+    for name in outputs:
+        if name == "loss":
+            out.append(0.5 * np.mean(r * r, axis=-1) + 0.5 * lam * np.sum(w * w, axis=(-2, -1)))
+        elif name == "grad":
+            coef = (a[:, None] * sig[1]) * r[..., None, :]
+            out.append((coef @ xs) / n + lam * w)
+        else:
+            xsq = np.sum(xs * xs, axis=1)
+            sq_term = np.sum((a**2)[:, None] * sig[1] * sig[1] * xsq, axis=(-2, -1))
+            curv_term = np.sum(a[:, None] * sig[2] * (r * xsq)[..., None, :], axis=(-2, -1))
+            out.append((sq_term + curv_term) / n + lam * spec.p * spec.d)
+    return tuple(out)
 
 
 def predict(spec: LossSpec, xs: np.ndarray, w=None) -> np.ndarray:
     """Net outputs for a batch of inputs (rows of xs)."""
-    w = _weights(spec, w)
-    pre = w @ np.asarray(xs, dtype=np.float64).T      # (p, n)
-    return spec.net.a @ spec.net.act(pre)
-
-
-def residuals(spec: LossSpec, w=None) -> np.ndarray:
-    """f(x_i) - y_i over the training data."""
-    return predict(spec, spec.data.xs, w) - spec.data.ys
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.isfinite(xs).all():
+        raise ValueError("inputs must be finite")
+    return _forward(spec.net, weights(spec, w), xs, 0)[0]
 
 
 def loss(spec: LossSpec, w=None) -> float:
-    w = _weights(spec, w)
-    r = residuals(spec, w)
-    return float(0.5 * np.mean(r * r) + 0.5 * spec.lam * np.sum(w * w))
-
-
-def data_term_grad(spec: LossSpec, indices=None, w=None) -> np.ndarray:
-    """Average over the given sample indices of the unregularized per-sample
-    loss gradients; all samples when ``indices`` is None.
-
-    Row j is mean_i a_j * (f(x_i) - y_i) * sigma'(w_j . x_i) * x_i.
-    """
-    w = _weights(spec, w)
-    xs, ys = spec.data.xs, spec.data.ys
-    if indices is not None:
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            raise ValueError("index set must be non-empty")
-        xs, ys = xs[indices], ys[indices]
-    pre = w @ xs.T                                    # (p, b)
-    r = spec.net.a @ spec.net.act(pre) - ys           # (b,)
-    coef = (spec.net.a[:, None] * spec.net.act.d1(pre)) * r[None, :]
-    return (coef @ xs) / xs.shape[0]
+    return float(evaluate(spec, weights(spec, w), ("loss",))[0])
 
 
 def grad(spec: LossSpec, w=None) -> np.ndarray:
     """Full gradient of the objective: data term average plus lam * W."""
-    w = _weights(spec, w)
-    return data_term_grad(spec, None, w) + spec.lam * w
+    return evaluate(spec, weights(spec, w), ("grad",))[0]
 
 
 def laplacian(spec: LossSpec, w=None) -> float:
-    """Trace of the Hessian of the objective.
-
-    Per row j:  mean_i [ a_j^2 sigma'(w_j.x_i)^2 ||x_i||^2
-                         + (f(x_i) - y_i) a_j sigma''(w_j.x_i) ||x_i||^2 ]
-    and the ridge contributes lam * d per row, lam * p * d in total.
-    """
-    w = _weights(spec, w)
-    xs = spec.data.xs
-    pre = w @ xs.T
-    r = spec.net.a @ spec.net.act(pre) - spec.data.ys
-    xsq = np.sum(xs * xs, axis=1)                     # (n,)
-    d1 = spec.net.act.d1(pre)
-    d2 = spec.net.act.d2(pre)
-    a = spec.net.a
-    sq_term = np.sum((a**2)[:, None] * d1 * d1 * xsq[None, :])
-    curv_term = np.sum(a[:, None] * d2 * (r * xsq)[None, :])
-    return float((sq_term + curv_term) / xs.shape[0] + spec.lam * spec.p * spec.d)
+    """Trace of the Hessian of the objective."""
+    return float(evaluate(spec, weights(spec, w), ("laplacian",))[0])
 
 
 def lambda_c(net: Net, data: Dataset) -> float:
@@ -263,7 +265,7 @@ def glip_bound(spec: LossSpec) -> float:
     p = spec.p
     an, bx, by = spec.net.a_norm, spec.data.x_bound, spec.data.y_bound
     row = (
-        an * bx * by * act.d1_lipschitz
+        an * bx * by * act.d2_sup
         + math.sqrt(p) * an**2 * act.d1_sup**2 * bx**2
         + p * an**2 * bx**2 * act.d2_sup * act.sup_value
         + spec.lam

@@ -66,7 +66,20 @@ def test_lipschitz_on_sampled_pairs(kind):
     x2 = rng.uniform(-30.0, 30.0, 20_000)
     gap = np.abs(x1 - x2)
     assert np.all(np.abs(act(x1) - act(x2)) <= act.lipschitz * gap + 1e-12)
-    assert np.all(np.abs(act.d1(x1) - act.d1(x2)) <= act.d1_lipschitz * gap + 1e-12)
+    assert np.all(np.abs(act.d1(x1) - act.d1(x2)) <= act.d2_sup * gap + 1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_derivs_equals_the_public_views(kind):
+    act = activations.make(kind, 1.5)
+    x = np.random.default_rng(5).uniform(-30.0, 30.0, (3, 40))
+    value, d1, d2 = act.derivs(x, 2)
+    np.testing.assert_array_equal(value, act(x))
+    np.testing.assert_array_equal(d1, act.d1(x))
+    np.testing.assert_array_equal(d2, act.d2(x))
+    for order in (0, 1):
+        for got, want in zip(act.derivs(x, order), (value, d1)[: order + 1], strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

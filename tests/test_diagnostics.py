@@ -40,7 +40,7 @@ def test_v_s_at_flat_interpolating_point():
     # curvature term remains
     a = rng.standard_normal(2)
     net1 = Net(a, np.zeros((2, 3)), act)
-    ys = np.array([model.forward(net1, x) for x in xs])
+    ys = model.predict(LossSpec(net1, Dataset(xs, np.zeros(4)), 0.0), xs)
     spec1 = LossSpec(net1, Dataset(xs, ys), 0.2)
     expected = -(np.sum(a**2) * np.mean(np.sum(xs * xs, axis=1)) + 0.2 * 6)
     assert diagnostics.v_s(spec1, 1.0) == pytest.approx(expected, rel=1e-10)

@@ -30,8 +30,7 @@ class TestSgdStep:
         rng = np.random.default_rng(3)
         spec = small_spec(seed=1)
         w = rng.standard_normal((2, 2))
-        ys = np.array([model.forward(Net(spec.net.a, w, spec.net.act), x)
-                       for x in spec.data.xs])
+        ys = model.predict(spec, spec.data.xs, w)
         spec_fit = LossSpec(Net(spec.net.a, w, spec.net.act),
                             Dataset(spec.data.xs, ys), spec.lam)
         out = dynamics.sgd_step(spec_fit, w, np.arange(8), s=0.05)
@@ -130,6 +129,17 @@ class TestRunSgd:
         assert np.all(np.isfinite(err.value.last_w))
         assert err.value.step > 0
 
+    def test_divergence_between_log_points_raises(self):
+        # s * lam ~ 190: the weights overflow long before the only log point
+        spec = small_spec()
+        cfg = SgdConfig(step_size=1e3, batch_size=4, steps=1000, seed=0,
+                        init=InitSpec("gaussian", tau=1.0), log_every=1000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                dynamics.run_sgd(spec, cfg)
+        assert 0 < err.value.step < 1000
+        assert np.all(np.isfinite(err.value.last_w))
+
     def test_vector_eval_fn_logged_per_checkpoint(self):
         spec = small_spec()
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=100, seed=3, log_every=25)
@@ -156,6 +166,8 @@ class TestInitSpec:
             InitSpec("explicit")
         with pytest.raises(ValueError):
             InitSpec("gaussian", tau=-1.0)
+        with pytest.raises(ValueError):
+            InitSpec("explicit", w0=np.array([[0.0, np.nan]]))
 
     def test_default_scale_rule(self):
         draws = InitSpec().sample(np.random.default_rng(1), 40, 40, lam=0.25, s=1.0)
@@ -226,6 +238,15 @@ class TestRunSde:
         with pytest.raises(DivergenceError):
             dynamics.run_sde(spec, s=0.0, dt=1.0, t_max=100.0, seed=0,
                              init=InitSpec("gaussian", tau=1.0))
+
+    def test_divergence_between_log_points_raises(self):
+        spec = small_spec()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                dynamics.run_sde(spec, s=0.01, dt=1e3, t_max=1e6, seed=0,
+                                 init=InitSpec("gaussian", tau=1.0), log_every=1000)
+        assert 0 < err.value.step < 1000
+        assert np.all(np.isfinite(err.value.last_w))
 
     def test_parameter_validation(self):
         spec = small_spec()

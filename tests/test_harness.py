@@ -14,13 +14,13 @@ def tiny_recipe(seed=3):
 
 
 def tiny_sweep(lambdas=(1e-3, 0.13), widths=(2, 4), restarts=1, base_seed=0,
-               steps=300, step_size=0.05):
+               steps=300, step_size=0.05, log_every=50):
     return SweepConfig(
         lambdas=lambdas,
         widths=widths,
         recipe=tiny_recipe(),
         sgd=SgdConfig(step_size=step_size, batch_size=8, steps=steps,
-                      init=InitSpec("gaussian", tau=0.5), log_every=50),
+                      init=InitSpec("gaussian", tau=0.5), log_every=log_every),
         restarts_per_cell=restarts,
         base_seed=base_seed,
     )
@@ -56,10 +56,15 @@ class TestSweep:
         assert harness.cell_seed(1, 2, 3, 4) != harness.cell_seed(1, 3, 2, 4)
 
     def test_divergent_cell_carries_sentinel(self):
-        cfg = tiny_sweep(lambdas=(0.5,), widths=(2,), step_size=10.0, steps=50)
-        result = harness.run_sweep(cfg)
-        assert np.isinf(result.grid[0, 0])
-        assert "diverged" in result.per_cell[0]["status"]
+        # at step 10 the loss passes the limit by the log point; at step 1e3
+        # the weights overflow long before it
+        for step_size, steps in ((10.0, 50), (1e3, 400)):
+            cfg = tiny_sweep(lambdas=(0.5,), widths=(2,), step_size=step_size,
+                             steps=steps, log_every=steps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = harness.run_sweep(cfg)
+            assert np.isinf(result.grid[0, 0])
+            assert "diverged" in result.per_cell[0]["status"]
 
     def test_final_train_loss_metric(self):
         cfg = SweepConfig(

@@ -18,23 +18,31 @@ def make_spec(act_kind="sigmoid", beta=1.0, p=1, d=1, xs=None, ys=None,
     return LossSpec(Net(a, w, act), Dataset(xs, ys), lam)
 
 
+def one_row(net: Net, x) -> float:
+    """The net's output at one input, through ``predict`` on a one-row batch."""
+    spec = LossSpec(net, Dataset(np.zeros((1, net.d)), np.zeros(1)), 0.0)
+    out = model.predict(spec, np.atleast_2d(x))
+    assert out.shape == (1,)
+    return float(out[0])
+
+
 class TestForward:
     def test_two_gates_at_zero_weights(self):
         net = Net(np.ones(2), np.zeros((2, 3)), activations.sigmoid(1.0))
-        assert model.forward(net, np.array([0.3, -0.2, 1.0])) == pytest.approx(1.0, abs=1e-15)
+        assert one_row(net, [0.3, -0.2, 1.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_tanh_zero_weights(self):
         net = Net(np.array([2.0, -1.0]), np.zeros((2, 2)), activations.tanh())
-        assert model.forward(net, np.array([5.0, 5.0])) == 0.0
+        assert one_row(net, [5.0, 5.0]) == 0.0
 
     def test_scalar_sigmoid(self):
         net = Net(np.ones(1), np.zeros((1, 1)), activations.sigmoid(1.0))
-        assert model.forward(net, np.array([1.0])) == pytest.approx(0.5, abs=1e-15)
+        assert one_row(net, [1.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_shape_error(self):
         net = Net(np.ones(1), np.zeros((1, 2)), activations.sigmoid(1.0))
         with pytest.raises(ValueError):
-            model.forward(net, np.array([1.0, 2.0, 3.0]))
+            one_row(net, [1.0, 2.0, 3.0])
 
 
 class TestLoss:
@@ -68,7 +76,7 @@ class TestGrad:
         w = rng.standard_normal((3, 2))
         xs = rng.standard_normal((4, 2))
         net = Net(rng.standard_normal(3), w, act)
-        ys = np.array([model.forward(net, x) for x in xs])
+        ys = model.predict(LossSpec(net, Dataset(xs, np.zeros(4)), 0.0), xs)
         spec = LossSpec(net, Dataset(xs, ys), lam=0.27)
         np.testing.assert_allclose(model.grad(spec), 0.27 * w, atol=1e-12)
 
@@ -110,6 +118,51 @@ class TestLaplacian:
             lap = model.laplacian(spec, w)
             fd = oracles.fd_hessian_trace(spec, w)
             assert abs(lap - fd) / max(abs(fd), 1e-9) <= 1e-5
+
+
+class TestEvaluate:
+    OUTPUTS = ("loss", "grad", "laplacian")
+
+    @pytest.mark.parametrize("minibatch", [False, True])
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softplus"])
+    def test_stack_matches_single_evaluations_and_oracles(self, kind, minibatch):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            spec = oracles.random_spec(rng, activations.make(kind, 1.0))
+            batch = rng.integers(0, spec.n, size=3) if minibatch else None
+            # the oracles see the selected samples as a dataset of their own
+            sub = spec if batch is None else LossSpec(
+                spec.net, Dataset(spec.data.xs[batch], spec.data.ys[batch]), spec.lam)
+            stack = rng.standard_normal((4, spec.p, spec.d))
+            stacked = model.evaluate(spec, stack, self.OUTPUTS, batch)
+            for i, w in enumerate(stack):
+                single = model.evaluate(spec, w, self.OUTPUTS, batch)
+                for got, want in zip(stacked, single, strict=True):
+                    assert np.shape(got[i]) == np.shape(want)
+                    assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
+                value, g, lap = single
+                assert value == pytest.approx(oracles.naive_loss(sub, w), rel=1e-12, abs=1e-12)
+                fd = oracles.fd_gradient(sub, w)
+                assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
+                fd_lap = oracles.fd_hessian_trace(sub, w)
+                assert abs(lap - fd_lap) <= 1e-5 * max(abs(fd_lap), 1e-9)
+
+    def test_outputs_come_in_the_order_named(self):
+        spec = oracles.random_spec(np.random.default_rng(3), activations.tanh())
+        lap, value = model.evaluate(spec, spec.net.w, ("laplacian", "loss"))
+        assert (lap, value) == (model.laplacian(spec), model.loss(spec))
+        with pytest.raises(KeyError):
+            model.evaluate(spec, spec.net.w, ("hessian",))
+
+    def test_public_entry_points_check_weights(self):
+        spec = make_spec("sigmoid", p=1, d=1)
+        for fn in (model.loss, model.grad, model.laplacian):
+            with pytest.raises(ValueError):
+                fn(spec, np.array([[np.nan]]))
+            with pytest.raises(ValueError):
+                fn(spec, np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            model.predict(spec, np.array([[np.inf]]))
 
 
 class TestConstants:
