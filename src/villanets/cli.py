@@ -73,11 +73,14 @@ def _cmd_train(args) -> int:
 def _cmd_sde(args) -> int:
     spec = load_spec(args.spec)
     lines = ["path,step,t,loss"]
-    for path_idx in range(args.paths):
-        traj = dynamics.run_sde(
-            spec, s=args.s, dt=args.dt, t_max=args.tmax,
-            seed=args.seed + path_idx, log_every=args.log_every,
-        )
+    paths = dynamics.run_sde_paths(
+        spec, s=args.s, dt=args.dt, t_max=args.tmax,
+        seeds=[args.seed + path_idx for path_idx in range(args.paths)],
+        log_every=args.log_every,
+    )
+    for path_idx, traj in enumerate(paths):
+        if isinstance(traj, dynamics.DivergenceError):
+            raise traj
         for k in range(len(traj.steps)):
             lines.append(f"{path_idx},{traj.steps[k]},{traj.times[k]!r},{traj.losses[k]!r}")
     Path(args.out).write_text("\n".join(lines) + "\n")

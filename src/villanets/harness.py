@@ -14,7 +14,6 @@ optimizer to label noise is measured.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import activations, model
 from .datasets import DataRecipe, corrupt_labels
-from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd
+from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, normalized_outer
 
 METRICS = ("best_test_loss", "final_train_loss")
@@ -111,24 +110,30 @@ class _CellTask:
 
 
 def _run_cell(task: _CellTask):
+    """Train the cell's restarts as one stack of chains.
+
+    Every row's ``wall_time`` is the run time of that whole stack, shared
+    by the cell's restarts, not the time of one restart.
+    """
     act = activations.make(task.act_kind, task.act_beta)
     spec = build_cell_spec(task.train, task.width, task.lam, act, task.a_mode)
+    seeds = [cell_seed(task.base_seed, task.i_lam, task.i_width, restart)
+             for restart in range(task.restarts)]
+    t0 = time.perf_counter()
+    outcomes = run_sgd_chains(spec, task.sgd, seeds,
+                              eval_fn=lambda w: test_mse(spec, task.test, w))
+    wall_time = time.perf_counter() - t0
     rows = []
-    best = math.inf
-    for restart in range(task.restarts):
-        seed = cell_seed(task.base_seed, task.i_lam, task.i_width, restart)
-        cfg = dataclasses.replace(task.sgd, seed=seed)
-        t0 = time.perf_counter()
-        try:
-            traj = run_sgd(spec, cfg, eval_fn=lambda w: test_mse(spec, task.test, w))
+    for restart, (seed, traj) in enumerate(zip(seeds, outcomes)):
+        if isinstance(traj, DivergenceError):
+            value = math.inf
+            status = f"diverged at step {traj.step}"
+        else:
             if task.metric == "best_test_loss":
                 value = float(traj.eval_values.min())
             else:
                 value = float(traj.losses[-1])
             status = "ok"
-        except DivergenceError as exc:
-            value = math.inf
-            status = f"diverged at step {exc.step}"
         rows.append(
             {
                 "lam": task.lam,
@@ -137,12 +142,11 @@ def _run_cell(task: _CellTask):
                 "metric": value,
                 "seed": seed,
                 "steps": task.sgd.steps,
-                "wall_time": time.perf_counter() - t0,
+                "wall_time": wall_time,
                 "status": status,
             }
         )
-        best = min(best, value)
-    return task.i_lam, task.i_width, best, rows
+    return task.i_lam, task.i_width, min(row["metric"] for row in rows), rows
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:

@@ -177,8 +177,10 @@ def weights(spec: LossSpec, w=None) -> np.ndarray:
 
 
 def _forward(net: Net, w: np.ndarray, xs: np.ndarray, order: int):
-    """Net outputs at the rows of ``xs``, and sigma's derivatives up to ``order``."""
-    sig = net.act.derivs(w @ xs.T, order)             # each (..., p, n)
+    """Net outputs at the rows of ``xs`` (n, d), or of one row block per
+    matrix of a stack (k, n, d), and sigma's derivatives up to ``order``."""
+    xs_t = np.swapaxes(xs, -1, -2) if xs.ndim == 3 else xs.T
+    sig = net.act.derivs(w @ xs_t, order)             # each (..., p, n)
     return net.a @ sig[0], sig
 
 
@@ -192,7 +194,9 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     Only the named outputs are computed, and sigma is differentiated only as
     far as the highest needs.  ``w`` is one (p, d) matrix or a (k, p, d)
     stack, which gives every output a leading axis of length k.  ``batch``
-    restricts the data term to a non-empty array of sample indices.  ``w``
+    restricts the data term to a non-empty array of sample indices: one
+    (b,) array for all of ``w``, or a (k, b) array whose row i is the batch
+    of ``w[i]``, exactly as k single evaluations would give.  ``w``
     is not checked here, in the inner loop, but where weights enter
     (:func:`weights`, the integrators), so it must be finite.
 
@@ -204,19 +208,22 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     xs, ys = spec.data.xs, spec.data.ys
     if batch is not None:
         xs, ys = xs[batch], ys[batch]
-    a, lam, n = spec.net.a, spec.lam, xs.shape[0]
+    a, lam, n = spec.net.a, spec.lam, xs.shape[-2]
     f, sig = _forward(spec.net, w, xs, max(_ORDER[name] for name in outputs))
     r = f - ys                                        # (..., n)
     out = []
     for name in outputs:
         if name == "loss":
-            out.append(0.5 * np.mean(r * r, axis=-1) + 0.5 * lam * np.sum(w * w, axis=(-2, -1)))
+            # sum / n is np.mean's own arithmetic, without its Python wrapper
+            out.append(0.5 * (np.sum(r * r, axis=-1) / n)
+                       + 0.5 * lam * np.sum(w * w, axis=(-2, -1)))
         elif name == "grad":
             coef = (a[:, None] * sig[1]) * r[..., None, :]
             out.append((coef @ xs) / n + lam * w)
         else:
-            xsq = np.sum(xs * xs, axis=1)
-            sq_term = np.sum((a**2)[:, None] * sig[1] * sig[1] * xsq, axis=(-2, -1))
+            xsq = np.sum(xs * xs, axis=-1)
+            sq_term = np.sum((a**2)[:, None] * sig[1] * sig[1] * xsq[..., None, :],
+                             axis=(-2, -1))
             curv_term = np.sum(a[:, None] * sig[2] * (r * xsq)[..., None, :], axis=(-2, -1))
             out.append((sq_term + curv_term) / n + lam * spec.p * spec.d)
     return tuple(out)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from villanets import cli, datasets
+from villanets import cli, datasets, dynamics
+from villanets.configio import load_spec
 from villanets.datasets import DataRecipe
 
 
@@ -76,6 +77,23 @@ def test_sde_cli(workdir):
     lines = out.read_text().splitlines()
     assert lines[0] == "path,step,t,loss"
     assert any(line.startswith("1,") for line in lines[1:])
+
+
+def test_sde_cli_paths_are_seeded_lone_runs(workdir):
+    # path i is the lone run with seed --seed + i; rows stay path-major
+    out = workdir / "paths.csv"
+    code = cli.main(["sde", "--spec", str(workdir / "spec.json"),
+                     "--s", "0.05", "--dt", "0.01", "--tmax", "0.3",
+                     "--paths", "3", "--seed", "7", "--log-every", "4", "--out", str(out)])
+    assert code == 0
+    spec = load_spec(workdir / "spec.json")
+    lines = ["path,step,t,loss"]
+    for path_idx in range(3):
+        traj = dynamics.run_sde(spec, s=0.05, dt=0.01, t_max=0.3, seed=7 + path_idx,
+                                log_every=4)
+        for k in range(len(traj.steps)):
+            lines.append(f"{path_idx},{traj.steps[k]},{traj.times[k]!r},{traj.losses[k]!r}")
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_fpe_cli_csv_and_gap(workdir, capsys):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +256,128 @@ class TestRunSde:
             dynamics.run_sde(spec, s=-1.0, dt=0.1, t_max=1.0)
         with pytest.raises(ValueError):
             dynamics.run_sde(spec, s=0.1, dt=0.0, t_max=1.0)
+
+
+def _outcome(entry):
+    """Everything a run reports, as bytes and strings, for exact comparison."""
+    if isinstance(entry, DivergenceError):
+        return ("diverged", str(entry), entry.step, entry.last_w.tobytes())
+    weights = None if entry.weights is None else np.array(entry.weights).tobytes()
+    evals = None if entry.eval_values is None else entry.eval_values.tobytes()
+    return (entry.final_w.tobytes(), entry.times.tobytes(), entry.steps.tobytes(),
+            entry.losses.tobytes(), entry.grad_norms.tobytes(), evals, weights,
+            entry.rng_state_digest)
+
+
+def _lone(run, *args, **kwargs):
+    try:
+        return _outcome(run(*args, **kwargs))
+    except DivergenceError as err:
+        return _outcome(err)
+
+
+class TestBlockDraws:
+    """The integrators draw each chain's randomness K steps at a time; that
+    must consume the generator exactly as K per-step draws do."""
+
+    @pytest.mark.parametrize("n, b", [(8, 3), (8, 4), (200, 7), (200, 32), (2**33, 5), (16, 1)])
+    def test_integer_blocks_equal_per_step_draws(self, n, b):
+        per_step, block = np.random.default_rng(5), np.random.default_rng(5)
+        per_step.standard_normal((2, 3))  # an init draw comes first
+        block.standard_normal((2, 3))
+        steps = np.array([per_step.integers(0, n, size=b) for _ in range(37)])
+        np.testing.assert_array_equal(block.integers(0, n, size=(37, b)), steps)
+        assert block.bit_generator.state == per_step.bit_generator.state
+
+    def test_normal_blocks_equal_per_step_draws(self):
+        per_step, block = np.random.default_rng(6), np.random.default_rng(6)
+        steps = np.array([per_step.standard_normal((3, 2)) for _ in range(23)])
+        np.testing.assert_array_equal(block.standard_normal((23, 3, 2)), steps)
+        assert block.bit_generator.state == per_step.bit_generator.state
+
+    def test_run_sgd_equals_a_per_step_loop(self):
+        # more steps than one block holds, so the run spans several blocks
+        spec = small_spec()
+        cfg = SgdConfig(step_size=0.05, batch_size=4, steps=dynamics.BLOCK_NUMBERS // 2 + 3,
+                        seed=9, log_every=1000)
+        traj = dynamics.run_sgd(spec, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, cfg.step_size)
+        for _ in range(cfg.steps):
+            w = dynamics.sgd_step(spec, w, rng.integers(0, spec.n, size=4), cfg.step_size)
+        np.testing.assert_array_equal(traj.final_w, w)
+        assert traj.rng_state_digest == dynamics._digest(rng)
+
+
+class TestEnsembles:
+    """A stack of chains gives every seed exactly what a lone run gives."""
+
+    @pytest.mark.parametrize("batch_size", [4, 8])  # minibatch and full batch (n = 8)
+    def test_sgd_chains_equal_lone_runs(self, batch_size):
+        spec = small_spec()
+        cfg = SgdConfig(step_size=0.05, batch_size=batch_size, steps=700, seed=0,
+                        init=InitSpec("gaussian", tau=1.0), log_every=90)
+        seeds = [3, 1, 4, 1, 5]
+
+        def eval_fn(w):
+            return (float(np.sum(w)), model.loss(spec, w))
+
+        stacked = dynamics.run_sgd_chains(spec, cfg, seeds, eval_fn=eval_fn)
+        assert len(stacked) == len(seeds)
+        for seed, entry in zip(seeds, stacked, strict=True):
+            lone = _lone(dynamics.run_sgd, spec, dataclasses.replace(cfg, seed=seed), eval_fn)
+            assert _outcome(entry) == lone
+
+    @pytest.mark.parametrize("step_size, steps, log_every", [(12.0, 64, 1), (20.0, 800, 800)])
+    def test_diverged_chains_leave_the_stack(self, step_size, steps, log_every):
+        # s * lam = 2.25 or 3.75 > 2: the ridge term grows the weights
+        # geometrically, so each chain's loss passes the limit (log_every=1)
+        # or its weights overflow (log_every=800) at a step that depends on
+        # its seed
+        spec = small_spec()
+        cfg = SgdConfig(step_size=step_size, batch_size=4, steps=steps, seed=0,
+                        init=InitSpec("gaussian", tau=1.0), log_every=log_every)
+        seeds = list(range(12))
+        stacked = dynamics.run_sgd_chains(spec, cfg, seeds)
+        diverged = [e for e in stacked if isinstance(e, DivergenceError)]
+        assert diverged and len({e.step for e in diverged}) > 1
+        if log_every == 1:
+            assert len(diverged) < len(seeds)
+        for seed, entry in zip(seeds, stacked, strict=True):
+            assert _outcome(entry) == _lone(dynamics.run_sgd, spec,
+                                            dataclasses.replace(cfg, seed=seed))
+
+    @pytest.mark.parametrize("dt, t_max, log_every", [(0.01, 3.0, 40), (11.5, 1150.0, 5)])
+    def test_sde_paths_equal_lone_runs(self, dt, t_max, log_every):
+        # the second case diverges on some paths and not on others
+        spec = small_spec()
+        init = InitSpec("gaussian", tau=1.0)
+        seeds = list(range(8))
+        stacked = dynamics.run_sde_paths(spec, 0.01, dt, t_max, seeds, init=init,
+                                         log_every=log_every, record_weights=True)
+        if dt > 1:
+            assert 0 < sum(isinstance(e, DivergenceError) for e in stacked) < len(seeds)
+        for seed, entry in zip(seeds, stacked, strict=True):
+            assert _outcome(entry) == _lone(dynamics.run_sde, spec, 0.01, dt, t_max, seed=seed,
+                                    init=init, log_every=log_every, record_weights=True)
+
+    def test_no_seeds_no_runs(self):
+        cfg = SgdConfig(step_size=0.05, batch_size=4, steps=10)
+        assert dynamics.run_sgd_chains(small_spec(), cfg, []) == []
+
+
+def test_divergence_raises_without_overflow_warnings():
+    spec = small_spec()
+    init = InitSpec("gaussian", tau=1.0)
+    cfg = SgdConfig(step_size=1e3, batch_size=4, steps=1000, seed=0, init=init,
+                    log_every=1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            dynamics.run_sgd(spec, cfg)
+        with pytest.raises(DivergenceError):
+            dynamics.run_sde(spec, s=0.01, dt=1e3, t_max=1e6, seed=0, init=init,
+                             log_every=1000)
 
 
 def test_step_size_guidance():

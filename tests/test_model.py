@@ -147,6 +147,20 @@ class TestEvaluate:
                 fd_lap = oracles.fd_hessian_trace(sub, w)
                 assert abs(lap - fd_lap) <= 1e-5 * max(abs(fd_lap), 1e-9)
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softplus"])
+    def test_stack_with_one_batch_per_matrix_is_exact(self, kind):
+        # row i of a (k, b) batch is the minibatch of w[i]
+        rng = np.random.default_rng(43)
+        for _ in range(4):
+            spec = oracles.random_spec(rng, activations.make(kind, 1.0))
+            stack = rng.standard_normal((5, spec.p, spec.d))
+            batches = rng.integers(0, spec.n, size=(5, 3))
+            stacked = model.evaluate(spec, stack, self.OUTPUTS, batches)
+            for i in range(len(stack)):
+                single = model.evaluate(spec, stack[i], self.OUTPUTS, batches[i])
+                for got, want in zip(stacked, single, strict=True):
+                    np.testing.assert_array_equal(got[i], want)
+
     def test_outputs_come_in_the_order_named(self):
         spec = oracles.random_spec(np.random.default_rng(3), activations.tanh())
         lap, value = model.evaluate(spec, spec.net.w, ("laplacian", "loss"))
