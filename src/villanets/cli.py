@@ -2,7 +2,8 @@
 
 Subcommands: constants, villani-scan, train, sde, fpe, gen, sweep, ablate.
 Exit codes: 0 on success (sweeps count divergence sentinels as success),
-2 on configuration errors.
+2 on configuration errors, 3 when a ``train`` or ``sde`` run diverges
+(``diverged at step k: ...`` on stderr, no output file written).
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except dynamics.DivergenceError as exc:
+        print(f"diverged at step {exc.step}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

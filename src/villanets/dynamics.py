@@ -297,6 +297,8 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     """
     if s < 0 or dt <= 0 or t_max <= 0:
         raise ValueError("need s >= 0, dt > 0, t_max > 0")
+    if log_every < 1:
+        raise ValueError("log_every must be at least 1")
     noise_scale = math.sqrt(s * dt)
 
     def draw(rng, size):

@@ -19,6 +19,11 @@ evolving the density and fitting the decay of the Gibbs-weighted L2 distance
 (:func:`decay_rate`), or by an eigenvalue computation on the generator
 (:func:`spectral_gap`).  Keeping both honest is the point; they are used to
 cross-validate each other.
+
+Detailed balance makes the generator similar to a symmetric operator H,
+banded with half-bandwidth m^(dim-1) on the node grid.  One banded Cholesky
+factor of a shifted H serves every implicit step and every shift-invert
+solve of the eigenvalue iteration.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cholesky_banded, eigh_tridiagonal
+from scipy.linalg.lapack import dpbtrs
 from scipy.optimize import minimize
 from scipy.stats import norm
 
@@ -37,6 +44,8 @@ from .model import LossSpec
 
 CHI_FLOOR = 1e-12
 MAX_OPERATOR_SIZE = 40_000
+# exp(-x) beyond this nears the underflow range of float64
+MAX_GIBBS_EXPONENT = 700.0
 
 
 @dataclass(frozen=True)
@@ -148,10 +157,21 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="unifor
 
 
 def gibbs(grid: FpeGrid) -> GibbsMeasure:
-    """Discretized stationary density with its normalizer."""
+    """Discretized stationary density with its normalizer.
+
+    Raises ``ValueError`` when 2 (U - min U) / s exceeds
+    ``MAX_GIBBS_EXPONENT`` somewhere on the box, rather than clamping it.
+    """
     d_coef = grid.s / 2.0
     u0 = grid.potential.min()
-    raw = np.exp(-np.minimum((grid.potential - u0) / d_coef, 700.0))
+    exponent = (grid.potential - u0) / d_coef
+    top = float(exponent.max())
+    if top > MAX_GIBBS_EXPONENT:
+        raise ValueError(
+            f"Gibbs exponent 2 (U - min U) / s spans [0, {top:.4g}] on this box, beyond "
+            f"{MAX_GIBBS_EXPONENT:g} where exp(-x) nears underflow; shrink the box or raise s"
+        )
+    raw = np.exp(-exponent)
     z_shifted = float(np.sum(raw) * grid.cell_volume)
     log_z = math.log(z_shifted) - u0 / d_coef
     values = raw / z_shifted
@@ -174,6 +194,17 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edges(grid: FpeGrid) -> list:
+    """Neighbor pairs (left, right), one pair of index arrays per axis;
+    right - left is the same for every edge of an axis."""
+    if grid.dim == 1:
+        idx = np.arange(grid.m)
+        return [(idx[:-1], idx[1:])]
+    flat = np.arange(grid.size).reshape(grid.m, grid.m)
+    return [(flat[:-1, :].ravel(), flat[1:, :].ravel()),
+            (flat[:, :-1].ravel(), flat[:, 1:].ravel())]
+
+
 def generator(grid: FpeGrid) -> sp.csr_matrix:
     """Sparse generator G with d rho / dt = G rho.
 
@@ -187,8 +218,7 @@ def generator(grid: FpeGrid) -> sp.csr_matrix:
     d_coef = grid.s / 2.0
     size = grid.size
     rows, cols, vals = [], [], []
-
-    def add_edges(left: np.ndarray, right: np.ndarray):
+    for left, right in _edges(grid):
         w = (grid.potential[right] - grid.potential[left]) / d_coef
         cp = (d_coef / grid.h) * _bernoulli(-w)   # coefficient of rho_right in J
         cm = -(d_coef / grid.h) * _bernoulli(w)   # coefficient of rho_left in J
@@ -196,15 +226,6 @@ def generator(grid: FpeGrid) -> sp.csr_matrix:
         rows.extend([left, left, right, right])
         cols.extend([right, left, right, left])
         vals.extend([cp / grid.h, cm / grid.h, -cp / grid.h, -cm / grid.h])
-
-    if grid.dim == 1:
-        idx = np.arange(grid.m)
-        add_edges(idx[:-1], idx[1:])
-    else:
-        m = grid.m
-        flat = np.arange(m * m).reshape(m, m)
-        add_edges(flat[:-1, :].ravel(), flat[1:, :].ravel())
-        add_edges(flat[:, :-1].ravel(), flat[:, 1:].ravel())
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -226,61 +247,99 @@ def explicit_dt_limit(grid: FpeGrid) -> float:
     return grid.h**2 / (2.0 * grid.dim * d_coef + grid.h * max_slope)
 
 
-def _backward_euler(g_mat: sp.csr_matrix, dt: float):
-    """LU factor of I - dt * G, the matrix of one implicit step."""
-    return spla.splu(sp.identity(g_mat.shape[0], format="csc") - dt * g_mat.tocsc())
+def _symmetric_band(grid: FpeGrid) -> np.ndarray:
+    """H = diag(mu)^-1/2 G diag(mu)^1/2 in LAPACK upper-band storage.
+
+    Shape (kd + 1, m^dim) with kd = m^(dim-1): row kd holds the diagonal
+    and row kd - k the k-th superdiagonal, entry (i, i + k) in column i + k.
+    Detailed balance makes the off-diagonal of edge (L, R)
+
+        (D/h^2) * (w/2) / sinh(w/2) = (D/h^2) * sqrt(B(w) * B(-w)),
+
+    symmetric in w by construction, so H is built without the Gibbs
+    density and is exactly symmetric.  Its diagonal is G's.  H <= 0, with
+    null vector sqrt(mu).
+    """
+    d_coef = grid.s / 2.0
+    scale = d_coef / grid.h**2
+    kd = grid.m ** (grid.dim - 1)
+    band = np.zeros((kd + 1, grid.size))
+    for left, right in _edges(grid):
+        w = (grid.potential[right] - grid.potential[left]) / d_coef
+        b_plus, b_minus = _bernoulli(w), _bernoulli(-w)
+        band[kd - (right[0] - left[0]), right] = scale * np.sqrt(b_plus * b_minus)
+        band[kd, left] -= scale * b_plus
+        band[kd, right] -= scale * b_minus
+    return band
+
+
+def _band_solver(band: np.ndarray, shift: float, scale: float):
+    """Solve with shift * I - scale * H from one banded Cholesky factor.
+
+    ``band`` is H in upper-band storage (:func:`_symmetric_band`); H <= 0,
+    so the matrix is SPD for shift, scale > 0.  A backward-Euler step is
+    (shift, scale) = (1, dt); shift-invert about sigma is (sigma, 1).
+    """
+    ab = -scale * band
+    ab[-1] += shift
+    factor = cholesky_banded(ab, check_finite=False)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return dpbtrs(factor, rhs)[0]
+
+    return solve
 
 
 def step_fpe(grid: FpeGrid, dt: float, method: str = "explicit") -> FpeGrid:
     """Advance the density one step; returns a new grid.
 
-    Explicit forward-Euler steps enforce the stability limit; implicit
-    (backward-Euler) steps accept any dt.  Both conserve mass exactly.
+    Explicit forward-Euler steps on G enforce the stability limit.
+    Implicit (backward-Euler) steps accept any dt; like :func:`decay_rate`
+    they step q = rho / sqrt(mu) with the symmetric form H.  Both conserve
+    mass to round-off.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    g_mat = generator(grid)
     if method == "explicit":
         limit = explicit_dt_limit(grid)
         if dt > limit:
             raise ValueError(f"explicit step dt={dt} exceeds stability limit {limit:.3e}")
-        rho = grid.rho + dt * (g_mat @ grid.rho)
+        rho = grid.rho + dt * (generator(grid) @ grid.rho)
     elif method == "implicit":
-        rho = _backward_euler(g_mat, dt).solve(grid.rho)
+        root = np.sqrt(gibbs(grid).values)
+        rho = root * _band_solver(_symmetric_band(grid), 1.0, dt)(grid.rho / root)
     else:
         raise ValueError(f"unknown method {method!r}")
     return replace(grid, rho=rho)
 
 
-def chi_squared(rho: np.ndarray, mu: GibbsMeasure, cell_volume: float) -> float:
-    """Squared Gibbs-weighted L2 distance  sum (rho - mu)^2 / mu * h^dim."""
-    diff = rho - mu.values
-    return float(np.sum(diff * diff / mu.values) * cell_volume)
-
-
 def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     """Evolve to ``t_max`` (implicit steps) and fit the tail decay of chi(t).
 
+    The steps evolve q = rho / sqrt(mu) under the symmetric form H, so the
+    squared Gibbs-weighted distance sum (rho - mu)^2 / mu * h^dim is
+    ||q - sqrt(mu)||^2 * h^dim and the mass is (q . sqrt(mu)) * h^dim.
     The fit is least-squares on log chi over the second half of the horizon,
     excluding points at the round-off floor.  A floor hit before the window
     opens sets ``early_converged``.
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    mu = gibbs(grid)
-    lu = _backward_euler(generator(grid), dt)
+    root = np.sqrt(gibbs(grid).values)
+    solve = _band_solver(_symmetric_band(grid), 1.0, dt)
     n_steps = max(2, int(round(t_max / dt)))
-    rho = grid.rho.copy()
+    q = grid.rho / root
     times = np.empty(n_steps + 1)
     chi2 = np.empty(n_steps + 1)
     mass = np.empty(n_steps + 1)
     vol = grid.cell_volume
     for k in range(n_steps + 1):
         times[k] = k * dt
-        chi2[k] = chi_squared(rho, mu, vol)
-        mass[k] = np.sum(rho) * vol
+        diff = q - root
+        chi2[k] = (diff @ diff) * vol
+        mass[k] = (q @ root) * vol
         if k < n_steps:
-            rho = lu.solve(rho)
+            q = solve(q)
     chi = np.sqrt(chi2)
     window = times >= t_max / 2.0
     usable = chi > CHI_FLOOR
@@ -302,18 +361,40 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     return DecayFit(-float(coef[0]), r_sq, times, chi2, mass, early)
 
 
+def _band_csr(band: np.ndarray) -> sp.csr_matrix:
+    """The symmetric matrix whose upper band is ``band``, as CSR."""
+    kd, size = band.shape[0] - 1, band.shape[1]
+    upper = sp.dia_matrix((band[::-1], np.arange(kd + 1)), shape=(size, size)).tocsr()
+    return (upper + sp.triu(upper, k=1).T).tocsr()
+
+
 def symmetrized_generator(grid: FpeGrid) -> sp.csr_matrix:
     """Similarity transform diag(mu)^-1/2 G diag(mu)^1/2.
 
     The Chang-Cooper fluxes satisfy detailed balance with respect to the
-    discrete Gibbs density, so this matrix is symmetric (up to round-off,
-    which is removed here) and shares the generator's spectrum.
+    discrete Gibbs density, so this matrix is symmetric (bit for bit: it is
+    a CSR view of :func:`_symmetric_band`) and shares the generator's
+    spectrum.
     """
-    mu = gibbs(grid).values
-    root = np.sqrt(mu)
-    g_mat = generator(grid)
-    h_mat = sp.diags(1.0 / root) @ g_mat @ sp.diags(root)
-    return ((h_mat + h_mat.T) * 0.5).tocsr()
+    return _band_csr(_symmetric_band(grid))
+
+
+def _eigsh_near_zero(band: np.ndarray, k: int, maxiter: int, vectors: bool):
+    """The ``k`` eigenvalues of H nearest 0 (with eigenvectors if
+    ``vectors``), by shift-invert about a small sigma > 0 that solves with
+    the banded Cholesky factor of sigma * I - H."""
+    sigma = 1e-4 * float(np.max(np.abs(band[-1])))
+    solve = _band_solver(band, sigma, 1.0)
+    size = band.shape[1]
+    # eigsh wants OPinv = (H - sigma * I)^-1
+    op_inv = spla.LinearOperator((size, size), matvec=lambda x: -solve(x), dtype=np.float64)
+    try:
+        return spla.eigsh(
+            _band_csr(band), k=k, sigma=sigma, which="LM", OPinv=op_inv, maxiter=maxiter,
+            return_eigenvectors=vectors,
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError("eigenvalue iteration did not converge") from exc
 
 
 def spectral_gap(grid: FpeGrid, maxiter: int = 10_000) -> float:
@@ -322,40 +403,24 @@ def spectral_gap(grid: FpeGrid, maxiter: int = 10_000) -> float:
     The spectrum is {0 = -lam_0 > -lam_1 > ...}; the returned gap is lam_1,
     the slowest relaxation rate of any density perturbation.  Computed by
     shift-invert iteration on the symmetrized generator (1-D grids use the
-    direct tridiagonal eigensolver).
+    direct tridiagonal eigensolver on its band).
     """
     if grid.size > MAX_OPERATOR_SIZE:
         raise ValueError(f"operator size {grid.size} exceeds {MAX_OPERATOR_SIZE}")
-    h_mat = symmetrized_generator(grid)
+    band = _symmetric_band(grid)
     if grid.dim == 1:
-        from scipy.linalg import eigh_tridiagonal
-
-        dense_diag = h_mat.diagonal()
-        off = h_mat.diagonal(1)
         vals = eigh_tridiagonal(
-            dense_diag, off, select="i", select_range=(grid.size - 2, grid.size - 1),
+            band[1], band[0, 1:], select="i", select_range=(grid.size - 2, grid.size - 1),
             eigvals_only=True,
         )
         return float(-vals[0])
-    sigma = 1e-4 * float(np.max(np.abs(h_mat.diagonal())))
-    try:
-        vals = spla.eigsh(
-            h_mat, k=2, sigma=sigma, which="LM", maxiter=maxiter,
-            return_eigenvectors=False,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise RuntimeError("eigenvalue iteration did not converge") from exc
+    vals = _eigsh_near_zero(band, 2, maxiter, vectors=False)
     return float(-np.min(vals))
 
 
 def stationary_density(grid: FpeGrid, maxiter: int = 10_000) -> np.ndarray:
     """Normalized null vector of the generator (the discrete stationary law)."""
-    h_mat = symmetrized_generator(grid)
-    sigma = 1e-4 * float(np.max(np.abs(h_mat.diagonal())))
-    try:
-        vals, vecs = spla.eigsh(h_mat, k=1, sigma=sigma, which="LM", maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        raise RuntimeError("eigenvalue iteration did not converge") from exc
+    _, vecs = _eigsh_near_zero(_symmetric_band(grid), 1, maxiter, vectors=True)
     q = vecs[:, 0]
     rho = q * np.sqrt(gibbs(grid).values)
     if rho.sum() < 0:

@@ -2,15 +2,18 @@
 
 These deliberately avoid the library's own evaluation paths: the naive loss
 walks python loops over math functions, the derivative oracles are central
-finite differences of the loss, and the global-minimum oracle is plain
-multi-start full-batch gradient descent.
+finite differences of the loss, the global-minimum oracle is plain
+multi-start full-batch gradient descent, and the density-solver oracles step
+rho with a sparse LU of I - dt * G instead of the symmetric banded form.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from villanets import model
+from villanets import fpe, model
 from villanets.activations import Activation
 from villanets.model import Dataset, LossSpec, Net
 
@@ -98,3 +101,33 @@ def multistart_gd_min(spec: LossSpec, restarts: int, seed: int,
             w = w - step * g
         best = min(best, model.loss(spec, w))
     return best
+
+
+def implicit_step_rho(grid: fpe.FpeGrid, dt: float):
+    """LU factor of I - dt * G: the backward-Euler step on rho itself."""
+    g_mat = fpe.generator(grid)
+    return spla.splu(sp.identity(grid.size, format="csc") - dt * g_mat.tocsc())
+
+
+def decay_series_rho(grid: fpe.FpeGrid, t_max: float, dt: float):
+    """chi^2 and mass series of ``fpe.decay_rate`` from backward-Euler steps
+    of rho with G, chi^2 = sum (rho - mu)^2 / mu * h^dim."""
+    mu = fpe.gibbs(grid).values
+    lu = implicit_step_rho(grid, dt)
+    n_steps = max(2, int(round(t_max / dt)))
+    rho = grid.rho.copy()
+    chi2, mass = [], []
+    for k in range(n_steps + 1):
+        chi2.append(float(np.sum((rho - mu) ** 2 / mu) * grid.cell_volume))
+        mass.append(float(np.sum(rho) * grid.cell_volume))
+        if k < n_steps:
+            rho = lu.solve(rho)
+    return np.array(chi2), np.array(mass)
+
+
+def symmetrized_dense(grid: fpe.FpeGrid) -> np.ndarray:
+    """diag(mu)^-1/2 G diag(mu)^1/2 as a dense array, symmetrized by
+    averaging with its transpose."""
+    root = np.sqrt(fpe.gibbs(grid).values)
+    h_mat = fpe.generator(grid).toarray() / root[:, None] * root[None, :]
+    return (h_mat + h_mat.T) / 2.0

@@ -96,6 +96,26 @@ def test_sde_cli_paths_are_seeded_lone_runs(workdir):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_sde_cli_rejects_log_every_below_one(workdir, capsys):
+    code = cli.main(["sde", "--spec", str(workdir / "spec.json"),
+                     "--s", "0.05", "--dt", "0.01", "--tmax", "0.1",
+                     "--log-every", "0", "--out", str(workdir / "x.csv")])
+    assert code == 2
+    assert "log_every" in capsys.readouterr().err
+
+
+def test_sde_cli_divergence_exit_code(workdir, capsys):
+    out = workdir / "diverged.csv"
+    code = cli.main(["sde", "--spec", str(workdir / "spec.json"),
+                     "--s", "0.05", "--dt", "1000", "--tmax", "1e6",
+                     "--paths", "2", "--log-every", "1000", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diverged at step ")
+    assert "left the finite regime" in err
+    assert not out.exists()
+
+
 def test_fpe_cli_csv_and_gap(workdir, capsys):
     out = workdir / "fpe.csv"
     code = cli.main(["fpe", "--spec", str(workdir / "spec1d.json"),

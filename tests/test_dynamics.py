@@ -256,6 +256,10 @@ class TestRunSde:
             dynamics.run_sde(spec, s=-1.0, dt=0.1, t_max=1.0)
         with pytest.raises(ValueError):
             dynamics.run_sde(spec, s=0.1, dt=0.0, t_max=1.0)
+        with pytest.raises(ValueError, match="log_every"):
+            dynamics.run_sde(spec, s=0.1, dt=0.1, t_max=1.0, log_every=0)
+        with pytest.raises(ValueError, match="log_every"):
+            dynamics.run_sde_paths(spec, 0.1, 0.1, 1.0, seeds=[0, 1], log_every=-1)
 
 
 def _outcome(entry):

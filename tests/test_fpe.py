@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import oracles
 from villanets import activations, fpe, model
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
@@ -22,8 +23,21 @@ def sigmoid_1d_spec(lam_mult=1.5, xs=(1.0,), ys=(1.0,)):
     return LossSpec(net, data, lam_mult * model.lambda_c(net, data))
 
 
+def two_dim_spec():
+    act = activations.sigmoid(1.0)
+    data = Dataset(np.array([[1.0, -0.5]]), np.array([0.4]))
+    net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 2)), act)
+    return LossSpec(net, data, 0.5)
+
+
 def ou_grid(lam=0.5, s=1.0, m=401, r=6.0):
     return fpe.build_grid(ridge_only_spec(lam), r, m, s)
+
+
+def sigmoid_grid(dim, m, s=0.4):
+    """A non-quadratic potential on a half-width-rule box."""
+    spec = sigmoid_1d_spec(1.5, (0.6, 1.0, 1.4), (0.8, 0.5, 0.9)) if dim == 1 else two_dim_spec()
+    return fpe.build_grid(spec, fpe.suggest_half_width(spec, s), m, s)
 
 
 class TestBuildGrid:
@@ -68,13 +82,15 @@ class TestBuildGrid:
             fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=-np.ones(101))
 
     def test_two_dimensional_grid(self):
-        act = activations.sigmoid(1.0)
-        data = Dataset(np.array([[1.0, -0.5]]), np.array([0.4]))
-        net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 2)), act)
-        spec = LossSpec(net, data, 0.5)
-        grid = fpe.build_grid(spec, 4.0, 41, 1.0)
+        grid = fpe.build_grid(two_dim_spec(), 4.0, 41, 1.0)
         assert grid.dim == 2 and grid.size == 41 * 41
         assert abs(grid.mass() - 1.0) <= 1e-10
+
+    def test_gibbs_raises_beyond_the_exponent_range(self):
+        # 2 U / s reaches 2 * (10 / 2) * 10^2 / 0.01 = 1e5 at the box edge
+        grid = fpe.build_grid(ridge_only_spec(10.0), 10.0, 101, 0.01)
+        with pytest.raises(ValueError, match="exponent"):
+            fpe.gibbs(grid)
 
 
 class TestStepFpe:
@@ -205,6 +221,40 @@ class TestSpectralGap:
         with pytest.raises(ValueError):
             fpe.spectral_gap(big)
         assert fpe.spectral_gap(grid) > 0
+
+
+class TestSymmetricForm:
+    """The banded symmetric form H against the rho-form oracles."""
+
+    @pytest.mark.parametrize("dim, m", [(1, 101), (2, 21)])
+    def test_symmetrized_generator_is_the_similarity_transform(self, dim, m):
+        grid = sigmoid_grid(dim, m)
+        h_mat = fpe.symmetrized_generator(grid)
+        assert (h_mat != h_mat.T).nnz == 0
+        ref = oracles.symmetrized_dense(grid)
+        np.testing.assert_allclose(h_mat.toarray(), ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("dim, m", [(1, 201), (2, 41)])
+    def test_decay_series_match_the_rho_form(self, dim, m):
+        grid = sigmoid_grid(dim, m)
+        fit = fpe.decay_rate(grid, t_max=4.0, dt=0.02)
+        chi2, mass = oracles.decay_series_rho(grid, t_max=4.0, dt=0.02)
+        np.testing.assert_allclose(fit.chi2_series, chi2, rtol=1e-10)
+        np.testing.assert_allclose(fit.mass_series, mass, rtol=1e-10)
+
+    @pytest.mark.parametrize("dim, m", [(1, 201), (2, 41)])
+    def test_implicit_step_matches_the_rho_form(self, dim, m):
+        grid = sigmoid_grid(dim, m)
+        rho = fpe.step_fpe(grid, 0.1, "implicit").rho
+        ref = oracles.implicit_step_rho(grid, 0.1).solve(grid.rho)
+        np.testing.assert_allclose(rho, ref, rtol=1e-10, atol=1e-14 * np.max(ref))
+
+    @pytest.mark.parametrize("dim, m", [(1, 101), (2, 21)])
+    def test_gap_matches_dense_eigenvalues(self, dim, m):
+        grid = sigmoid_grid(dim, m)
+        vals = np.linalg.eigvalsh(oracles.symmetrized_dense(grid))
+        assert fpe.spectral_gap(grid) == pytest.approx(-vals[-2], rel=1e-9)
 
 
 class TestStationaryDensity:
