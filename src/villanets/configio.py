@@ -5,9 +5,10 @@ Problem spec files describe a net + data + ridge strength:
     {"activation": "sigmoid", "beta": 1.0, "p": 8, "d": 2,
      "lambda": 0.13, "a_mode": "normalized", "data_path": "data.csv"}
 
-``a_mode`` is either "normalized" (a_j = 1 / (sqrt(p) * B_x), the harness
-normalization) or "ones".  SGD configs, sweep configs, and ablation configs
-mirror the corresponding dataclasses field for field.
+``a_mode`` names the outer weights (:func:`villanets.model.outer_weights`):
+"normalized" (a_j = 1 / (sqrt(p) * B_x), the default), "normalized_signed"
+(the same with alternating signs) or "ones".  SGD configs, sweep configs,
+and ablation configs mirror the corresponding dataclasses field for field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import activations, datasets
 from .datasets import DataRecipe
 from .dynamics import InitSpec, SgdConfig
 from .harness import AblationConfig, SweepConfig
-from .model import LossSpec, Net, normalized_outer
+from .model import LossSpec, Net, outer_weights
 
 
 def _load_json(path) -> dict:
@@ -37,13 +38,7 @@ def load_spec(path) -> LossSpec:
     data = datasets.load_csv(data_path)
     if data.d != d:
         raise ValueError(f"spec says d={d} but {data_path} has d={data.d}")
-    a_mode = obj.get("a_mode", "normalized")
-    if a_mode == "normalized":
-        a = normalized_outer(p, data.x_bound)
-    elif a_mode == "ones":
-        a = np.ones(p)
-    else:
-        raise ValueError(f"unknown a_mode {a_mode!r}")
+    a = outer_weights(obj.get("a_mode", "normalized"), p, data.x_bound)
     net = Net(a, np.zeros((p, d)), act)
     return LossSpec(net, data, float(obj["lambda"]))
 

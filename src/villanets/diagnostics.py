@@ -36,6 +36,31 @@ def ray_quadratic_coeff(spec: LossSpec) -> float:
     return spec.lam**2 - spec.lam * model.lambda_c(spec.net, spec.data)
 
 
+def _bounds(spec: LossSpec):
+    """The two pointwise bounds as functions of ||W||_F, with every factor
+    that does not depend on W computed once."""
+    act = spec.net.act
+    an, bx, by = spec.net.a_norm, spec.data.x_bound, spec.data.y_bound
+    cn = model.offset_norm(spec.net)
+    quad = ray_quadratic_coeff(spec)
+    lin = 2.0 * spec.lam * act.d1_sup * bx * an * (by + an * cn)
+    sq = act.d1_sup**2 * bx**2 * an**2
+    lip_bx, d2, bx2, ridge = act.lipschitz * bx, act.d2_sup, bx**2, spec.lam * spec.d
+
+    def grad_bound(wn: float) -> float:
+        return quad * wn**2 - lin * wn
+
+    def laplacian_bound(wn: float) -> float:
+        return spec.p * (sq + an * (by + an * (cn + lip_bx * wn)) * d2 * bx2 + ridge)
+
+    return grad_bound, laplacian_bound
+
+
+def _norm(spec: LossSpec, w) -> float:
+    w = spec.net.w if w is None else np.asarray(w, dtype=np.float64)
+    return float(np.linalg.norm(w))
+
+
 def grad_lower_bound(spec: LossSpec, w=None) -> float:
     """Pointwise lower bound on ||grad(W)||_F^2.
 
@@ -45,13 +70,7 @@ def grad_lower_bound(spec: LossSpec, w=None) -> float:
     where c_norm = sqrt(p) * |sigma(0)|.  Exact inequality: any violation at
     a sampled point indicates an implementation bug, not numerical noise.
     """
-    w = spec.net.w if w is None else np.asarray(w, dtype=np.float64)
-    wn = float(np.linalg.norm(w))
-    act = spec.net.act
-    an, bx, by = spec.net.a_norm, spec.data.x_bound, spec.data.y_bound
-    cn = model.offset_norm(spec.net)
-    lin = 2.0 * spec.lam * act.d1_sup * bx * an * (by + an * cn)
-    return ray_quadratic_coeff(spec) * wn**2 - lin * wn
+    return _bounds(spec)[0](_norm(spec, w))
 
 
 def laplacian_upper_bound(spec: LossSpec, w=None) -> float:
@@ -61,17 +80,7 @@ def laplacian_upper_bound(spec: LossSpec, w=None) -> float:
           + ||a|| * (y_bound + ||a|| * (c_norm + lip * x_bound * ||W||_F)) * d2_sup * x_bound^2
           + lam * d ]
     """
-    w = spec.net.w if w is None else np.asarray(w, dtype=np.float64)
-    wn = float(np.linalg.norm(w))
-    act = spec.net.act
-    an, bx, by = spec.net.a_norm, spec.data.x_bound, spec.data.y_bound
-    cn = model.offset_norm(spec.net)
-    inner = (
-        act.d1_sup**2 * bx**2 * an**2
-        + an * (by + an * (cn + act.lipschitz * bx * wn)) * act.d2_sup * bx**2
-        + spec.lam * spec.d
-    )
-    return spec.p * inner
+    return _bounds(spec)[1](_norm(spec, w))
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,7 @@ def villani_scan(
         raise ValueError("ray_count must be at least 8")
     radii = scan_radii(r_max)
     rng = np.random.default_rng(seed)
+    grad_bound, laplacian_bound = _bounds(spec)
     v_values = np.empty((ray_count, len(radii)))
     grad_viol = 0
     lap_viol = 0
@@ -152,9 +162,10 @@ def villani_scan(
             g, lap = model.evaluate(spec, w, ("grad", "laplacian"))
             gsq = float(np.sum(g * g))
             v_values[i, k] = gsq / s - lap
-            if gsq < grad_lower_bound(spec, w):
+            wn = float(np.linalg.norm(w))
+            if gsq < grad_bound(wn):
                 grad_viol += 1
-            if lap > laplacian_upper_bound(spec, w):
+            if lap > laplacian_bound(wn):
                 lap_viol += 1
     tail = v_values[:, -3:]
     diverging = bool(

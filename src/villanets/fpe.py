@@ -175,7 +175,8 @@ def gibbs(grid: FpeGrid) -> GibbsMeasure:
     z_shifted = float(np.sum(raw) * grid.cell_volume)
     log_z = math.log(z_shifted) - u0 / d_coef
     values = raw / z_shifted
-    z = math.exp(log_z) if abs(log_z) < 700 else math.inf
+    # exp underflows to 0.0 on its own; only the top end needs a guard
+    z = math.exp(log_z) if log_z < 700 else math.inf
     return GibbsMeasure(s=grid.s, values=values, z=z, log_z=log_z)
 
 

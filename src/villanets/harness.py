@@ -25,7 +25,7 @@ import numpy as np
 from . import activations, model
 from .datasets import DataRecipe, corrupt_labels
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
-from .model import Dataset, LossSpec, Net, normalized_outer
+from .model import Dataset, LossSpec, Net, outer_weights
 
 METRICS = ("best_test_loss", "final_train_loss")
 
@@ -80,14 +80,12 @@ def test_mse(spec: LossSpec, test: Dataset, w: np.ndarray) -> float:
 
 def build_cell_spec(train: Dataset, width: int, lam: float, act,
                     a_mode: str = "normalized") -> LossSpec:
-    """Net for one cell: outer weights normalized so ||a|| * x_bound = 1.
-
-    ``a_mode`` is "normalized" (all-positive) or "normalized_signed"
-    (alternating signs, zero output offset for even widths).
+    """Net for one cell, outer weights named by ``a_mode`` as in
+    :func:`model.outer_weights`: "normalized" (all-positive, ||a|| * x_bound
+    = 1), "normalized_signed" (alternating signs, zero output offset for even
+    widths) or "ones".
     """
-    if a_mode not in ("normalized", "normalized_signed"):
-        raise ValueError(f"unknown a_mode {a_mode!r}")
-    a = normalized_outer(width, train.x_bound, signed=(a_mode == "normalized_signed"))
+    a = outer_weights(a_mode, width, train.x_bound)
     net = Net(a, np.zeros((width, train.d)), act)
     return LossSpec(net, train, lam)
 

@@ -22,6 +22,7 @@ order, so repeated calls are bitwise-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,6 +125,22 @@ def normalized_outer(p: int, x_bound: float, signed: bool = False) -> np.ndarray
     return a
 
 
+OUTER_MODES = ("normalized", "normalized_signed", "ones")
+
+
+def outer_weights(mode: str, p: int, x_bound: float) -> np.ndarray:
+    """Outer weights by name, one of ``OUTER_MODES``, as spec files and the
+    harness spell them: "normalized" and "normalized_signed" are
+    :func:`normalized_outer` with all-positive and alternating signs,
+    "ones" sets every a_j = 1.
+    """
+    if mode not in OUTER_MODES:
+        raise ValueError(f"unknown a_mode {mode!r}; expected one of {OUTER_MODES}")
+    if mode == "ones":
+        return np.ones(p)
+    return normalized_outer(p, x_bound, signed=(mode == "normalized_signed"))
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Net + data + ridge strength; the unit every operation acts on.
@@ -179,7 +196,7 @@ def weights(spec: LossSpec, w=None) -> np.ndarray:
 def _forward(net: Net, w: np.ndarray, xs: np.ndarray, order: int):
     """Net outputs at the rows of ``xs`` (n, d), or of one row block per
     matrix of a stack (k, n, d), and sigma's derivatives up to ``order``."""
-    xs_t = np.swapaxes(xs, -1, -2) if xs.ndim == 3 else xs.T
+    xs_t = xs.swapaxes(-1, -2) if xs.ndim == 3 else xs.T
     sig = net.act.derivs(w @ xs_t, order)             # each (..., p, n)
     return net.a @ sig[0], sig
 
@@ -187,9 +204,14 @@ def _forward(net: Net, w: np.ndarray, xs: np.ndarray, order: int):
 _ORDER = {"loss": 0, "grad": 1, "laplacian": 2}
 
 
+@functools.cache
+def _max_order(outputs: tuple) -> int:
+    return max(_ORDER[name] for name in outputs)
+
+
 def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
-    """The ``outputs`` named, any of 'loss', 'grad' and 'laplacian', in the
-    order named, from one forward pass at ``w``.
+    """The ``outputs`` named, a tuple of any of 'loss', 'grad' and
+    'laplacian', in the order named, from one forward pass at ``w``.
 
     Only the named outputs are computed, and sigma is differentiated only as
     far as the highest needs.  ``w`` is one (p, d) matrix or a (k, p, d)
@@ -204,12 +226,17 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     gradient is mean_i a_j r_i sigma'(w_j.x_i) x_i + lam w_j, and the
     Laplacian is sum_j mean_i [a_j^2 sigma'^2 + r_i a_j sigma''] ||x_i||^2
     plus lam * p * d.
+
+    The Laplacian's two sums are matrix-vector products, first over the
+    samples and then over the rows, each with a trailing axis of length
+    one: a stack then runs the same BLAS call per matrix as a single
+    matrix does, so stacked and single evaluations agree bit for bit.
     """
     xs, ys = spec.data.xs, spec.data.ys
     if batch is not None:
         xs, ys = xs[batch], ys[batch]
     a, lam, n = spec.net.a, spec.lam, xs.shape[-2]
-    f, sig = _forward(spec.net, w, xs, max(_ORDER[name] for name in outputs))
+    f, sig = _forward(spec.net, w, xs, _max_order(outputs))
     r = f - ys                                        # (..., n)
     out = []
     for name in outputs:
@@ -222,10 +249,9 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
             out.append((coef @ xs) / n + lam * w)
         else:
             xsq = np.sum(xs * xs, axis=-1)
-            sq_term = np.sum((a**2)[:, None] * sig[1] * sig[1] * xsq[..., None, :],
-                             axis=(-2, -1))
-            curv_term = np.sum(a[:, None] * sig[2] * (r * xsq)[..., None, :], axis=(-2, -1))
-            out.append((sq_term + curv_term) / n + lam * spec.p * spec.d)
+            sq_term = (a * a) @ ((sig[1] * sig[1]) @ xsq[..., None])
+            curv_term = a @ (sig[2] @ (r * xsq)[..., None])
+            out.append((sq_term + curv_term)[..., 0] / n + lam * spec.p * spec.d)
     return tuple(out)
 
 

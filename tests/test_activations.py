@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from villanets import activations
 
@@ -109,6 +111,35 @@ def test_stable_at_large_preactivations():
         assert np.all(np.isfinite(vals))
     sp = activations.softplus(1.0)
     assert sp(700.0) == pytest.approx(700.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "softplus"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_logistic_matches_expit(kind, beta):
+    # sigmoid's value and softplus's slope are 1 / (1 + exp(-beta x)) on numpy's
+    # exp with the exponent capped at 709; expit evaluates the same formula on libm
+    act = activations.make(kind, beta)
+    rng = np.random.default_rng(17)
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160_001) / beta,
+                        rng.standard_normal(100_000), 30.0 * rng.standard_normal(100_000)])
+    got = act.derivs(x, 1)[0 if kind == "sigmoid" else 1]
+    want = expit(beta * x)
+    inside = beta * x > -700.0
+    ulps = np.abs(got[inside].view(np.int64) - want[inside].view(np.int64))
+    assert ulps.max() <= 4
+    assert np.abs(got[~inside] - want[~inside]).max() <= 1.3e-308
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_derivs_warn_nothing_at_extreme_preactivations(kind, beta):
+    act = activations.make(kind, beta)
+    x = np.array([-800.0, 800.0]) / beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = act.derivs(x, 2)
+    assert all(np.isfinite(v).all() for v in out)
 
 
 def test_domain_and_parameter_errors():

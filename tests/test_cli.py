@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from villanets import cli, datasets, dynamics
+from villanets import activations, cli, datasets, dynamics, harness, model
 from villanets.configio import load_spec
 from villanets.datasets import DataRecipe
 
@@ -180,6 +180,30 @@ def test_ablate_cli(workdir):
     sub = out / "lam0.05_p2"
     assert (sub / "ablation_f0.00.csv").exists()
     assert (sub / "ablation_f0.50.csv").exists()
+
+
+def _outer_weights_both_ways(workdir, a_mode):
+    """Outer weights of the workdir spec with ``a_mode``, from a spec file
+    and from the harness."""
+    spec_obj = json.loads((workdir / "spec.json").read_text())
+    (workdir / "mode.json").write_text(json.dumps({**spec_obj, "a_mode": a_mode}))
+    data = datasets.load_csv(workdir / "data.csv")
+    return (lambda: load_spec(workdir / "mode.json").net.a,
+            lambda: harness.build_cell_spec(data, 2, 0.2, activations.sigmoid(1.0), a_mode).net.a)
+
+
+@pytest.mark.parametrize("a_mode", model.OUTER_MODES)
+def test_spec_files_and_the_harness_share_outer_weight_modes(workdir, a_mode):
+    from_file, from_harness = (build() for build in _outer_weights_both_ways(workdir, a_mode))
+    np.testing.assert_array_equal(from_file, from_harness)
+    x_bound = datasets.load_csv(workdir / "data.csv").x_bound
+    np.testing.assert_array_equal(from_file, model.outer_weights(a_mode, 2, x_bound))
+
+
+def test_unknown_outer_weight_mode_is_one_error(workdir):
+    for build in _outer_weights_both_ways(workdir, "signed"):
+        with pytest.raises(ValueError, match="unknown a_mode 'signed'"):
+            build()
 
 
 def test_config_error_exit_code(workdir, capsys):

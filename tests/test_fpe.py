@@ -10,9 +10,9 @@ from villanets import activations, fpe, model
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
 
-def ridge_only_spec(lam, dim=1):
+def ridge_only_spec(lam, dim=1, y=0.0):
     act = activations.sigmoid(1.0)
-    data = Dataset(np.ones((1, dim)), np.array([0.0]))
+    data = Dataset(np.ones((1, dim)), np.array([y]))
     return LossSpec(Net(np.zeros(1), np.zeros((1, dim)), act), data, lam)
 
 
@@ -91,6 +91,13 @@ class TestBuildGrid:
         grid = fpe.build_grid(ridge_only_spec(10.0), 10.0, 101, 0.01)
         with pytest.raises(ValueError, match="exponent"):
             fpe.gibbs(grid)
+
+    def test_gibbs_normalizer_underflows_to_zero(self):
+        # U = 2 + W^2 / 4: log Z is about -2 * 2 / s = -800, far below exp's range
+        grid = fpe.build_grid(ridge_only_spec(0.5, y=2.0), 0.5, 51, 0.005)
+        mu = fpe.gibbs(grid)
+        assert mu.z == 0.0
+        assert math.isfinite(mu.log_z) and mu.log_z == pytest.approx(-801.7, abs=0.05)
 
 
 class TestStepFpe:

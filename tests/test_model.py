@@ -270,6 +270,15 @@ class TestDataset:
         assert np.linalg.norm(signed) * 2.0 == pytest.approx(1.0, rel=1e-14)
         assert signed[0] > 0 > signed[1]
 
+    def test_outer_weights_vocabulary(self):
+        np.testing.assert_array_equal(model.outer_weights("normalized", 4, 2.0),
+                                      normalized_outer(4, 2.0))
+        np.testing.assert_array_equal(model.outer_weights("normalized_signed", 4, 2.0),
+                                      normalized_outer(4, 2.0, signed=True))
+        np.testing.assert_array_equal(model.outer_weights("ones", 3, 2.0), np.ones(3))
+        with pytest.raises(ValueError, match="unknown a_mode 'signed'"):
+            model.outer_weights("signed", 4, 2.0)
+
     def test_lambda_mismatch_and_dim_checks(self):
         data = Dataset(np.ones((2, 3)), np.ones(2))
         net = Net(np.ones(2), np.zeros((2, 2)), activations.tanh())
