@@ -72,6 +72,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sde(args) -> int:
+    if args.paths < 1:
+        raise ValueError("--paths must be at least 1")
     spec = load_spec(args.spec)
     lines = ["path,step,t,loss"]
     paths = dynamics.run_sde_paths(

@@ -8,7 +8,8 @@ Problem spec files describe a net + data + ridge strength:
 ``a_mode`` names the outer weights (:func:`villanets.model.outer_weights`):
 "normalized" (a_j = 1 / (sqrt(p) * B_x), the default), "normalized_signed"
 (the same with alternating signs) or "ones".  SGD configs, sweep configs,
-and ablation configs mirror the corresponding dataclasses field for field.
+and ablation configs mirror the corresponding dataclasses field for field;
+an optional key a file leaves out takes the dataclass default.
 """
 
 from __future__ import annotations
@@ -43,15 +44,23 @@ def load_spec(path) -> LossSpec:
     return LossSpec(net, data, float(obj["lambda"]))
 
 
+def _given(obj: dict, keys: dict) -> dict:
+    """Keyword arguments for the optional keys that ``obj`` holds; ``keys``
+    maps a file key to (argument name, cast).  A key the file leaves out is
+    not passed, so each default is written once, in its dataclass."""
+    return {name: cast(obj[key]) for key, (name, cast) in keys.items() if key in obj}
+
+
+def _as_is(value):
+    return value
+
+
 def parse_init(obj: dict | None) -> InitSpec:
-    if not obj:
-        return InitSpec()
-    w0 = obj.get("w0")
-    return InitSpec(
-        mode=obj.get("mode", "gaussian"),
-        tau=obj.get("tau"),
-        w0=np.asarray(w0, dtype=np.float64) if w0 is not None else None,
-    )
+    obj = obj or {}
+    opts = _given(obj, {"mode": ("mode", _as_is), "tau": ("tau", _as_is)})
+    if obj.get("w0") is not None:
+        opts["w0"] = np.asarray(obj["w0"], dtype=np.float64)
+    return InitSpec(**opts)
 
 
 def parse_sgd(obj: dict) -> SgdConfig:
@@ -59,9 +68,8 @@ def parse_sgd(obj: dict) -> SgdConfig:
         step_size=float(obj["step_size"]),
         batch_size=int(obj["batch_size"]),
         steps=int(obj["steps"]),
-        seed=int(obj.get("seed", 0)),
         init=parse_init(obj.get("init")),
-        log_every=int(obj.get("log_every", 100)),
+        **_given(obj, {"seed": ("seed", int), "log_every": ("log_every", int)}),
     )
 
 
@@ -76,12 +84,10 @@ def load_sweep_config(path) -> SweepConfig:
         widths=tuple(obj["widths"]),
         recipe=DataRecipe.from_dict(obj["recipe"]),
         sgd=parse_sgd(obj["sgd"]),
-        restarts_per_cell=int(obj.get("restarts_per_cell", 1)),
-        metric=obj.get("metric", "best_test_loss"),
-        base_seed=int(obj.get("base_seed", 0)),
-        act_kind=obj.get("activation", "sigmoid"),
-        act_beta=float(obj.get("beta", 1.0)),
-        a_mode=obj.get("a_mode", "normalized"),
+        **_given(obj, {"restarts_per_cell": ("restarts_per_cell", int),
+                       "metric": ("metric", _as_is), "base_seed": ("base_seed", int),
+                       "activation": ("act_kind", _as_is), "beta": ("act_beta", float),
+                       "a_mode": ("a_mode", _as_is)}),
     )
 
 
@@ -89,6 +95,9 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
     obj = _load_json(path)
     recipe = DataRecipe.from_dict(obj["recipe"])
     fractions = [float(f) for f in obj["fractions"]]
+    shared = _given(obj, {"base_seed": ("base_seed", int),
+                          "corruption_scale": ("corruption_scale", float),
+                          "init_tau": ("init_tau", float), "a_mode": ("a_mode", _as_is)})
     configs = []
     for setting in obj["settings"]:
         configs.append(
@@ -99,11 +108,8 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
                 step_size=float(setting["step_size"]),
                 batch_size=int(setting["batch_size"]),
                 steps=int(setting["steps"]),
-                log_every=int(setting.get("log_every", 100)),
-                base_seed=int(obj.get("base_seed", 0)),
-                corruption_scale=float(obj.get("corruption_scale", 0.05)),
-                init_tau=float(obj.get("init_tau", 1.0)),
-                a_mode=obj.get("a_mode", "normalized"),
+                **_given(setting, {"log_every": ("log_every", int)}),
+                **shared,
             )
         )
     return configs, fractions

@@ -337,15 +337,3 @@ def _one(outcomes: list) -> Trajectory:
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome
-
-
-def s_star(spec: LossSpec, epsilon: float, user_scale: float = 1.0) -> float:
-    """Step-size guidance min(1 / smoothness bound, epsilon * user_scale).
-
-    The accuracy-to-step-size constants of the convergence theory are not
-    computable in closed form, so the epsilon leg is scaled by explicit user
-    configuration.  Bounded activations only (uses the smoothness bound).
-    """
-    if epsilon <= 0 or user_scale <= 0:
-        raise ValueError("epsilon and user_scale must be positive")
-    return min(1.0 / model.glip_bound(spec), epsilon * user_scale)

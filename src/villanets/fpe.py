@@ -22,14 +22,16 @@ cross-validate each other.
 
 Detailed balance makes the generator similar to a symmetric operator H,
 banded with half-bandwidth m^(dim-1) on the node grid.  One banded Cholesky
-factor of a shifted H serves every implicit step and every shift-invert
-solve of the eigenvalue iteration.
+factor of a shifted H serves every implicit step of :func:`decay_rate`, the
+one time-stepper, and every shift-invert solve of the eigenvalue iteration.
+No solver path assembles the rho-form generator G (:func:`generator`); it
+stays as the independent reference that H is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -234,20 +236,6 @@ def generator(grid: FpeGrid) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def explicit_dt_limit(grid: FpeGrid) -> float:
-    """Stability bound h^2 / (2 * dim * D + h * max|grad U|) for explicit steps."""
-    d_coef = grid.s / 2.0
-    if grid.dim == 1:
-        du = np.abs(np.diff(grid.potential))
-    else:
-        u = grid.potential.reshape(grid.m, grid.m)
-        du = np.concatenate(
-            [np.abs(np.diff(u, axis=0)).ravel(), np.abs(np.diff(u, axis=1)).ravel()]
-        )
-    max_slope = float(du.max()) / grid.h if du.size else 0.0
-    return grid.h**2 / (2.0 * grid.dim * d_coef + grid.h * max_slope)
-
-
 def _symmetric_band(grid: FpeGrid) -> np.ndarray:
     """H = diag(mu)^-1/2 G diag(mu)^1/2 in LAPACK upper-band storage.
 
@@ -289,29 +277,6 @@ def _band_solver(band: np.ndarray, shift: float, scale: float):
         return dpbtrs(factor, rhs)[0]
 
     return solve
-
-
-def step_fpe(grid: FpeGrid, dt: float, method: str = "explicit") -> FpeGrid:
-    """Advance the density one step; returns a new grid.
-
-    Explicit forward-Euler steps on G enforce the stability limit.
-    Implicit (backward-Euler) steps accept any dt; like :func:`decay_rate`
-    they step q = rho / sqrt(mu) with the symmetric form H.  Both conserve
-    mass to round-off.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if method == "explicit":
-        limit = explicit_dt_limit(grid)
-        if dt > limit:
-            raise ValueError(f"explicit step dt={dt} exceeds stability limit {limit:.3e}")
-        rho = grid.rho + dt * (generator(grid) @ grid.rho)
-    elif method == "implicit":
-        root = np.sqrt(gibbs(grid).values)
-        rho = root * _band_solver(_symmetric_band(grid), 1.0, dt)(grid.rho / root)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return replace(grid, rho=rho)
 
 
 def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
@@ -380,31 +345,14 @@ def symmetrized_generator(grid: FpeGrid) -> sp.csr_matrix:
     return _band_csr(_symmetric_band(grid))
 
 
-def _eigsh_near_zero(band: np.ndarray, k: int, maxiter: int, vectors: bool):
-    """The ``k`` eigenvalues of H nearest 0 (with eigenvectors if
-    ``vectors``), by shift-invert about a small sigma > 0 that solves with
-    the banded Cholesky factor of sigma * I - H."""
-    sigma = 1e-4 * float(np.max(np.abs(band[-1])))
-    solve = _band_solver(band, sigma, 1.0)
-    size = band.shape[1]
-    # eigsh wants OPinv = (H - sigma * I)^-1
-    op_inv = spla.LinearOperator((size, size), matvec=lambda x: -solve(x), dtype=np.float64)
-    try:
-        return spla.eigsh(
-            _band_csr(band), k=k, sigma=sigma, which="LM", OPinv=op_inv, maxiter=maxiter,
-            return_eigenvectors=vectors,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise RuntimeError("eigenvalue iteration did not converge") from exc
-
-
 def spectral_gap(grid: FpeGrid, maxiter: int = 10_000) -> float:
     """Second-smallest eigenvalue magnitude of the generator.
 
     The spectrum is {0 = -lam_0 > -lam_1 > ...}; the returned gap is lam_1,
-    the slowest relaxation rate of any density perturbation.  Computed by
-    shift-invert iteration on the symmetrized generator (1-D grids use the
-    direct tridiagonal eigensolver on its band).
+    the slowest relaxation rate of any density perturbation.  1-D grids use
+    the direct tridiagonal eigensolver on the band of H.  2-D grids find the
+    two eigenvalues of H nearest 0 by shift-invert iteration about a small
+    sigma > 0, solving with the banded Cholesky factor of sigma * I - H.
     """
     if grid.size > MAX_OPERATOR_SIZE:
         raise ValueError(f"operator size {grid.size} exceeds {MAX_OPERATOR_SIZE}")
@@ -415,19 +363,17 @@ def spectral_gap(grid: FpeGrid, maxiter: int = 10_000) -> float:
             eigvals_only=True,
         )
         return float(-vals[0])
-    vals = _eigsh_near_zero(band, 2, maxiter, vectors=False)
+    sigma = 1e-4 * float(np.max(np.abs(band[-1])))
+    solve = _band_solver(band, sigma, 1.0)
+    # eigsh wants OPinv = (H - sigma * I)^-1
+    op_inv = spla.LinearOperator((grid.size, grid.size), matvec=lambda x: -solve(x),
+                                 dtype=np.float64)
+    try:
+        vals = spla.eigsh(_band_csr(band), k=2, sigma=sigma, which="LM", OPinv=op_inv,
+                          maxiter=maxiter, return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError("eigenvalue iteration did not converge") from exc
     return float(-np.min(vals))
-
-
-def stationary_density(grid: FpeGrid, maxiter: int = 10_000) -> np.ndarray:
-    """Normalized null vector of the generator (the discrete stationary law)."""
-    _, vecs = _eigsh_near_zero(_symmetric_band(grid), 1, maxiter, vectors=True)
-    q = vecs[:, 0]
-    rho = q * np.sqrt(gibbs(grid).values)
-    if rho.sum() < 0:
-        rho = -rho
-    rho = np.clip(rho, 0.0, None)
-    return rho / (rho.sum() * grid.cell_volume)
 
 
 def suggest_half_width(spec: LossSpec, s: float, tail: float = 1e-8) -> float:

@@ -92,19 +92,13 @@ def build_cell_spec(train: Dataset, width: int, lam: float, act,
 
 @dataclass(frozen=True)
 class _CellTask:
+    """One (lambda, width) cell of ``cfg``, by its grid position."""
+
     i_lam: int
     i_width: int
-    lam: float
-    width: int
     train: Dataset
     test: Dataset
-    sgd: SgdConfig
-    restarts: int
-    metric: str
-    base_seed: int
-    act_kind: str
-    act_beta: float
-    a_mode: str
+    cfg: SweepConfig
 
 
 def _run_cell(task: _CellTask):
@@ -113,12 +107,13 @@ def _run_cell(task: _CellTask):
     Every row's ``wall_time`` is the run time of that whole stack, shared
     by the cell's restarts, not the time of one restart.
     """
-    act = activations.make(task.act_kind, task.act_beta)
-    spec = build_cell_spec(task.train, task.width, task.lam, act, task.a_mode)
-    seeds = [cell_seed(task.base_seed, task.i_lam, task.i_width, restart)
-             for restart in range(task.restarts)]
+    cfg = task.cfg
+    lam, width = cfg.lambdas[task.i_lam], cfg.widths[task.i_width]
+    spec = build_cell_spec(task.train, width, lam, cfg.activation(), cfg.a_mode)
+    seeds = [cell_seed(cfg.base_seed, task.i_lam, task.i_width, restart)
+             for restart in range(cfg.restarts_per_cell)]
     t0 = time.perf_counter()
-    outcomes = run_sgd_chains(spec, task.sgd, seeds,
+    outcomes = run_sgd_chains(spec, cfg.sgd, seeds,
                               eval_fn=lambda w: test_mse(spec, task.test, w))
     wall_time = time.perf_counter() - t0
     rows = []
@@ -127,19 +122,19 @@ def _run_cell(task: _CellTask):
             value = math.inf
             status = f"diverged at step {traj.step}"
         else:
-            if task.metric == "best_test_loss":
+            if cfg.metric == "best_test_loss":
                 value = float(traj.eval_values.min())
             else:
                 value = float(traj.losses[-1])
             status = "ok"
         rows.append(
             {
-                "lam": task.lam,
-                "width": task.width,
+                "lam": lam,
+                "width": width,
                 "restart": restart,
                 "metric": value,
                 "seed": seed,
-                "steps": task.sgd.steps,
+                "steps": cfg.sgd.steps,
                 "wall_time": wall_time,
                 "status": status,
             }
@@ -151,11 +146,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Train every (lambda, width) cell and assemble the metric grid."""
     train, test = cfg.recipe.realize()
     tasks = [
-        _CellTask(i_lam, i_width, lam, width, train, test, cfg.sgd,
-                  cfg.restarts_per_cell, cfg.metric, cfg.base_seed,
-                  cfg.act_kind, cfg.act_beta, cfg.a_mode)
-        for i_lam, lam in enumerate(cfg.lambdas)
-        for i_width, width in enumerate(cfg.widths)
+        _CellTask(i_lam, i_width, train, test, cfg)
+        for i_lam in range(len(cfg.lambdas))
+        for i_width in range(len(cfg.widths))
     ]
     grid = np.full((len(cfg.lambdas), len(cfg.widths)), math.inf)
     per_cell = []
@@ -204,11 +197,11 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
     corrupted per fraction; the clean test set is never touched, so the
     clean-test curve isolates what the corruption does to the learned map.
     """
+    if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
+        raise ValueError("fractions must lie in [0, 1]")
     clean_train, clean_test = cfg.recipe.realize()
     out = {}
-    for k, fraction in enumerate(fractions):
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fractions must lie in [0, 1]")
+    for fraction in fractions:
         train = (
             corrupt_labels(clean_train, fraction, cfg.corruption_scale,
                            cell_seed(cfg.base_seed, 1, 0, 0))
@@ -267,32 +260,6 @@ def emit_report(result: SweepResult, out_dir, formats=("csv",)) -> list:
         svg_path.write_text(heatmap_svg(result))
         paths.append(svg_path)
     return paths
-
-
-def read_sweep_csv(path) -> SweepResult:
-    """Parse an emitted sweep CSV back into a result (grid = min over restarts)."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["lambda", "width", "restart", "metric"]:
-            raise ValueError("unexpected sweep CSV header")
-        for line in fh:
-            lam_s, width_s, restart_s, metric_s = line.strip().split(",")
-            rows.append(
-                {
-                    "lam": float(lam_s),
-                    "width": int(width_s),
-                    "restart": int(restart_s),
-                    "metric": float(metric_s),
-                }
-            )
-    lambdas = tuple(sorted({r["lam"] for r in rows}))
-    widths = tuple(sorted({r["width"] for r in rows}))
-    grid = np.full((len(lambdas), len(widths)), math.inf)
-    for r in rows:
-        i, j = lambdas.index(r["lam"]), widths.index(r["width"])
-        grid[i, j] = min(grid[i, j], r["metric"])
-    return SweepResult(lambdas, widths, "best_test_loss", grid, rows)
 
 
 def write_ablation_csv(curves_by_fraction: dict, out_dir) -> list:

@@ -145,7 +145,7 @@ def outer_weights(mode: str, p: int, x_bound: float) -> np.ndarray:
 class LossSpec:
     """Net + data + ridge strength; the unit every operation acts on.
 
-    Immutable: derive variants with ``with_lambda`` / ``with_weights`` so all
+    Immutable: derive a variant with ``with_lambda`` so all
     lambda-dependent constants are consistently recomputed.
     """
 
@@ -175,9 +175,6 @@ class LossSpec:
 
     def with_lambda(self, lam: float) -> "LossSpec":
         return LossSpec(self.net, self.data, lam)
-
-    def with_weights(self, w: np.ndarray) -> "LossSpec":
-        return LossSpec(Net(self.net.a, w, self.net.act), self.data, self.lam)
 
 
 def weights(spec: LossSpec, w=None) -> np.ndarray:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from villanets import activations, cli, datasets, dynamics, harness, model
+from villanets import configio
 from villanets.configio import load_spec
 from villanets.datasets import DataRecipe
+from villanets.dynamics import InitSpec, SgdConfig
+from villanets.harness import AblationConfig, SweepConfig
 
 
 @pytest.fixture
@@ -102,6 +105,17 @@ def test_sde_cli_rejects_log_every_below_one(workdir, capsys):
                      "--log-every", "0", "--out", str(workdir / "x.csv")])
     assert code == 2
     assert "log_every" in capsys.readouterr().err
+
+
+def test_sde_cli_rejects_paths_below_one(workdir, capsys):
+    for paths in ("0", "-3"):
+        out = workdir / f"paths{paths}.csv"
+        code = cli.main(["sde", "--spec", str(workdir / "spec.json"),
+                         "--s", "0.05", "--dt", "0.01", "--tmax", "0.1",
+                         "--paths", paths, "--out", str(out)])
+        assert code == 2
+        assert "--paths must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sde_cli_divergence_exit_code(workdir, capsys):
@@ -216,3 +230,48 @@ def test_config_error_exit_code(workdir, capsys):
     (workdir / "badspec.json").write_text(json.dumps(bad_spec))
     code = cli.main(["constants", "--spec", str(workdir / "badspec.json")])
     assert code == 2
+
+
+RECIPE = {"kind": "sine", "n_train": 30, "n_test": 30, "seed": 2, "params": {"d": 3}}
+SGD_REQUIRED = {"step_size": 0.05, "batch_size": 8, "steps": 100}
+SETTING_REQUIRED = {"lambda": 0.05, "width": 2, "step_size": 0.05, "batch_size": 8,
+                    "steps": 100}
+
+
+def _write(workdir, name, obj):
+    path = workdir / name
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_config_files_with_required_keys_take_the_dataclass_defaults(workdir):
+    sgd = SgdConfig(0.05, 8, 100)
+    assert configio.load_sgd_config(_write(workdir, "s.json", SGD_REQUIRED)) == sgd
+    sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": SGD_REQUIRED}
+    assert configio.load_sweep_config(_write(workdir, "w.json", sweep)) == SweepConfig(
+        (0.1,), (2,), DataRecipe.from_dict(RECIPE), sgd)
+    ablate = {"recipe": RECIPE, "fractions": [0.0], "settings": [SETTING_REQUIRED]}
+    configs, _ = configio.load_ablate_config(_write(workdir, "a.json", ablate))
+    assert configs == [AblationConfig(DataRecipe.from_dict(RECIPE), 0.05, 2, 0.05, 8, 100)]
+
+
+def test_config_files_set_every_optional_key(workdir):
+    sgd_file = {**SGD_REQUIRED, "seed": 4, "log_every": 7, "init": {"tau": 0.3}}
+    sgd = SgdConfig(0.05, 8, 100, seed=4, init=InitSpec(tau=0.3), log_every=7)
+    assert configio.load_sgd_config(_write(workdir, "s.json", sgd_file)) == sgd
+    init = configio.parse_init({"mode": "explicit", "w0": [[1.0, 2.0]]})
+    assert init.mode == "explicit" and init.tau is None
+    np.testing.assert_array_equal(init.w0, [[1.0, 2.0]])
+    sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": sgd_file,
+             "restarts_per_cell": 3, "metric": "final_train_loss", "base_seed": 5,
+             "activation": "tanh", "beta": 2.0, "a_mode": "ones"}
+    assert configio.load_sweep_config(_write(workdir, "w.json", sweep)) == SweepConfig(
+        (0.1,), (2,), DataRecipe.from_dict(RECIPE), sgd, restarts_per_cell=3,
+        metric="final_train_loss", base_seed=5, act_kind="tanh", act_beta=2.0, a_mode="ones")
+    ablate = {"recipe": RECIPE, "fractions": [0.0],
+              "settings": [{**SETTING_REQUIRED, "log_every": 9}], "base_seed": 6,
+              "corruption_scale": 0.2, "init_tau": 0.7, "a_mode": "normalized_signed"}
+    configs, _ = configio.load_ablate_config(_write(workdir, "a.json", ablate))
+    assert configs == [AblationConfig(DataRecipe.from_dict(RECIPE), 0.05, 2, 0.05, 8, 100,
+                                      log_every=9, base_seed=6, corruption_scale=0.2,
+                                      init_tau=0.7, a_mode="normalized_signed")]

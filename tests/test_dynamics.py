@@ -382,12 +382,3 @@ def test_divergence_raises_without_overflow_warnings():
         with pytest.raises(DivergenceError):
             dynamics.run_sde(spec, s=0.01, dt=1e3, t_max=1e6, seed=0, init=init,
                              log_every=1000)
-
-
-def test_step_size_guidance():
-    spec = small_spec()
-    bound = model.glip_bound(spec)
-    assert dynamics.s_star(spec, epsilon=1e-3) == pytest.approx(1e-3)
-    assert dynamics.s_star(spec, epsilon=100.0) == pytest.approx(1.0 / bound)
-    with pytest.raises(ValueError):
-        dynamics.s_star(spec, epsilon=0.0)

@@ -100,52 +100,18 @@ class TestBuildGrid:
         assert math.isfinite(mu.log_z) and mu.log_z == pytest.approx(-801.7, abs=0.05)
 
 
-class TestStepFpe:
-    def test_gibbs_is_a_fixed_point(self):
-        grid = fpe.build_grid(ridge_only_spec(0.5), 6.0, 301, 1.0, init="gibbs")
-        dt = 0.8 * fpe.explicit_dt_limit(grid)
-        stepped = fpe.step_fpe(grid, dt)
-        assert np.max(np.abs(stepped.rho - grid.rho)) <= 10 * grid.h**2
-
-    def test_pure_diffusion_variance_growth(self):
-        # a = 0, lam = 0: flat potential, variance grows by s * dt per step
-        spec = ridge_only_spec(0.0)
-        s = 0.5
-        x = np.linspace(-4.0, 4.0, 401)
-        grid = fpe.build_grid(spec, 4.0, 401, s, init=np.exp(-x**2 / (2 * 0.25)))
-        dt = 0.8 * fpe.explicit_dt_limit(grid)
-        n_steps = 200
-
-        def variance(g):
-            return float(np.sum(g.rho * g.axis() ** 2) * g.h
-                         - (np.sum(g.rho * g.axis()) * g.h) ** 2)
-
-        v0 = variance(grid)
-        g = grid
-        for _ in range(n_steps):
-            g = fpe.step_fpe(g, dt)
-        assert abs(g.mass() - 1.0) <= 1e-12
-        growth = variance(g) - v0
-        assert growth == pytest.approx(s * dt * n_steps, rel=2e-2)
-
-    def test_mass_conserved_both_methods(self):
-        grid = ou_grid(m=201)
-        dt = 0.8 * fpe.explicit_dt_limit(grid)
-        assert abs(fpe.step_fpe(grid, dt, "explicit").mass() - 1.0) <= 1e-12
-        assert abs(fpe.step_fpe(grid, 0.05, "implicit").mass() - 1.0) <= 1e-12
-
-    def test_nonnegativity_preserved(self):
-        grid = ou_grid(m=201)
-        dt = 0.9 * fpe.explicit_dt_limit(grid)
-        g = grid
-        for _ in range(50):
-            g = fpe.step_fpe(g, dt)
-        assert np.min(g.rho) >= -1e-15
-
-    def test_explicit_stability_guard(self):
-        grid = ou_grid(m=201)
-        with pytest.raises(ValueError):
-            fpe.step_fpe(grid, 10.0 * fpe.explicit_dt_limit(grid), "explicit")
+class TestFixedPoint:
+    @pytest.mark.parametrize("dim, m", [(1, 301), (2, 41)])
+    def test_gibbs_is_the_exact_null_vector(self, dim, m):
+        # G mu = 0 and H sqrt(mu) = 0 to round-off, not to O(h^2)
+        grid = sigmoid_grid(dim, m)
+        mu = fpe.gibbs(grid).values
+        g_mat = fpe.generator(grid)
+        scale = np.max(np.abs(g_mat.diagonal()))
+        assert np.max(np.abs(g_mat @ mu)) <= 1e-13 * scale * np.max(mu)
+        root = np.sqrt(mu)
+        h_mat = fpe.symmetrized_generator(grid)
+        assert np.max(np.abs(h_mat @ root)) <= 1e-13 * scale * np.max(root)
 
 
 class TestDecayRate:
@@ -162,7 +128,7 @@ class TestDecayRate:
         fit = fpe.decay_rate(ou_grid(m=201), t_max=4.0, dt=0.01)
         chi = np.sqrt(fit.chi2_series)
         assert np.all(np.diff(chi[1:]) <= 1e-12)
-        assert np.all(np.abs(fit.mass_series - 1.0) <= 1e-10)
+        assert np.all(np.abs(fit.mass_series - 1.0) <= 1e-12)
 
     def test_early_convergence_flag(self):
         grid = fpe.build_grid(ridge_only_spec(0.5), 6.0, 201, 1.0, init="gibbs")
@@ -186,6 +152,14 @@ class TestSpectralGap:
         assert gap == pytest.approx(lam, rel=0.01)
         gap2 = fpe.spectral_gap(ou_grid(lam, m=801))
         assert gap2 == pytest.approx(lam, rel=0.005)
+
+    @pytest.mark.parametrize("dim, m, s, r", [(1, 401, 0.5, 4.0), (2, 31, 0.8, 3.0)])
+    def test_flat_potential_gap_is_the_neumann_eigenvalue(self, dim, m, s, r):
+        # a = 0, lam = 0: pure diffusion with D = s/2 and reflecting walls,
+        # whose slowest mode decays at (2 s / h^2) sin^2(pi / (2 m))
+        grid = fpe.build_grid(ridge_only_spec(0.0, dim=dim), r, m, s)
+        expected = 2.0 * s / grid.h**2 * math.sin(math.pi / (2 * m)) ** 2
+        assert fpe.spectral_gap(grid) == pytest.approx(expected, rel=1e-10)
 
     def test_gap_positive_above_critical_ridge(self):
         spec = sigmoid_1d_spec(lam_mult=1.5)
@@ -250,26 +224,11 @@ class TestSymmetricForm:
         np.testing.assert_allclose(fit.chi2_series, chi2, rtol=1e-10)
         np.testing.assert_allclose(fit.mass_series, mass, rtol=1e-10)
 
-    @pytest.mark.parametrize("dim, m", [(1, 201), (2, 41)])
-    def test_implicit_step_matches_the_rho_form(self, dim, m):
-        grid = sigmoid_grid(dim, m)
-        rho = fpe.step_fpe(grid, 0.1, "implicit").rho
-        ref = oracles.implicit_step_rho(grid, 0.1).solve(grid.rho)
-        np.testing.assert_allclose(rho, ref, rtol=1e-10, atol=1e-14 * np.max(ref))
-
     @pytest.mark.parametrize("dim, m", [(1, 101), (2, 21)])
     def test_gap_matches_dense_eigenvalues(self, dim, m):
         grid = sigmoid_grid(dim, m)
         vals = np.linalg.eigvalsh(oracles.symmetrized_dense(grid))
         assert fpe.spectral_gap(grid) == pytest.approx(-vals[-2], rel=1e-9)
-
-
-class TestStationaryDensity:
-    def test_null_vector_matches_gibbs(self):
-        grid = ou_grid(m=401)
-        mu = fpe.gibbs(grid)
-        rho0 = fpe.stationary_density(grid)
-        assert np.max(np.abs(rho0 - mu.values)) <= 1e-8
 
 
 class TestHalfWidthRule:

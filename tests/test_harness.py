@@ -47,9 +47,11 @@ class TestSweep:
         np.testing.assert_array_equal(r1.grid, r2.grid)
 
     def test_parallel_matches_serial(self):
-        r1 = harness.run_sweep(tiny_sweep(), jobs=1)
-        r2 = harness.run_sweep(tiny_sweep(), jobs=2)
+        r1 = harness.run_sweep(tiny_sweep(restarts=2), jobs=1)
+        r2 = harness.run_sweep(tiny_sweep(restarts=2), jobs=2)
         np.testing.assert_array_equal(r1.grid, r2.grid)
+        for row1, row2 in zip(r1.per_cell, r2.per_cell, strict=True):
+            assert {**row1, "wall_time": 0} == {**row2, "wall_time": 0}
 
     def test_cell_seeds_positional(self):
         assert harness.cell_seed(1, 2, 3, 4) == harness.cell_seed(1, 2, 3, 4)
@@ -88,10 +90,14 @@ class TestReports:
     def test_csv_round_trip(self, tmp_path):
         result = harness.run_sweep(tiny_sweep(restarts=2))
         harness.emit_report(result, tmp_path)
-        back = harness.read_sweep_csv(tmp_path / "sweep.csv")
-        assert back.lambdas == tuple(sorted(result.lambdas))
-        assert back.widths == tuple(sorted(result.widths))
-        np.testing.assert_array_equal(back.grid, result.grid)
+        header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert header == "lambda,width,restart,metric"
+        back = []
+        for line in lines:
+            lam, width, restart, metric = line.split(",")
+            back.append((float(lam), int(width), int(restart), float(metric)))
+        assert back == [(r["lam"], r["width"], r["restart"], r["metric"])
+                        for r in result.per_cell]
 
     def test_svg_well_formed_and_deterministic(self, tmp_path):
         result = harness.run_sweep(tiny_sweep())
@@ -130,6 +136,14 @@ class TestAblation:
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
+            harness.run_ablation(self.ablation_cfg(), [0.0, 1.5])
+
+    def test_fractions_checked_before_any_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking every fraction")
+
+        monkeypatch.setattr(harness, "run_sgd", no_training)
+        with pytest.raises(ValueError, match="fractions"):
             harness.run_ablation(self.ablation_cfg(), [0.0, 1.5])
 
     def test_csv_emission(self, tmp_path):
