@@ -2,14 +2,18 @@
 
 Subcommands: constants, villani-scan, train, sde, fpe, gen, sweep, ablate.
 Exit codes: 0 on success (sweeps count divergence sentinels as success),
-2 on configuration errors, 3 when a ``train`` or ``sde`` run diverges
-(``diverged at step k: ...`` on stderr, no output file written).
+2 on configuration errors, 3 when a ``train``, ``sde`` or ``ablate`` run
+diverges (``diverged at step k: ...`` on stderr; the diverged run writes no
+file, earlier ``ablate`` settings keep theirs).  Every results CSV is a
+header plus plain decimals that ``np.loadtxt(path, delimiter=",",
+skiprows=1)`` reads back exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +26,84 @@ from .configio import (
     load_spec,
     load_sweep_config,
 )
+
+
+def _write_csv(path, header: str, *columns) -> Path:
+    """Write ``header``, then row k of ``columns`` per line.  Each value is
+    the repr of its Python scalar: the shortest decimal that reads back as
+    the same float, ints as ints, +inf as ``inf``."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    path = Path(path)
+    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+    return path
+
+
+def emit_report(result: harness.SweepResult, out_dir, svg: bool = False) -> list:
+    """Write the sweep as a long-format CSV and optionally an SVG heatmap."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [_write_csv(out_dir / "sweep.csv", "lambda,width,restart,metric",
+                        *([row[key] for row in result.per_cell]
+                          for key in ("lam", "width", "restart", "metric")))]
+    if svg:
+        svg_path = out_dir / "sweep.svg"
+        svg_path.write_text(heatmap_svg(result))
+        paths.append(svg_path)
+    return paths
+
+
+def write_ablation_csv(curves_by_fraction: dict, out_dir) -> list:
+    """One CSV per fraction: step, train_loss, clean_test, noisy_test."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [
+        _write_csv(out_dir / f"ablation_f{fraction:.2f}.csv",
+                   "step,train_loss,clean_test,noisy_test",
+                   c.steps, c.train_losses, c.clean_test, c.noisy_test)
+        for fraction, c in sorted(curves_by_fraction.items())
+    ]
+
+
+def heatmap_svg(result: harness.SweepResult) -> str:
+    """Deterministic standalone SVG heatmap of the sweep grid (log color scale)."""
+    cell = 48                        # side of one grid cell, in SVG pixels
+    vals = np.array(result.grid)
+    finite = np.maximum(vals[np.isfinite(vals)], 1e-300)
+    lo = float(np.log10(finite.min())) if finite.size else 0.0
+    hi = float(np.log10(finite.max())) if finite.size else 1.0
+    span = hi - lo if hi > lo else 1.0
+    n_rows, n_cols = vals.shape
+    margin = 90
+    width = margin + n_cols * cell + 20
+    height = margin + n_rows * cell + 20
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<text x="{margin}" y="20" font-size="14">{result.metric} (log color scale)</text>',
+    ]
+    for i in range(n_rows):
+        for j in range(n_cols):
+            v = vals[i, j]
+            if math.isfinite(v):
+                t = (math.log10(max(v, 1e-300)) - lo) / span
+                red = int(round(40 + 215 * t))
+                blue = int(round(255 - 215 * t))
+                color = f"rgb({red},80,{blue})"
+            else:
+                color = "rgb(0,0,0)"
+            x = margin + j * cell
+            y = margin + i * cell
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'fill="{color}" stroke="white"/>'
+            )
+    for i, lam in enumerate(result.lambdas):
+        y = margin + i * cell + cell // 2 + 4
+        parts.append(f'<text x="4" y="{y}" font-size="11">{lam:g}</text>')
+    for j, w in enumerate(result.widths):
+        x = margin + j * cell + cell // 2 - 6
+        parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{w}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def _cmd_constants(args) -> int:
@@ -61,12 +143,8 @@ def _cmd_train(args) -> int:
     spec = load_spec(args.spec)
     config = load_sgd_config(args.sgd)
     traj = dynamics.run_sgd(spec, config)
-    lines = ["step,time,loss,grad_norm"]
-    for k in range(len(traj.steps)):
-        lines.append(
-            f"{traj.steps[k]},{traj.times[k]!r},{traj.losses[k]!r},{traj.grad_norms[k]!r}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, "step,time,loss,grad_norm",
+               traj.steps, traj.times, traj.losses, traj.grad_norms)
     print(f"final loss {traj.losses[-1]:.6g} after {traj.steps[-1]} steps")
     return 0
 
@@ -75,18 +153,17 @@ def _cmd_sde(args) -> int:
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
     spec = load_spec(args.spec)
-    lines = ["path,step,t,loss"]
     paths = dynamics.run_sde_paths(
         spec, s=args.s, dt=args.dt, t_max=args.tmax,
         seeds=[args.seed + path_idx for path_idx in range(args.paths)],
         log_every=args.log_every,
     )
-    for path_idx, traj in enumerate(paths):
+    for traj in paths:
         if isinstance(traj, dynamics.DivergenceError):
             raise traj
-        for k in range(len(traj.steps)):
-            lines.append(f"{path_idx},{traj.steps[k]},{traj.times[k]!r},{traj.losses[k]!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    columns = zip(*([np.full(len(traj.steps), path_idx), traj.steps, traj.times, traj.losses]
+                    for path_idx, traj in enumerate(paths)))
+    _write_csv(args.out, "path,step,t,loss", *map(np.concatenate, columns))
     return 0
 
 
@@ -103,10 +180,7 @@ def _cmd_fpe(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    lines = ["t,chi2,mass"]
-    for k in range(len(fit.times)):
-        lines.append(f"{fit.times[k]!r},{fit.chi2_series[k]!r},{fit.mass_series[k]!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, "t,chi2,mass", fit.times, fit.chi2_series, fit.mass_series)
     print(f"decay rate {fit.rate:.6g} (r^2 = {fit.r_squared:.4f})")
     return 0
 
@@ -125,8 +199,7 @@ def _cmd_gen(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
     result = harness.run_sweep(cfg, jobs=args.jobs)
-    formats = ("csv", "svg") if args.svg else ("csv",)
-    paths = harness.emit_report(result, args.out, formats=formats)
+    paths = emit_report(result, args.out, svg=args.svg)
     n_sentinel = int(np.sum(~np.isfinite(result.grid)))
     print(f"wrote {', '.join(str(p) for p in paths)}; divergent cells: {n_sentinel}")
     return 0
@@ -138,7 +211,7 @@ def _cmd_ablate(args) -> int:
     for cfg in configs:
         curves = harness.run_ablation(cfg, fractions)
         sub = out_root / f"lam{cfg.lam:g}_p{cfg.width}"
-        harness.write_ablation_csv(curves, sub)
+        write_ablation_csv(curves, sub)
         finals = {f: float(c.clean_test[-1]) for f, c in curves.items()}
         print(f"lam={cfg.lam:g} p={cfg.width}: final clean-test {finals}")
     return 0

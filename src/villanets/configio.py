@@ -22,8 +22,8 @@ import numpy as np
 from . import activations, datasets
 from .datasets import DataRecipe
 from .dynamics import InitSpec, SgdConfig
-from .harness import AblationConfig, SweepConfig
-from .model import LossSpec, Net, outer_weights
+from .harness import AblationConfig, SweepConfig, build_cell_spec
+from .model import LossSpec
 
 
 def _load_json(path) -> dict:
@@ -39,9 +39,8 @@ def load_spec(path) -> LossSpec:
     data = datasets.load_csv(data_path)
     if data.d != d:
         raise ValueError(f"spec says d={d} but {data_path} has d={data.d}")
-    a = outer_weights(obj.get("a_mode", "normalized"), p, data.x_bound)
-    net = Net(a, np.zeros((p, d)), act)
-    return LossSpec(net, data, float(obj["lambda"]))
+    return build_cell_spec(data, p, float(obj["lambda"]), act,
+                           **_given(obj, {"a_mode": ("a_mode", _as_is)}))
 
 
 def _given(obj: dict, keys: dict) -> dict:

@@ -18,7 +18,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -144,6 +143,8 @@ def _run_cell(task: _CellTask):
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Train every (lambda, width) cell and assemble the metric grid."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     train, test = cfg.recipe.realize()
     tasks = [
         _CellTask(i_lam, i_width, train, test, cfg)
@@ -197,8 +198,8 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
     corrupted per fraction; the clean test set is never touched, so the
     clean-test curve isolates what the corruption does to the learned map.
     """
-    if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
-        raise ValueError("fractions must lie in [0, 1]")
+    if len(fractions) == 0 or not all(0.0 <= fraction <= 1.0 for fraction in fractions):
+        raise ValueError("fractions must be a non-empty list in [0, 1]")
     clean_train, clean_test = cfg.recipe.realize()
     out = {}
     for fraction in fractions:
@@ -239,83 +240,3 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
         )
     return out
 
-
-# ---------------------------------------------------------------------------
-# report emission
-# ---------------------------------------------------------------------------
-
-def emit_report(result: SweepResult, out_dir, formats=("csv",)) -> list:
-    """Write the sweep as a long-format CSV and optionally an SVG heatmap."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    csv_path = out_dir / "sweep.csv"
-    lines = ["lambda,width,restart,metric"]
-    for row in result.per_cell:
-        lines.append(f"{row['lam']!r},{row['width']},{row['restart']},{row['metric']!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
-    paths.append(csv_path)
-    if "svg" in formats:
-        svg_path = out_dir / "sweep.svg"
-        svg_path.write_text(heatmap_svg(result))
-        paths.append(svg_path)
-    return paths
-
-
-def write_ablation_csv(curves_by_fraction: dict, out_dir) -> list:
-    """One CSV per fraction: step, train_loss, clean_test, noisy_test."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for fraction in sorted(curves_by_fraction):
-        c = curves_by_fraction[fraction]
-        path = out_dir / f"ablation_f{fraction:.2f}.csv"
-        lines = ["step,train_loss,clean_test,noisy_test"]
-        for k in range(len(c.steps)):
-            lines.append(
-                f"{c.steps[k]},{c.train_losses[k]!r},{c.clean_test[k]!r},{c.noisy_test[k]!r}"
-            )
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
-
-
-def heatmap_svg(result: SweepResult, cell: int = 48) -> str:
-    """Deterministic standalone SVG heatmap of the sweep grid (log color scale)."""
-    vals = np.array(result.grid)
-    finite = np.maximum(vals[np.isfinite(vals)], 1e-300)
-    lo = float(np.log10(finite.min())) if finite.size else 0.0
-    hi = float(np.log10(finite.max())) if finite.size else 1.0
-    span = hi - lo if hi > lo else 1.0
-    n_rows, n_cols = vals.shape
-    margin = 90
-    width = margin + n_cols * cell + 20
-    height = margin + n_rows * cell + 20
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{margin}" y="20" font-size="14">{result.metric} (log color scale)</text>',
-    ]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            v = vals[i, j]
-            if math.isfinite(v):
-                t = (math.log10(max(v, 1e-300)) - lo) / span
-                red = int(round(40 + 215 * t))
-                blue = int(round(255 - 215 * t))
-                color = f"rgb({red},80,{blue})"
-            else:
-                color = "rgb(0,0,0)"
-            x = margin + j * cell
-            y = margin + i * cell
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{color}" stroke="white"/>'
-            )
-    for i, lam in enumerate(result.lambdas):
-        y = margin + i * cell + cell // 2 + 4
-        parts.append(f'<text x="4" y="{y}" font-size="11">{lam:g}</text>')
-    for j, w in enumerate(result.widths):
-        x = margin + j * cell + cell // 2 - 6
-        parts.append(f'<text x="{x}" y="{margin - 8}" font-size="11">{w}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)

@@ -3,12 +3,31 @@ import json
 import numpy as np
 import pytest
 
-from villanets import activations, cli, datasets, dynamics, harness, model
+from villanets import activations, cli, datasets, dynamics, fpe, harness, model
 from villanets import configio
 from villanets.configio import load_spec
 from villanets.datasets import DataRecipe
 from villanets.dynamics import InitSpec, SgdConfig
 from villanets.harness import AblationConfig, SweepConfig
+
+
+def _assert_reads_back(path, header, *columns):
+    """``path`` has ``header`` and, read by ``np.loadtxt``, exactly ``columns``."""
+    assert path.read_text().splitlines()[0] == header
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == (len(columns[0]), len(columns))
+    for got, want in zip(table.T, columns, strict=True):
+        assert np.array_equal(got, want)
+
+
+def _sde_lone_runs(workdir, seeds, t_max, log_every):
+    """The path, step, t and loss columns of one lone run per seed, path-major."""
+    spec = load_spec(workdir / "spec.json")
+    trajs = [dynamics.run_sde(spec, s=0.05, dt=0.01, t_max=t_max, seed=seed,
+                              log_every=log_every) for seed in seeds]
+    return (np.concatenate([np.full(len(t.steps), i) for i, t in enumerate(trajs)]),
+            *(np.concatenate([getattr(t, key) for t in trajs])
+              for key in ("steps", "times", "losses")))
 
 
 @pytest.fixture
@@ -89,14 +108,8 @@ def test_sde_cli_paths_are_seeded_lone_runs(workdir):
                      "--s", "0.05", "--dt", "0.01", "--tmax", "0.3",
                      "--paths", "3", "--seed", "7", "--log-every", "4", "--out", str(out)])
     assert code == 0
-    spec = load_spec(workdir / "spec.json")
-    lines = ["path,step,t,loss"]
-    for path_idx in range(3):
-        traj = dynamics.run_sde(spec, s=0.05, dt=0.01, t_max=0.3, seed=7 + path_idx,
-                                log_every=4)
-        for k in range(len(traj.steps)):
-            lines.append(f"{path_idx},{traj.steps[k]},{traj.times[k]!r},{traj.losses[k]!r}")
-    assert out.read_text() == "\n".join(lines) + "\n"
+    _assert_reads_back(out, "path,step,t,loss",
+                       *_sde_lone_runs(workdir, seeds=[7, 8, 9], t_max=0.3, log_every=4))
 
 
 def test_sde_cli_rejects_log_every_below_one(workdir, capsys):
@@ -275,3 +288,65 @@ def test_config_files_set_every_optional_key(workdir):
     assert configs == [AblationConfig(DataRecipe.from_dict(RECIPE), 0.05, 2, 0.05, 8, 100,
                                       log_every=9, base_seed=6, corruption_scale=0.2,
                                       init_tau=0.7, a_mode="normalized_signed")]
+
+
+def test_sweep_cli_rejects_jobs_below_one(workdir, capsys, monkeypatch):
+    def no_data(self):
+        raise AssertionError("realized the data before checking --jobs")
+
+    monkeypatch.setattr(DataRecipe, "realize", no_data)
+    sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": SGD_REQUIRED}
+    config = _write(workdir, "w.json", sweep)
+    for jobs in ("0", "-4"):
+        out = workdir / f"jobs{jobs}"
+        code = cli.main(["sweep", "--config", str(config), "--out", str(out),
+                         "--jobs", jobs])
+        assert code == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_ablate_cli_rejects_empty_fractions(workdir, capsys):
+    ablate = {"recipe": RECIPE, "fractions": [], "settings": [SETTING_REQUIRED]}
+    out = workdir / "abldir"
+    code = cli.main(["ablate", "--config", str(_write(workdir, "a.json", ablate)),
+                     "--out", str(out)])
+    assert code == 2
+    assert "fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_csv_reads_back_exactly(workdir, capsys):
+    spec_file = str(workdir / "spec.json")
+    out = workdir / "train.csv"
+    assert cli.main(["train", "--spec", spec_file, "--sgd", str(workdir / "sgd.json"),
+                     "--out", str(out)]) == 0
+    traj = dynamics.run_sgd(load_spec(spec_file),
+                            configio.load_sgd_config(workdir / "sgd.json"))
+    _assert_reads_back(out, "step,time,loss,grad_norm",
+                       traj.steps, traj.times, traj.losses, traj.grad_norms)
+
+    out = workdir / "sde.csv"
+    assert cli.main(["sde", "--spec", spec_file, "--s", "0.05", "--dt", "0.01",
+                     "--tmax", "0.2", "--paths", "2", "--log-every", "5",
+                     "--out", str(out)]) == 0
+    _assert_reads_back(out, "path,step,t,loss",
+                       *_sde_lone_runs(workdir, seeds=[0, 1], t_max=0.2, log_every=5))
+
+    out = workdir / "fpe.csv"
+    assert cli.main(["fpe", "--spec", str(workdir / "spec1d.json"), "--s", "0.5",
+                     "--m", "101", "--tmax", "1.0", "--dt", "0.02", "--out", str(out)]) == 0
+    spec1d = load_spec(workdir / "spec1d.json")
+    grid = fpe.build_grid(spec1d, fpe.suggest_half_width(spec1d, 0.5), 101, 0.5)
+    fit = fpe.decay_rate(grid, t_max=1.0, dt=0.02)
+    _assert_reads_back(out, "t,chi2,mass", fit.times, fit.chi2_series, fit.mass_series)
+
+    ablate = {"recipe": RECIPE, "fractions": [0.0, 0.5],
+              "settings": [{**SETTING_REQUIRED, "log_every": 25}]}
+    config = _write(workdir, "a.json", ablate)
+    assert cli.main(["ablate", "--config", str(config), "--out", str(workdir / "abl")]) == 0
+    (cfg,), fractions = configio.load_ablate_config(config)
+    for fraction, c in harness.run_ablation(cfg, fractions).items():
+        _assert_reads_back(workdir / "abl" / "lam0.05_p2" / f"ablation_f{fraction:.2f}.csv",
+                           "step,train_loss,clean_test,noisy_test",
+                           c.steps, c.train_losses, c.clean_test, c.noisy_test)

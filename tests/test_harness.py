@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from villanets import dynamics, harness, model
+from villanets import cli, dynamics, harness, model
 from villanets.datasets import DataRecipe
 from villanets.dynamics import InitSpec, SgdConfig
 from villanets.harness import AblationConfig, SweepConfig
@@ -89,7 +89,7 @@ class TestSweep:
 class TestReports:
     def test_csv_round_trip(self, tmp_path):
         result = harness.run_sweep(tiny_sweep(restarts=2))
-        harness.emit_report(result, tmp_path)
+        cli.emit_report(result, tmp_path)
         header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert header == "lambda,width,restart,metric"
         back = []
@@ -101,14 +101,14 @@ class TestReports:
 
     def test_svg_well_formed_and_deterministic(self, tmp_path):
         result = harness.run_sweep(tiny_sweep())
-        paths = harness.emit_report(result, tmp_path, formats=("csv", "svg"))
+        paths = cli.emit_report(result, tmp_path, svg=True)
         svg = [p for p in paths if p.suffix == ".svg"][0]
         ET.fromstring(svg.read_text())  # raises on malformed XML
-        assert harness.heatmap_svg(result) == harness.heatmap_svg(result)
+        assert cli.heatmap_svg(result) == cli.heatmap_svg(result)
 
     def test_csv_only_by_default(self, tmp_path):
         result = harness.run_sweep(tiny_sweep())
-        paths = harness.emit_report(result, tmp_path)
+        paths = cli.emit_report(result, tmp_path)
         assert [p.suffix for p in paths] == [".csv"]
 
 
@@ -135,8 +135,9 @@ class TestAblation:
         np.testing.assert_array_equal(curves[0.0].clean_test, curves[0.0].noisy_test)
 
     def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            harness.run_ablation(self.ablation_cfg(), [0.0, 1.5])
+        for fractions in ([0.0, 1.5], []):
+            with pytest.raises(ValueError, match="fractions"):
+                harness.run_ablation(self.ablation_cfg(), fractions)
 
     def test_fractions_checked_before_any_training(self, monkeypatch):
         def no_training(*args, **kwargs):
@@ -148,7 +149,7 @@ class TestAblation:
 
     def test_csv_emission(self, tmp_path):
         curves = harness.run_ablation(self.ablation_cfg(), [0.0, 0.5])
-        paths = harness.write_ablation_csv(curves, tmp_path)
+        paths = cli.write_ablation_csv(curves, tmp_path)
         assert len(paths) == 2
         header = paths[0].read_text().splitlines()[0]
         assert header == "step,train_loss,clean_test,noisy_test"
