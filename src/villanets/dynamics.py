@@ -58,8 +58,8 @@ class InitSpec:
     def __post_init__(self):
         if self.mode not in ("gaussian", "zero", "explicit"):
             raise ValueError(f"unknown init mode {self.mode!r}")
-        if self.mode == "gaussian" and self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if self.mode == "gaussian" and self.tau is not None and not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.mode == "explicit" and self.w0 is None:
             raise ValueError("explicit init needs w0")
         if self.w0 is not None and not np.isfinite(np.asarray(self.w0, dtype=np.float64)).all():
@@ -89,8 +89,8 @@ class SgdConfig:
     log_every: int = 100
 
     def validate(self, n: int) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
         if not 1 <= self.batch_size <= n:
             raise ValueError(f"batch_size must be in [1, {n}]")
         if self.steps < 1:
@@ -295,8 +295,8 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     :class:`DivergenceError` that run raises.  A path that diverges leaves
     the stack; the others go on.
     """
-    if s < 0 or dt <= 0 or t_max <= 0:
-        raise ValueError("need s >= 0, dt > 0, t_max > 0")
+    if not (0 <= s < math.inf and 0 < dt < math.inf and 0 < t_max < math.inf):
+        raise ValueError("need finite s >= 0, dt > 0, t_max > 0")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
     noise_scale = math.sqrt(s * dt)

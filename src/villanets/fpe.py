@@ -23,9 +23,11 @@ cross-validate each other.
 Detailed balance makes the generator similar to a symmetric operator H,
 banded with half-bandwidth m^(dim-1) on the node grid.  One banded Cholesky
 factor of a shifted H serves every implicit step of :func:`decay_rate`, the
-one time-stepper, and every shift-invert solve of the eigenvalue iteration.
-No solver path assembles the rho-form generator G (:func:`generator`); it
-stays as the independent reference that H is checked against.
+one time-stepper, and every shift-invert solve of the one eigenvalue
+iteration, which starts from a fixed-seed vector so reruns are bit-identical.
+Grids, edges, band and solvers are written once for any dimension.  No
+solver path assembles the rho-form generator G (:func:`generator`); it stays
+as the independent reference that H is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cholesky_banded, eigh_tridiagonal
+from scipy.linalg import cholesky_banded
+from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
 from scipy.optimize import minimize
 from scipy.stats import norm
@@ -48,6 +51,9 @@ CHI_FLOOR = 1e-12
 MAX_OPERATOR_SIZE = 40_000
 # exp(-x) beyond this nears the underflow range of float64
 MAX_GIBBS_EXPONENT = 700.0
+EIGSH_MAXITER = 10_000
+# Gibbs mass that suggest_half_width leaves outside the box
+HALF_WIDTH_TAIL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,21 +129,17 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="unifor
     """Tabulate the loss on the box and set the initial density.
 
     Only weight spaces of total dimension p*d in {1, 2} are supported.
-    ``init`` may be 'uniform', 'gibbs', or an explicit nonnegative array of
-    the right size (normalized here).
+    ``init`` may be 'uniform', 'gibbs', or an explicit finite, nonnegative
+    array of the right size and positive sum (normalized here).
     """
     dim = spec.p * spec.d
     if dim not in (1, 2):
         raise ValueError(f"density solver supports p*d in {{1, 2}}, got {dim}")
-    if half_width <= 0 or m < 8 or s <= 0:
-        raise ValueError("need half_width > 0, m >= 8, s > 0")
+    if not (0 < half_width < math.inf and m >= 8 and 0 < s < math.inf):
+        raise ValueError("need finite half_width > 0, m >= 8, finite s > 0")
     axis = np.linspace(-half_width, half_width, m)
     h = axis[1] - axis[0]
-    if dim == 1:
-        points = axis[:, None]
-    else:
-        g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-        points = np.column_stack([g0.ravel(), g1.ravel()])
+    points = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
     potential = tabulate_potential(spec, points)
     size = m**dim
     if isinstance(init, str):
@@ -151,8 +153,8 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="unifor
         rho = np.asarray(init, dtype=np.float64).ravel()
         if rho.shape != (size,):
             raise ValueError(f"init density must have {size} entries")
-        if np.any(rho < 0):
-            raise ValueError("init density must be nonnegative")
+        if not (np.all(np.isfinite(rho)) and np.all(rho >= 0) and np.sum(rho) > 0):
+            raise ValueError("init density must be finite and nonnegative, with positive mass")
     rho = rho / (np.sum(rho) * h**dim)
     return FpeGrid(dim=dim, half_width=half_width, m=m, h=h, s=s,
                    potential=potential, rho=rho)
@@ -200,12 +202,9 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 def _edges(grid: FpeGrid) -> list:
     """Neighbor pairs (left, right), one pair of index arrays per axis;
     right - left is the same for every edge of an axis."""
-    if grid.dim == 1:
-        idx = np.arange(grid.m)
-        return [(idx[:-1], idx[1:])]
-    flat = np.arange(grid.size).reshape(grid.m, grid.m)
-    return [(flat[:-1, :].ravel(), flat[1:, :].ravel()),
-            (flat[:, :-1].ravel(), flat[:, 1:].ravel())]
+    flat = np.arange(grid.size).reshape((grid.m,) * grid.dim)
+    return [(np.delete(flat, -1, axis=k).ravel(), np.delete(flat, 0, axis=k).ravel())
+            for k in range(grid.dim)]
 
 
 def generator(grid: FpeGrid) -> sp.csr_matrix:
@@ -289,8 +288,8 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     excluding points at the round-off floor.  A floor hit before the window
     opens sets ``early_converged``.
     """
-    if t_max <= 0 or dt <= 0:
-        raise ValueError("t_max and dt must be positive")
+    if not (0 < t_max < math.inf and 0 < dt < math.inf):
+        raise ValueError("t_max and dt must be positive and finite")
     root = np.sqrt(gibbs(grid).values)
     solve = _band_solver(_symmetric_band(grid), 1.0, dt)
     n_steps = max(2, int(round(t_max / dt)))
@@ -327,57 +326,51 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     return DecayFit(-float(coef[0]), r_sq, times, chi2, mass, early)
 
 
-def _band_csr(band: np.ndarray) -> sp.csr_matrix:
-    """The symmetric matrix whose upper band is ``band``, as CSR."""
-    kd, size = band.shape[0] - 1, band.shape[1]
-    upper = sp.dia_matrix((band[::-1], np.arange(kd + 1)), shape=(size, size)).tocsr()
-    return (upper + sp.triu(upper, k=1).T).tocsr()
-
-
 def symmetrized_generator(grid: FpeGrid) -> sp.csr_matrix:
-    """Similarity transform diag(mu)^-1/2 G diag(mu)^1/2.
+    """Similarity transform diag(mu)^-1/2 G diag(mu)^1/2 as CSR.
 
     The Chang-Cooper fluxes satisfy detailed balance with respect to the
     discrete Gibbs density, so this matrix is symmetric (bit for bit: it is
-    a CSR view of :func:`_symmetric_band`) and shares the generator's
+    a CSR copy of :func:`_symmetric_band`) and shares the generator's
     spectrum.
     """
-    return _band_csr(_symmetric_band(grid))
+    band = _symmetric_band(grid)
+    upper = sp.dia_matrix((band[::-1], np.arange(band.shape[0])),
+                          shape=(grid.size, grid.size)).tocsr()
+    return (upper + sp.triu(upper, k=1).T).tocsr()
 
 
-def spectral_gap(grid: FpeGrid, maxiter: int = 10_000) -> float:
+def spectral_gap(grid: FpeGrid) -> float:
     """Second-smallest eigenvalue magnitude of the generator.
 
     The spectrum is {0 = -lam_0 > -lam_1 > ...}; the returned gap is lam_1,
-    the slowest relaxation rate of any density perturbation.  1-D grids use
-    the direct tridiagonal eigensolver on the band of H.  2-D grids find the
-    two eigenvalues of H nearest 0 by shift-invert iteration about a small
-    sigma > 0, solving with the banded Cholesky factor of sigma * I - H.
+    the slowest relaxation rate of any density perturbation.  On every grid
+    the two eigenvalues of H nearest 0 come from one shift-invert iteration
+    about a small sigma > 0, solving with the banded Cholesky factor of
+    sigma * I - H.  The iteration starts from a fixed-seed random vector
+    (not all ones, which is orthogonal to the odd gap mode of a symmetric
+    potential), so a rerun on one grid returns the same float.
     """
     if grid.size > MAX_OPERATOR_SIZE:
         raise ValueError(f"operator size {grid.size} exceeds {MAX_OPERATOR_SIZE}")
     band = _symmetric_band(grid)
-    if grid.dim == 1:
-        vals = eigh_tridiagonal(
-            band[1], band[0, 1:], select="i", select_range=(grid.size - 2, grid.size - 1),
-            eigvals_only=True,
-        )
-        return float(-vals[0])
     sigma = 1e-4 * float(np.max(np.abs(band[-1])))
     solve = _band_solver(band, sigma, 1.0)
+    shape, kd = (grid.size, grid.size), band.shape[0] - 1
+    h_op = spla.LinearOperator(shape, matvec=lambda x: dsbmv(kd, 1.0, band, x), dtype=np.float64)
     # eigsh wants OPinv = (H - sigma * I)^-1
-    op_inv = spla.LinearOperator((grid.size, grid.size), matvec=lambda x: -solve(x),
-                                 dtype=np.float64)
+    op_inv = spla.LinearOperator(shape, matvec=lambda x: -solve(x), dtype=np.float64)
+    start = np.random.default_rng(0).standard_normal(grid.size)
     try:
-        vals = spla.eigsh(_band_csr(band), k=2, sigma=sigma, which="LM", OPinv=op_inv,
-                          maxiter=maxiter, return_eigenvectors=False)
+        vals = spla.eigsh(h_op, k=2, sigma=sigma, which="LM", OPinv=op_inv, v0=start,
+                          maxiter=EIGSH_MAXITER, return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError("eigenvalue iteration did not converge") from exc
     return float(-np.min(vals))
 
 
-def suggest_half_width(spec: LossSpec, s: float, tail: float = 1e-8) -> float:
-    """Box half-width keeping the Gibbs mass outside below ``tail``.
+def suggest_half_width(spec: LossSpec, s: float) -> float:
+    """Box half-width keeping the Gibbs mass outside below ``HALF_WIDTH_TAIL``.
 
     The loss dominates (lam/2) * ||W||^2, so the Gibbs factor is dominated by
     a centered Gaussian of per-axis variance s / (2 lam); the box covers that
@@ -394,5 +387,5 @@ def suggest_half_width(spec: LossSpec, s: float, tail: float = 1e-8) -> float:
 
     res = minimize(fun_and_grad, np.zeros(dim), jac=True, method="L-BFGS-B")
     center = float(np.max(np.abs(res.x)))
-    quantile = float(norm.isf(tail / (2.0 * dim)))
+    quantile = float(norm.isf(HALF_WIDTH_TAIL / (2.0 * dim)))
     return center + sigma * (quantile + 1.0)

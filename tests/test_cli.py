@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -313,6 +314,38 @@ def test_ablate_cli_rejects_empty_fractions(workdir, capsys):
                      "--out", str(out)])
     assert code == 2
     assert "fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sgd_file", [
+    {**SGD_REQUIRED, "step_size": math.nan},
+    {**SGD_REQUIRED, "step_size": math.inf},
+    {**SGD_REQUIRED, "init": {"tau": math.nan}},
+])
+def test_train_cli_rejects_non_finite_settings(workdir, capsys, sgd_file):
+    # a NaN setting is a configuration error, not a run that diverged
+    out = workdir / "traj.csv"
+    code = cli.main(["train", "--spec", str(workdir / "spec.json"),
+                     "--sgd", str(_write(workdir, "nan.json", sgd_file)), "--out", str(out)])
+    assert code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, spec, flag", [
+    *(("sde", "spec.json", flag) for flag in ("--s", "--dt", "--tmax")),
+    *(("fpe", "spec1d.json", flag) for flag in ("--s", "--R", "--dt", "--tmax")),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_settings(workdir, capsys, command, spec, flag, value):
+    settings = {"--s": "0.05", "--dt": "0.01", "--tmax": "0.1", flag: value}
+    out = workdir / "x.csv"
+    grid = ["--m", "51"] if command == "fpe" else []
+    code = cli.main([command, "--spec", str(workdir / spec), *grid,
+                     *(token for item in settings.items() for token in item),
+                     "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.blas import dsbmv
 from scipy.stats import norm
 
 import oracles
@@ -78,8 +79,11 @@ class TestBuildGrid:
         grid = fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0,
                               init=np.ones(101))
         assert abs(grid.mass() - 1.0) <= 1e-12
-        with pytest.raises(ValueError):
-            fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=-np.ones(101))
+        # a negative, NaN or inf entry, or an all-zero array, is no density
+        for init in (-np.ones(101), np.r_[np.ones(100), math.nan],
+                     np.r_[np.ones(100), math.inf], np.zeros(101)):
+            with pytest.raises(ValueError, match="init density"):
+                fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=init)
 
     def test_two_dimensional_grid(self):
         grid = fpe.build_grid(two_dim_spec(), 4.0, 41, 1.0)
@@ -112,6 +116,13 @@ class TestFixedPoint:
         root = np.sqrt(mu)
         h_mat = fpe.symmetrized_generator(grid)
         assert np.max(np.abs(h_mat @ root)) <= 1e-13 * scale * np.max(root)
+        # the banded matvec spectral_gap hands eigsh is the same H
+        band = fpe._symmetric_band(grid)
+        kd = band.shape[0] - 1
+        assert np.max(np.abs(dsbmv(kd, 1.0, band, root))) <= 1e-13 * scale * np.max(root)
+        x = np.random.default_rng(1).standard_normal(grid.size)
+        np.testing.assert_allclose(dsbmv(kd, 1.0, band, x), h_mat @ x,
+                                   rtol=0, atol=1e-13 * scale)
 
 
 class TestDecayRate:
@@ -195,6 +206,12 @@ class TestSpectralGap:
         # even-symmetric start: slowest excited mode relaxes at 2 * lam
         assert fit.rate == pytest.approx(1.0, rel=0.06)
 
+    @pytest.mark.parametrize("dim, m", [(1, 201), (2, 41)])
+    def test_reruns_are_bit_identical(self, dim, m):
+        grid = sigmoid_grid(dim, m)
+        gaps = [fpe.spectral_gap(grid) for _ in range(3)]
+        assert gaps[0] == gaps[1] == gaps[2]
+
     def test_size_guard(self):
         grid = ou_grid(m=401)
         big = fpe.FpeGrid(dim=2, half_width=6.0, m=250, h=0.05, s=1.0,
@@ -235,7 +252,7 @@ class TestHalfWidthRule:
     def test_quadratic_tail_mass(self):
         lam, s = 0.5, 1.0
         spec = ridge_only_spec(lam)
-        r = fpe.suggest_half_width(spec, s, tail=1e-8)
+        r = fpe.suggest_half_width(spec, s)
         sigma = math.sqrt(s / (2 * lam))
         assert 2.0 * norm.sf(r / sigma) < 1e-8
 
