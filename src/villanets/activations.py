@@ -122,8 +122,8 @@ def make(kind: str, beta: float = 1.0) -> Activation:
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown activation kind {kind!r}; expected one of {KINDS}")
-    if kind != "tanh" and beta <= 0:
-        raise ValueError("beta must be positive")
+    if kind != "tanh" and not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if kind == "sigmoid":
         d2 = beta**2 / (6.0 * math.sqrt(3.0))
         return Activation("sigmoid", beta, 1.0, beta / 4.0, beta / 4.0, d2, 0.5)

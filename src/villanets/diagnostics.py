@@ -12,6 +12,7 @@ ray-scan that certifies divergence numerically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ from .model import LossSpec
 
 def v_s(spec: LossSpec, s: float, w=None) -> float:
     """||grad||_F^2 / s - laplacian, the divergence diagnostic."""
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
     g, lap = model.evaluate(spec, model.weights(spec, w), ("grad", "laplacian"))
     return float(np.sum(g * g) / s - lap)
 
@@ -122,8 +123,8 @@ class VillaniReport:
 
 def scan_radii(r_max: float) -> np.ndarray:
     """Geometric radii 1, 2, 4, ... capped with r_max as the last entry."""
-    if r_max < 10:
-        raise ValueError("r_max must be at least 10")
+    if not 10 <= r_max < math.inf:
+        raise ValueError("r_max must be finite and at least 10")
     radii = [1.0]
     while radii[-1] * 2.0 < r_max:
         radii.append(radii[-1] * 2.0)
@@ -144,8 +145,8 @@ def villani_scan(
     sphere), drawn from a seeded generator for reproducibility.  Every
     evaluation point also checks the two pointwise bounds.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
     if ray_count < 8:
         raise ValueError("ray_count must be at least 8")
     radii = scan_radii(r_max)

@@ -133,22 +133,17 @@ def sgd_step(spec: LossSpec, w: np.ndarray, batch_indices, s: float) -> np.ndarr
     return w - s * model.evaluate(spec, w, ("grad",), batch_indices)[0]
 
 
-def _diverged(what: str, step: int, last_w: np.ndarray) -> DivergenceError:
-    return DivergenceError(f"{what} left the finite regime at step {step}",
-                           last_w=last_w, step=step)
-
-
 class _Chain:
     """One chain of a stack: its own generator and its log."""
 
     def __init__(self, seed: int, record_weights: bool):
         self.rng = np.random.default_rng(seed)
-        self.times, self.steps, self.losses, self.gnorms, self.evals = [], [], [], [], []
+        self.steps, self.losses, self.gnorms, self.evals = [], [], [], []
         self.weights = [] if record_weights else None
 
-    def trajectory(self, final_w: np.ndarray, with_evals: bool) -> Trajectory:
+    def trajectory(self, final_w: np.ndarray, dt: float, with_evals: bool) -> Trajectory:
         return Trajectory(
-            times=np.array(self.times),
+            times=np.array(self.steps) * dt,
             steps=np.array(self.steps),
             losses=np.array(self.losses),
             grad_norms=np.array(self.gnorms),
@@ -184,65 +179,52 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     if not chains:
         return out
     live = list(range(len(chains)))                  # the chain of each stack row
-    w = np.stack([init.sample(c.rng, spec.p, spec.d, spec.lam, init_s) for c in chains])
+    w = w_prev = np.stack([init.sample(c.rng, spec.p, spec.d, spec.lam, init_s) for c in chains])
     block = n_steps if draw is None else max(1, BLOCK_NUMBERS // math.prod(draw_shape))
-
-    def log(k: int, w_k: np.ndarray, w_prev: np.ndarray, bad):
-        """Log every row of ``w_k`` not already ``bad``; returns the rows
-        that are bad now, those whose loss diverged included (None if none)."""
-        values, grads = model.evaluate(spec, w_k, ("loss", "grad"))
-        for i, value in enumerate(values.tolist()):
-            if bad is not None and bad[i]:
-                continue
-            if not value <= DIVERGENCE_LIMIT:  # also true for NaN
-                out[live[i]] = _diverged(f"loss ({value!r})", k, w_prev[i].copy())
-                bad = np.zeros(len(w_k), dtype=bool) if bad is None else bad
-                bad[i] = True
-                continue
-            c = chains[live[i]]
-            c.times.append(k * dt)
-            c.steps.append(k)
-            c.losses.append(value)
-            c.gnorms.append(float(np.linalg.norm(grads[i])))
-            if eval_fn is not None:
-                c.evals.append(np.atleast_1d(np.asarray(eval_fn(w_k[i]), dtype=np.float64)))
-            if c.weights is not None:
-                c.weights.append(w_k[i].copy())
-        return bad
-
-    def drop(bad, *stacks):
-        """``live`` and the ``stacks`` (None stays None) without the bad rows."""
-        keep = ~bad
-        return ([c for c, kept in zip(live, keep) if kept],
-                *(None if a is None else a[keep] for a in stacks))
-
-    k = 0
+    drawn, j, size = None, 0, 0      # drawn: (R, size, *draw_shape); drawn[:, j] is next
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = log(0, w, w, None)
-        if bad is not None:
-            live, w = drop(bad, w)
-        while k < n_steps and live:
-            size = min(n_steps - k, block)
-            drawn = None
-            if draw is not None:                     # (R, size, *draw_shape)
-                drawn = np.stack([draw(chains[c].rng, (size, *draw_shape)) for c in live])
-            for j in range(size):
-                k += 1
-                w_next = step(w, None if drawn is None else drawn[:, j])
-                bad = None
-                if not np.isfinite(w_next).all():
-                    bad = ~np.isfinite(w_next).all(axis=(1, 2))
-                    for i in np.flatnonzero(bad):
-                        out[live[i]] = _diverged("weights", k, w[i].copy())
-                if k % log_every == 0 or k == n_steps:
-                    bad = log(k, w_next, w, bad)
-                if bad is not None:
-                    live, w_next, drawn = drop(bad, w_next, drawn)
-                    if not live:
-                        break
-                w = w_next
+        for k in range(n_steps + 1):
+            diverged = {}                            # stack row -> what left the finite regime
+            if k and not np.isfinite(w).all():
+                diverged = dict.fromkeys(np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist(),
+                                         "weights")
+            if k % log_every == 0 or k == n_steps:
+                values, grads = model.evaluate(spec, w, ("loss", "grad"))
+                for i, value in enumerate(values.tolist()):
+                    if i in diverged:
+                        continue
+                    if not value <= DIVERGENCE_LIMIT:  # also true for NaN
+                        diverged[i] = f"loss ({value!r})"
+                        continue
+                    c = chains[live[i]]
+                    c.steps.append(k)
+                    c.losses.append(value)
+                    c.gnorms.append(float(np.linalg.norm(grads[i])))
+                    if eval_fn is not None:
+                        c.evals.append(np.atleast_1d(np.asarray(eval_fn(w[i]), dtype=np.float64)))
+                    if c.weights is not None:
+                        c.weights.append(w[i].copy())
+            if diverged:
+                for i, what in diverged.items():
+                    out[live[i]] = DivergenceError(f"{what} left the finite regime at step {k}",
+                                                   last_w=w_prev[i].copy(), step=k)
+                keep = [i not in diverged for i in range(len(live))]
+                live = [c for c, kept in zip(live, keep) if kept]
+                if not live:
+                    break
+                w = w[keep]
+                if drawn is not None:
+                    drawn = drawn[keep]
+            if k == n_steps:
+                break
+            if j == size:
+                size, j = min(n_steps - k, block), 0
+                if draw is not None:
+                    drawn = np.stack([draw(chains[c].rng, (size, *draw_shape)) for c in live])
+            w_prev, w = w, step(w, None if drawn is None else drawn[:, j])
+            j += 1
     for i, c in enumerate(live):
-        out[c] = chains[c].trajectory(w[i].copy(), eval_fn is not None)
+        out[c] = chains[c].trajectory(w[i].copy(), dt, eval_fn is not None)
     return out
 
 

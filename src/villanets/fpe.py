@@ -42,7 +42,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import model
 from .model import LossSpec
@@ -387,5 +387,5 @@ def suggest_half_width(spec: LossSpec, s: float) -> float:
 
     res = minimize(fun_and_grad, np.zeros(dim), jac=True, method="L-BFGS-B")
     center = float(np.max(np.abs(res.x)))
-    quantile = float(norm.isf(HALF_WIDTH_TAIL / (2.0 * dim)))
+    quantile = -float(ndtri(HALF_WIDTH_TAIL / (2.0 * dim)))
     return center + sigma * (quantile + 1.0)

@@ -150,5 +150,9 @@ def test_domain_and_parameter_errors():
         act.d1(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         activations.make("sigmoid", -1.0)
+    for beta in (float("nan"), float("inf")):
+        for kind in ("sigmoid", "softplus"):
+            with pytest.raises(ValueError, match="finite"):
+                activations.make(kind, beta)
     with pytest.raises(ValueError):
         activations.make("relu")

@@ -349,6 +349,27 @@ def test_cli_rejects_non_finite_settings(workdir, capsys, command, spec, flag, v
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["villani-scan", "--s", "{}", "--rays", "8"],
+    ["villani-scan", "--s", "0.1", "--rays", "8", "--rmax", "{}"],
+    ["constants", "--activation", "sigmoid", "--beta", "{}"],
+    ["constants", "--activation", "softplus", "--beta", "{}"],
+], ids=["scan-s", "scan-rmax", "sigmoid-beta", "softplus-beta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_scan_and_constants_reject_non_finite_settings(workdir, capsys, argv, value):
+    # villani-scan takes no --dt/--tmax and constants writes to stdout, so
+    # these cases cannot share the base settings of the test above
+    out = workdir / "report.json"
+    argv = [token.format(value) for token in argv]
+    if argv[0] == "villani-scan":
+        argv += ["--spec", str(workdir / "spec.json"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert not captured.out
+    assert not out.exists()
+
 def test_every_csv_reads_back_exactly(workdir, capsys):
     spec_file = str(workdir / "spec.json")
     out = workdir / "train.csv"

@@ -62,6 +62,9 @@ def test_v_s_monotone_in_s():
 def test_v_s_rejects_nonpositive_s():
     with pytest.raises(ValueError):
         diagnostics.v_s(scalar_spec(), 0.0)
+    for s in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            diagnostics.v_s(scalar_spec(), s)
 
 
 class TestGradLowerBound:
@@ -157,6 +160,11 @@ class TestVillaniScan:
             diagnostics.villani_scan(spec, s=0.1, ray_count=4)
         with pytest.raises(ValueError):
             diagnostics.villani_scan(spec, s=0.1, r_max=5.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                diagnostics.villani_scan(spec, s=value)
+            with pytest.raises(ValueError, match="finite"):
+                diagnostics.villani_scan(spec, s=0.1, r_max=value)
 
     def test_seeded_determinism(self):
         spec = small_spec("sigmoid")

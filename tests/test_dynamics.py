@@ -382,3 +382,30 @@ def test_divergence_raises_without_overflow_warnings():
         with pytest.raises(DivergenceError):
             dynamics.run_sde(spec, s=0.01, dt=1e3, t_max=1e6, seed=0, init=init,
                              log_every=1000)
+
+
+def test_loss_divergence_at_step_zero():
+    # the ridge term of w0 alone passes the limit, so every run stops at the
+    # step-0 log point with w0 as its last state
+    spec = small_spec()
+    w0 = np.full((spec.p, spec.d), 1e7)
+    assert 0.5 * spec.lam * np.sum(w0 * w0) > dynamics.DIVERGENCE_LIMIT
+    init = InitSpec("explicit", w0=w0)
+    cfg = SgdConfig(step_size=0.05, batch_size=4, steps=50, init=init, log_every=10)
+
+    def check(err):
+        assert isinstance(err, DivergenceError)
+        assert err.step == 0
+        assert "loss" in str(err)
+        np.testing.assert_array_equal(err.last_w, w0)
+
+    with pytest.raises(DivergenceError) as sgd_err:
+        dynamics.run_sgd(spec, cfg)
+    check(sgd_err.value)
+    with pytest.raises(DivergenceError) as sde_err:
+        dynamics.run_sde(spec, s=0.1, dt=0.01, t_max=1.0, init=init)
+    check(sde_err.value)
+    stacked = dynamics.run_sgd_chains(spec, cfg, [0, 1, 2])
+    assert len(stacked) == 3
+    for err in stacked:
+        check(err)

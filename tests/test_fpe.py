@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from scipy.linalg.blas import dsbmv
 from scipy.stats import norm
 
 import oracles
+import villanets
 from villanets import activations, fpe, model
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
@@ -267,3 +272,13 @@ class TestHalfWidthRule:
     def test_requires_coercive_ridge(self):
         with pytest.raises(ValueError):
             fpe.suggest_half_width(ridge_only_spec(0.0), 1.0)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes about half of the package's import time; the
+    # half-width quantile comes from scipy.special.ndtri instead
+    env = {**os.environ, "PYTHONPATH": str(Path(villanets.__file__).parents[1])}
+    code = "import sys, villanets; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
