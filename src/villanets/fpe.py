@@ -28,24 +28,47 @@ iteration, which starts from a fixed-seed vector so reruns are bit-identical.
 Grids, edges, band and solvers are written once for any dimension.  No
 solver path assembles the rho-form generator G (:func:`generator`); it stays
 as the independent reference that H is checked against.
+
+Importing this module loads no scipy module, so ``import villanets`` costs
+numpy only.  Each scipy module is imported the first time a function reads
+from it: ``scipy.linalg`` by :func:`decay_rate` and :func:`spectral_gap`
+(banded Cholesky, its solve, and the band matvec), ``scipy.sparse.linalg``
+by :func:`spectral_gap` (``eigsh``), ``scipy.sparse`` by :func:`generator`
+and :func:`symmetrized_generator`, and ``scipy.optimize`` and
+``scipy.special`` by :func:`suggest_half_width`.  :func:`build_grid`,
+:func:`tabulate_potential` and :func:`gibbs` use numpy only.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cholesky_banded
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrs
-from scipy.optimize import minimize
-from scipy.special import ndtri
 
 from . import model
 from .model import LossSpec
+
+
+class _Deferred:
+    """A module imported on its first attribute access; each attribute
+    read is then kept on this object, so later reads cost a plain lookup."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
+linalg = _Deferred("scipy.linalg")
+optimize = _Deferred("scipy.optimize")
+special = _Deferred("scipy.special")
 
 CHI_FLOOR = 1e-12
 MAX_OPERATOR_SIZE = 40_000
@@ -270,10 +293,10 @@ def _band_solver(band: np.ndarray, shift: float, scale: float):
     """
     ab = -scale * band
     ab[-1] += shift
-    factor = cholesky_banded(ab, check_finite=False)
+    factor = linalg.cholesky_banded(ab, check_finite=False)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return dpbtrs(factor, rhs)[0]
+        return linalg.lapack.dpbtrs(factor, rhs)[0]
 
     return solve
 
@@ -357,7 +380,8 @@ def spectral_gap(grid: FpeGrid) -> float:
     sigma = 1e-4 * float(np.max(np.abs(band[-1])))
     solve = _band_solver(band, sigma, 1.0)
     shape, kd = (grid.size, grid.size), band.shape[0] - 1
-    h_op = spla.LinearOperator(shape, matvec=lambda x: dsbmv(kd, 1.0, band, x), dtype=np.float64)
+    h_op = spla.LinearOperator(shape, matvec=lambda x: linalg.blas.dsbmv(kd, 1.0, band, x),
+                               dtype=np.float64)
     # eigsh wants OPinv = (H - sigma * I)^-1
     op_inv = spla.LinearOperator(shape, matvec=lambda x: -solve(x), dtype=np.float64)
     start = np.random.default_rng(0).standard_normal(grid.size)
@@ -385,7 +409,7 @@ def suggest_half_width(spec: LossSpec, s: float) -> float:
         value, g = model.evaluate(spec, flat.reshape(spec.p, spec.d), ("loss", "grad"))
         return float(value), g.ravel()
 
-    res = minimize(fun_and_grad, np.zeros(dim), jac=True, method="L-BFGS-B")
+    res = optimize.minimize(fun_and_grad, np.zeros(dim), jac=True, method="L-BFGS-B")
     center = float(np.max(np.abs(res.x)))
-    quantile = -float(ndtri(HALF_WIDTH_TAIL / (2.0 * dim)))
+    quantile = -float(special.ndtri(HALF_WIDTH_TAIL / (2.0 * dim)))
     return center + sigma * (quantile + 1.0)

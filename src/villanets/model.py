@@ -231,7 +231,7 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     """
     xs, ys = spec.data.xs, spec.data.ys
     if batch is not None:
-        xs, ys = xs[batch], ys[batch]
+        xs, ys = xs.take(batch, axis=0), ys.take(batch, axis=0)
     a, lam, n = spec.net.a, spec.lam, xs.shape[-2]
     f, sig = _forward(spec.net, w, xs, _max_order(outputs))
     r = f - ys                                        # (..., n)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -274,11 +275,42 @@ class TestHalfWidthRule:
             fpe.suggest_half_width(ridge_only_spec(0.0), 1.0)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes about half of the package's import time; the
-    # half-width quantile comes from scipy.special.ndtri instead
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that finds this villanets; its stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(villanets.__file__).parents[1])}
-    code = "import sys, villanets; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_no_scipy():
+    # fpe imports each scipy module the first time a function needs it, so
+    # commands that solve no density pay for numpy only
+    for module in ("villanets", "villanets.cli"):
+        _run_fresh(f"import sys, {module}\n"
+                   "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                   "assert not loaded, loaded")
+
+
+def test_deferred_scipy_imports_resolve_in_a_fresh_process():
+    # this module imports scipy itself, so only a process that imported
+    # nothing but villanets checks every deferred attribute path; a second
+    # process that imports the scipy modules first must print the same floats
+    code = """
+import json
+import numpy as np
+from villanets import activations, fpe, model
+from villanets.model import Dataset, LossSpec, Net, normalized_outer
+
+data = Dataset(np.array([[0.6], [1.0], [1.4]]), np.array([0.8, 0.5, 0.9]))
+net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 1)), activations.sigmoid(1.0))
+spec = LossSpec(net, data, 1.5 * model.lambda_c(net, data))
+r = fpe.suggest_half_width(spec, 0.4)
+grid = fpe.build_grid(spec, r, 41, 0.4)
+print(json.dumps([r, fpe.decay_rate(grid, 2.0, 0.05).rate, fpe.spectral_gap(grid),
+                  float(abs(fpe.generator(grid)).sum()),
+                  float(abs(fpe.symmetrized_generator(grid)).sum())]))
+"""
+    eager = "import scipy.linalg, scipy.optimize, scipy.sparse.linalg, scipy.special\n"
+    assert json.loads(_run_fresh(code)) == json.loads(_run_fresh(eager + code))
