@@ -13,16 +13,17 @@ Lipschitz constant of sigma'.  Every formula is written once, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 KINDS = ("sigmoid", "tanh", "softplus")
 
-# The logistic's constants as 0-d arrays: numpy converts a Python float
-# operand on every ufunc call, ~0.3 us per call on an SGD step's small arrays.
+# The formulas' constants as 0-d arrays: numpy converts a Python float operand
+# on every ufunc call, ~0.3-0.6 us per call on an SGD step's small arrays.
 # The cap keeps exp finite: exp(709) < DBL_MAX < exp(710).
-_ONE, _TWO, _EXP_CAP = np.array(1.0), np.array(2.0), np.array(709.0)
+_ZERO, _ONE, _TWO, _MINUS_TWO = np.array(0.0), np.array(1.0), np.array(2.0), np.array(-2.0)
+_EXP_CAP = np.array(709.0)
 
 
 def _check_finite(x):
@@ -46,6 +47,9 @@ class Activation:
             sigma'.
         at_zero: sigma(0). The constant offset vector for a width-p layer
             is sigma(0) * ones(p), with 2-norm sqrt(p) * |sigma(0)|.
+        beta_op: beta as a 0-d array operand for :meth:`derivs`, derived at
+            construction; None where beta == 1 (and for tanh), whose
+            multiplies and divides by beta are skipped.
     """
 
     kind: str
@@ -55,6 +59,11 @@ class Activation:
     d1_sup: float
     d2_sup: float
     at_zero: float
+    beta_op: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        unit = self.kind == "tanh" or self.beta == 1.0
+        object.__setattr__(self, "beta_op", None if unit else np.array(float(self.beta)))
 
     @property
     def bounded(self) -> bool:
@@ -66,23 +75,26 @@ class Activation:
 
         ``x`` is not checked: the public views below check their input, and
         the model checks weights and data where they enter.  At beta == 1 the
-        multiplies by beta are skipped, which is exact (1.0 * x == x).
+        multiplies and divides by beta are skipped, which is exact
+        (1.0 * x == x / 1.0 == x).  Every operand is an array.
         """
-        b = self.beta
         if self.kind == "tanh":
             t = np.tanh(x)
-            d1 = 1.0 - t * t if order else None
-            d2 = -2.0 * t * d1 if order > 1 else None
-            return (t, d1, d2)[: order + 1]
-        z = x if b == 1.0 else b * x
+            if not order:
+                return (t,)
+            d1 = _ONE - t * t
+            return (t, d1) if order == 1 else (t, d1, _MINUS_TWO * t * d1)
+        b = self.beta_op
+        z = x if b is None else b * x
         softplus = self.kind == "softplus"
         s = _ONE / (_ONE + np.exp(np.minimum(-z, _EXP_CAP))) if order or not softplus else None
         # beta s (1 - s): sigma' of sigmoid, sigma'' of softplus
-        ds = (s if b == 1.0 else b * s) * (_ONE - s) if order > softplus else None
+        ds = (s if b is None else b * s) * (_ONE - s) if order > softplus else None
         if softplus:
             # log(1 + e^(beta x)) / beta via stable log-sum-exp; its slope is s
-            return (np.logaddexp(0.0, z) / b, s, ds)[: order + 1]
-        d2 = (ds if b == 1.0 else b * ds) * (_ONE - _TWO * s) if order > 1 else None
+            value = np.logaddexp(_ZERO, z)
+            return (value if b is None else value / b, s, ds)[: order + 1]
+        d2 = (ds if b is None else b * ds) * (_ONE - _TWO * s) if order > 1 else None
         return (s, ds, d2)[: order + 1]
 
     def _view(self, x, k: int):

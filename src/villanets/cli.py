@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,28 +143,40 @@ def _cmd_villani_scan(args) -> int:
 def _cmd_train(args) -> int:
     spec = load_spec(args.spec)
     config = load_sgd_config(args.sgd)
+    t0 = time.perf_counter()
     traj = dynamics.run_sgd(spec, config)
+    wall = time.perf_counter() - t0
     _write_csv(args.out, "step,time,loss,grad_norm",
                traj.steps, traj.times, traj.losses, traj.grad_norms)
-    print(f"final loss {traj.losses[-1]:.6g} after {traj.steps[-1]} steps")
+    print(f"final loss {traj.losses[-1]:.6g} after {traj.steps[-1]} steps; "
+          f"{_rate(traj.steps[-1], wall, 'steps')}")
     return 0
+
+
+def _rate(count: int, wall: float, what: str) -> str:
+    """``count`` units of ``what`` in ``wall`` seconds, as the commands print it."""
+    return f"wall {wall:.3g} s, {count / wall:.0f} {what}/s"
 
 
 def _cmd_sde(args) -> int:
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
     spec = load_spec(args.spec)
+    t0 = time.perf_counter()
     paths = dynamics.run_sde_paths(
         spec, s=args.s, dt=args.dt, t_max=args.tmax,
         seeds=[args.seed + path_idx for path_idx in range(args.paths)],
         log_every=args.log_every,
     )
+    wall = time.perf_counter() - t0
     for traj in paths:
         if isinstance(traj, dynamics.DivergenceError):
             raise traj
     columns = zip(*([np.full(len(traj.steps), path_idx), traj.steps, traj.times, traj.losses]
                     for path_idx, traj in enumerate(paths)))
     _write_csv(args.out, "path,step,t,loss", *map(np.concatenate, columns))
+    steps = int(paths[0].steps[-1])
+    print(f"{len(paths)} paths x {steps} steps; {_rate(len(paths) * steps, wall, 'path-steps')}")
     return 0
 
 

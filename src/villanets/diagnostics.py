@@ -161,9 +161,10 @@ def villani_scan(
         for k, r in enumerate(radii):
             w = r * direction
             g, lap = model.evaluate(spec, w, ("grad", "laplacian"))
-            gsq = float(np.sum(g * g))
+            # np.sum's and np.linalg.norm's own reductions, without their wrappers
+            gsq = float(np.add.reduce(g * g, axis=None))
             v_values[i, k] = gsq / s - lap
-            wn = float(np.linalg.norm(w))
+            wn = math.sqrt(np.vdot(w, w))
             if gsq < grad_bound(wn):
                 grad_viol += 1
             if lap > laplacian_bound(wn):

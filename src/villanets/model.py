@@ -44,6 +44,7 @@ class Dataset:
     ``x_bound`` = max_i ||x_i||_2 and ``y_bound`` = max_i |y_i| are always
     recomputed from the arrays at construction, never user-supplied, so the
     constants derived from them are certificates rather than assertions.
+    ``xsq`` holds the row norms ||x_i||^2 that the Laplacian weights by.
     """
 
     xs: np.ndarray
@@ -51,6 +52,7 @@ class Dataset:
     meta: dict | None = None
     x_bound: float = field(init=False)
     y_bound: float = field(init=False)
+    xsq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = _readonly(np.atleast_2d(self.xs))
@@ -67,6 +69,7 @@ class Dataset:
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "x_bound", float(np.max(np.linalg.norm(xs, axis=1))))
         object.__setattr__(self, "y_bound", float(np.max(np.abs(ys))))
+        object.__setattr__(self, "xsq", _readonly(np.sum(xs * xs, axis=-1)))
 
     @property
     def n(self) -> int:
@@ -79,12 +82,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Net:
-    """Depth-2 net: fixed outer weights ``a`` (p,), trainable ``w`` (p, d)."""
+    """Depth-2 net: fixed outer weights ``a`` (p,), trainable ``w`` (p, d).
+
+    ``a_col`` (the column a[:, None]) and ``a_sq`` (a * a) are the forms of
+    ``a`` that :func:`evaluate` multiplies by."""
 
     a: np.ndarray
     w: np.ndarray
     act: Activation
     a_norm: float = field(init=False)
+    a_col: np.ndarray = field(init=False, repr=False, compare=False)
+    a_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _readonly(np.atleast_1d(self.a))
@@ -98,6 +106,8 @@ class Net:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "a_norm", float(np.linalg.norm(a)))
+        object.__setattr__(self, "a_col", _readonly(a[:, None]))
+        object.__setattr__(self, "a_sq", _readonly(a * a))
 
     @property
     def p(self) -> int:
@@ -146,12 +156,18 @@ class LossSpec:
     """Net + data + ridge strength; the unit every operation acts on.
 
     Immutable: derive a variant with ``with_lambda`` so all
-    lambda-dependent constants are consistently recomputed.
+    lambda-dependent constants are consistently recomputed.  ``lam_op``,
+    ``half_lam_op`` and ``ridge_trace_op`` are lam, lam / 2 and the ridge
+    term's Hessian trace lam * p * d as 0-d array operands of
+    :func:`evaluate`.
     """
 
     net: Net
     data: Dataset
     lam: float
+    lam_op: np.ndarray = field(init=False, repr=False, compare=False)
+    half_lam_op: np.ndarray = field(init=False, repr=False, compare=False)
+    ridge_trace_op: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam < 0 or not math.isfinite(self.lam):
@@ -160,6 +176,10 @@ class LossSpec:
             raise ValueError(
                 f"net input dim {self.net.d} does not match data dim {self.data.d}"
             )
+        lam = float(self.lam)
+        object.__setattr__(self, "lam_op", _readonly(lam))
+        object.__setattr__(self, "half_lam_op", _readonly(0.5 * lam))
+        object.__setattr__(self, "ridge_trace_op", _readonly(lam * self.p * self.d))
 
     @property
     def p(self) -> int:
@@ -190,20 +210,19 @@ def weights(spec: LossSpec, w=None) -> np.ndarray:
     return w
 
 
-def _forward(net: Net, w: np.ndarray, xs: np.ndarray, order: int):
-    """Net outputs at the rows of ``xs`` (n, d), or of one row block per
-    matrix of a stack (k, n, d), and sigma's derivatives up to ``order``."""
-    xs_t = xs.swapaxes(-1, -2) if xs.ndim == 3 else xs.T
-    sig = net.act.derivs(w @ xs_t, order)             # each (..., p, n)
-    return net.a @ sig[0], sig
-
-
 _ORDER = {"loss": 0, "grad": 1, "laplacian": 2}
+_HALF = _readonly(0.5)
 
 
 @functools.cache
 def _max_order(outputs: tuple) -> int:
     return max(_ORDER[name] for name in outputs)
+
+
+@functools.cache
+def _count(n: int) -> np.ndarray:
+    """The sample count ``n`` as a 0-d array, one per count."""
+    return _readonly(n)
 
 
 def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
@@ -219,6 +238,14 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     is not checked here, in the inner loop, but where weights enter
     (:func:`weights`, the integrators), so it must be finite.
 
+    This is the inner loop of every SGD and Euler-Maruyama step, whose
+    arrays are small enough that per-call costs outweigh the arithmetic:
+    every constant is built once with the objects (:class:`Dataset`,
+    :class:`Net`, :class:`LossSpec`, :class:`Activation` hold them as
+    derived fields), and every operand is an array, 0-d for a scalar, since
+    numpy converts a Python float or int operand on every call.  The 0-d
+    operands hold the same doubles, so no result changes by a bit.
+
     With r_i = f(x_i) - y_i and means over the samples, row j of the
     gradient is mean_i a_j r_i sigma'(w_j.x_i) x_i + lam w_j, and the
     Laplacian is sum_j mean_i [a_j^2 sigma'^2 + r_i a_j sigma''] ||x_i||^2
@@ -229,26 +256,28 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     one: a stack then runs the same BLAS call per matrix as a single
     matrix does, so stacked and single evaluations agree bit for bit.
     """
-    xs, ys = spec.data.xs, spec.data.ys
+    data, net = spec.data, spec.net
+    xs, ys = data.xs, data.ys
     if batch is not None:
         xs, ys = xs.take(batch, axis=0), ys.take(batch, axis=0)
-    a, lam, n = spec.net.a, spec.lam, xs.shape[-2]
-    f, sig = _forward(spec.net, w, xs, _max_order(outputs))
-    r = f - ys                                        # (..., n)
+    n = _count(xs.shape[-2])
+    xs_t = xs.swapaxes(-1, -2) if xs.ndim == 3 else xs.T
+    sig = net.act.derivs(w @ xs_t, _max_order(outputs))   # each (..., p, n)
+    r = net.a @ sig[0] - ys                               # (..., n)
     out = []
     for name in outputs:
-        if name == "loss":
-            # sum / n is np.mean's own arithmetic, without its Python wrapper
-            out.append(0.5 * (np.sum(r * r, axis=-1) / n)
-                       + 0.5 * lam * np.sum(w * w, axis=(-2, -1)))
-        elif name == "grad":
-            coef = (a[:, None] * sig[1]) * r[..., None, :]
-            out.append((coef @ xs) / n + lam * w)
+        if name == "grad":
+            coef = (net.a_col * sig[1]) * r[..., None, :]
+            out.append((coef @ xs) / n + spec.lam_op * w)
+        elif name == "loss":
+            # add.reduce / n is np.mean's own arithmetic, without its wrappers
+            out.append(_HALF * (np.add.reduce(r * r, axis=-1) / n)
+                       + spec.half_lam_op * np.add.reduce(w * w, axis=(-2, -1)))
         else:
-            xsq = np.sum(xs * xs, axis=-1)
-            sq_term = (a * a) @ ((sig[1] * sig[1]) @ xsq[..., None])
-            curv_term = a @ (sig[2] @ (r * xsq)[..., None])
-            out.append((sq_term + curv_term)[..., 0] / n + lam * spec.p * spec.d)
+            xsq = data.xsq if batch is None else data.xsq.take(batch)
+            sq_term = net.a_sq @ ((sig[1] * sig[1]) @ xsq[..., None])
+            curv_term = net.a @ (sig[2] @ (r * xsq)[..., None])
+            out.append((sq_term + curv_term)[..., 0] / n + spec.ridge_trace_op)
     return tuple(out)
 
 
@@ -257,7 +286,8 @@ def predict(spec: LossSpec, xs: np.ndarray, w=None) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if not np.isfinite(xs).all():
         raise ValueError("inputs must be finite")
-    return _forward(spec.net, weights(spec, w), xs, 0)[0]
+    net = spec.net
+    return net.a @ net.act.derivs(weights(spec, w) @ xs.T, 0)[0]
 
 
 def loss(spec: LossSpec, w=None) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ def test_sde_cli(workdir):
     lines = out.read_text().splitlines()
     assert lines[0] == "path,step,t,loss"
     assert any(line.startswith("1,") for line in lines[1:])
+
+
+def test_train_and_sde_print_wall_time_and_rate(workdir, capsys):
+    assert cli.main(["train", "--spec", str(workdir / "spec.json"),
+                     "--sgd", str(workdir / "sgd.json"), "--out", str(workdir / "t.csv")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(r"final loss \S+ after 200 steps; wall (\S+) s, (\d+) steps/s", line)
+    assert match and float(match[1]) > 0 and int(match[2]) > 0
+    assert cli.main(["sde", "--spec", str(workdir / "spec.json"),
+                     "--s", "0.05", "--dt", "0.01", "--tmax", "0.5",
+                     "--paths", "3", "--log-every", "10", "--out", str(workdir / "s.csv")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(r"3 paths x 50 steps; wall (\S+) s, (\d+) path-steps/s", line)
+    assert match and float(match[1]) > 0 and int(match[2]) > 0
 
 
 def test_sde_cli_paths_are_seeded_lone_runs(workdir):

@@ -12,9 +12,9 @@ from villanets.dynamics import DivergenceError, InitSpec, SgdConfig
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
 
-def small_spec(kind="sigmoid", seed=0, p=2, d=2, n=8, lam_mult=1.5):
+def small_spec(kind="sigmoid", seed=0, p=2, d=2, n=8, lam_mult=1.5, beta=1.0):
     rng = np.random.default_rng(seed)
-    act = activations.make(kind, 1.0)
+    act = activations.make(kind, beta)
     data = Dataset(rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, n))
     net = Net(normalized_outer(p, data.x_bound), np.zeros((p, d)), act)
     return LossSpec(net, data, lam_mult * model.lambda_c(net, data))
@@ -300,15 +300,35 @@ class TestBlockDraws:
         assert block.bit_generator.state == per_step.bit_generator.state
 
     def test_run_sgd_equals_a_per_step_loop(self):
-        # more steps than one block holds, so the run spans several blocks
-        spec = small_spec()
+        # more steps than one block holds, so the run spans several blocks;
+        # the loop passes the step size as a Python float, the run as a 0-d
+        # array; beta != 1 takes the multiplies and divides by beta that
+        # beta == 1 skips
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=dynamics.BLOCK_NUMBERS // 2 + 3,
                         seed=9, log_every=1000)
-        traj = dynamics.run_sgd(spec, cfg)
-        rng = np.random.default_rng(cfg.seed)
-        w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, cfg.step_size)
-        for _ in range(cfg.steps):
-            w = dynamics.sgd_step(spec, w, rng.integers(0, spec.n, size=4), cfg.step_size)
+        for kind, beta in (("sigmoid", 1.0), ("tanh", 1.0), ("softplus", 2.0)):
+            spec = small_spec(kind, beta=beta)
+            traj = dynamics.run_sgd(spec, cfg)
+            rng = np.random.default_rng(cfg.seed)
+            w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, cfg.step_size)
+            for _ in range(cfg.steps):
+                w = dynamics.sgd_step(spec, w, rng.integers(0, spec.n, size=4), cfg.step_size)
+            np.testing.assert_array_equal(traj.final_w, w)
+            assert traj.rng_state_digest == dynamics._digest(rng)
+
+    def test_run_sde_equals_a_per_step_loop(self):
+        # the run's 0-d dt and noise scale change no bit against Python floats
+        spec = small_spec()
+        s, dt = 0.05, 0.01
+        steps = dynamics.BLOCK_NUMBERS // (spec.p * spec.d) + 3
+        init = InitSpec("gaussian", tau=1.0)
+        traj = dynamics.run_sde(spec, s, dt, steps * dt, seed=4, init=init, log_every=1000)
+        assert traj.steps[-1] == steps
+        rng = np.random.default_rng(4)
+        w = init.sample(rng, spec.p, spec.d, spec.lam, s)
+        for _ in range(steps):
+            w = (w - dt * model.grad(spec, w)
+                 + math.sqrt(s * dt) * rng.standard_normal((spec.p, spec.d)))
         np.testing.assert_array_equal(traj.final_w, w)
         assert traj.rng_state_digest == dynamics._digest(rng)
 
@@ -368,6 +388,29 @@ class TestEnsembles:
     def test_no_seeds_no_runs(self):
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=10)
         assert dynamics.run_sgd_chains(small_spec(), cfg, []) == []
+
+
+class TestAllFinite:
+    """The integrators' weight check: one dot product, then the elementwise
+    check only when the sum of squares is not finite."""
+
+    def test_finite_stacks_whose_sum_of_squares_overflows(self):
+        w = np.full((3, 2, 2), 1e200)
+        w[1] *= -1.0
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.vdot(w, w))
+        assert dynamics._all_finite(w) is True
+        assert dynamics._all_finite(np.zeros((3, 2, 2))) is True
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_entry_in_any_row(self, bad):
+        rng = np.random.default_rng(2)
+        for scale in (1.0, 1e200):                  # with and without overflow
+            for row, j, k in itertools.product(range(3), range(2), range(3)):
+                w = scale * rng.standard_normal((3, 2, 3))
+                w[row, j, k] = bad
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert dynamics._all_finite(w) is False
 
 
 def test_divergence_raises_without_overflow_warnings():
