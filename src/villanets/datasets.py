@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -182,14 +182,7 @@ class DataRecipe:
         return train, test
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "seed": self.seed,
-            "params": self.params,
-            "corruption": self.corruption,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(obj: dict) -> "DataRecipe":

@@ -58,8 +58,7 @@ def _bounds(spec: LossSpec):
 
 
 def _norm(spec: LossSpec, w) -> float:
-    w = spec.net.w if w is None else np.asarray(w, dtype=np.float64)
-    return float(np.linalg.norm(w))
+    return float(np.linalg.norm(model.weights(spec, w)))
 
 
 def grad_lower_bound(spec: LossSpec, w=None) -> float:

@@ -141,12 +141,13 @@ def _digest(rng: np.random.Generator) -> str:
 def sgd_step(spec: LossSpec, w: np.ndarray, batch_indices, s) -> np.ndarray:
     """One update W <- (1 - s*lam) W + (s/b) sum_{i in B} (y_i - f(x_i)) grad_W f(x_i).
 
-    ``s`` is a float or, from the integrators, the same float as a 0-d
-    array.  ``w`` must be finite; the integrators check the weights of every
-    step."""
-    batch_indices = np.asarray(batch_indices)
-    if batch_indices.size == 0:
-        raise ValueError("batch must be non-empty")
+    ``batch_indices`` None is the full batch.  ``s`` is a float or, from the
+    integrators, the same float as a 0-d array.  ``w`` must be finite; the
+    integrators check the weights of every step."""
+    if batch_indices is not None:
+        batch_indices = np.asarray(batch_indices)
+        if batch_indices.size == 0:
+            raise ValueError("batch must be non-empty")
     return w - s * model.evaluate(spec, w, ("grad",), batch_indices)[0]
 
 
@@ -265,16 +266,15 @@ def run_sgd_chains(spec: LossSpec, config: SgdConfig, seeds, eval_fn=None) -> li
     config.validate(spec.n)
     s = config.step_size
     s_op = np.array(float(s))
-    full_batch = np.arange(spec.n) if config.batch_size == spec.n else None
 
     def draw(rng, size):
         return rng.integers(0, spec.n, size=size)
 
     def step(w, batch):
-        return sgd_step(spec, w, full_batch if batch is None else batch, s_op)
+        return sgd_step(spec, w, batch, s_op)
 
     return _integrate(spec, seeds, config.init, s, config.steps, s, config.log_every, step,
-                      None if full_batch is not None else draw, (config.batch_size,),
+                      None if config.batch_size == spec.n else draw, (config.batch_size,),
                       eval_fn=eval_fn)
 
 

@@ -23,17 +23,18 @@ cross-validate each other.
 Detailed balance makes the generator similar to a symmetric operator H,
 banded with half-bandwidth m^(dim-1) on the node grid.  One banded Cholesky
 factor of a shifted H serves every implicit step of :func:`decay_rate`, the
-one time-stepper, and every shift-invert solve of the one eigenvalue
-iteration, which starts from a fixed-seed vector so reruns are bit-identical.
-Grids, edges, band and solvers are written once for any dimension.  No
-solver path assembles the rho-form generator G (:func:`generator`); it stays
-as the independent reference that H is checked against.
+one time-stepper.  :func:`spectral_gap` is one Lanczos run on the solve with
+the banded Cholesky factor of sigma * I - H, started from a fixed-seed
+vector so reruns are bit-identical.  Grids, edges, band and solvers are
+written once for any dimension.  No solver path assembles the rho-form
+generator G (:func:`generator`); it stays as the independent reference that
+H is checked against.
 
 Importing this module loads no scipy module, so ``import villanets`` costs
 numpy only.  Each scipy module is imported the first time a function reads
 from it: ``scipy.linalg`` by :func:`decay_rate` and :func:`spectral_gap`
-(banded Cholesky, its solve, and the band matvec), ``scipy.sparse.linalg``
-by :func:`spectral_gap` (``eigsh``), ``scipy.sparse`` by :func:`generator`
+(banded Cholesky and its solve), ``scipy.sparse.linalg`` by
+:func:`spectral_gap` (``eigsh``), ``scipy.sparse`` by :func:`generator`
 and :func:`symmetrized_generator`, and ``scipy.optimize`` and
 ``scipy.special`` by :func:`suggest_half_width`.  :func:`build_grid`,
 :func:`tabulate_potential` and :func:`gibbs` use numpy only.
@@ -113,11 +114,9 @@ class FpeGrid:
 
 @dataclass(frozen=True)
 class GibbsMeasure:
-    """Grid discretization of exp(-2 U / s) / Z."""
+    """Grid discretization of exp(-2 U / s) / Z, with log Z."""
 
-    s: float
     values: np.ndarray
-    z: float
     log_z: float
 
     def __post_init__(self):
@@ -152,8 +151,8 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="unifor
     """Tabulate the loss on the box and set the initial density.
 
     Only weight spaces of total dimension p*d in {1, 2} are supported.
-    ``init`` may be 'uniform', 'gibbs', or an explicit finite, nonnegative
-    array of the right size and positive sum (normalized here).
+    ``init`` may be 'uniform' or an explicit finite, nonnegative array of
+    the right size and positive sum (normalized here).
     """
     dim = spec.p * spec.d
     if dim not in (1, 2):
@@ -166,12 +165,9 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="unifor
     potential = tabulate_potential(spec, points)
     size = m**dim
     if isinstance(init, str):
-        if init == "uniform":
-            rho = np.full(size, 1.0)
-        elif init == "gibbs":
-            rho = np.exp(-2.0 * (potential - potential.min()) / s)
-        else:
+        if init != "uniform":
             raise ValueError(f"unknown init {init!r}")
+        rho = np.full(size, 1.0)
     else:
         rho = np.asarray(init, dtype=np.float64).ravel()
         if rho.shape != (size,):
@@ -201,25 +197,16 @@ def gibbs(grid: FpeGrid) -> GibbsMeasure:
     raw = np.exp(-exponent)
     z_shifted = float(np.sum(raw) * grid.cell_volume)
     log_z = math.log(z_shifted) - u0 / d_coef
-    values = raw / z_shifted
-    # exp underflows to 0.0 on its own; only the top end needs a guard
-    z = math.exp(log_z) if log_z < 700 else math.inf
-    return GibbsMeasure(s=grid.s, values=values, z=z, log_z=log_z)
+    return GibbsMeasure(values=raw / z_shifted, log_z=log_z)
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
-    """B(z) = z / (e^z - 1), overflow-safe on both tails."""
+    """B(z) = z / (e^z - 1), with B(0) = 1.  Both tails come out of the one
+    quotient: e^z - 1 overflows to inf for z >= 710 (B = 0) and rounds to -1
+    for z <= -38 (B = -z)."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    big_pos = z > 700.0
-    big_neg = z < -700.0
-    mid = ~(small | big_pos | big_neg)
-    out[small] = 1.0 - z[small] / 2.0 + z[small] ** 2 / 12.0
-    out[mid] = z[mid] / np.expm1(z[mid])
-    out[big_pos] = 0.0
-    out[big_neg] = -z[big_neg]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(z == 0.0, 1.0, z / np.expm1(z))
 
 
 def _edges(grid: FpeGrid) -> list:
@@ -289,7 +276,7 @@ def _band_solver(band: np.ndarray, shift: float, scale: float):
 
     ``band`` is H in upper-band storage (:func:`_symmetric_band`); H <= 0,
     so the matrix is SPD for shift, scale > 0.  A backward-Euler step is
-    (shift, scale) = (1, dt); shift-invert about sigma is (sigma, 1).
+    (shift, scale) = (1, dt); the gap's sigma * I - H is (sigma, 1).
     """
     ab = -scale * band
     ab[-1] += shift
@@ -367,10 +354,11 @@ def spectral_gap(grid: FpeGrid) -> float:
     """Second-smallest eigenvalue magnitude of the generator.
 
     The spectrum is {0 = -lam_0 > -lam_1 > ...}; the returned gap is lam_1,
-    the slowest relaxation rate of any density perturbation.  On every grid
-    the two eigenvalues of H nearest 0 come from one shift-invert iteration
-    about a small sigma > 0, solving with the banded Cholesky factor of
-    sigma * I - H.  The iteration starts from a fixed-seed random vector
+    the slowest relaxation rate of any density perturbation.  For a small
+    sigma > 0, (sigma * I - H)^-1 has eigenvalues theta = 1 / (sigma + lam),
+    so lam_0 and lam_1 are its two largest.  One Lanczos run finds them,
+    solving with the banded Cholesky factor of sigma * I - H, and the gap is
+    1 / min(theta) - sigma.  The run starts from a fixed-seed random vector
     (not all ones, which is orthogonal to the odd gap mode of a symmetric
     potential), so a rerun on one grid returns the same float.
     """
@@ -379,18 +367,14 @@ def spectral_gap(grid: FpeGrid) -> float:
     band = _symmetric_band(grid)
     sigma = 1e-4 * float(np.max(np.abs(band[-1])))
     solve = _band_solver(band, sigma, 1.0)
-    shape, kd = (grid.size, grid.size), band.shape[0] - 1
-    h_op = spla.LinearOperator(shape, matvec=lambda x: linalg.blas.dsbmv(kd, 1.0, band, x),
-                               dtype=np.float64)
-    # eigsh wants OPinv = (H - sigma * I)^-1
-    op_inv = spla.LinearOperator(shape, matvec=lambda x: -solve(x), dtype=np.float64)
+    op = spla.LinearOperator((grid.size, grid.size), matvec=solve, dtype=np.float64)
     start = np.random.default_rng(0).standard_normal(grid.size)
     try:
-        vals = spla.eigsh(h_op, k=2, sigma=sigma, which="LM", OPinv=op_inv, v0=start,
-                          maxiter=EIGSH_MAXITER, return_eigenvectors=False)
+        theta = spla.eigsh(op, k=2, which="LA", v0=start, maxiter=EIGSH_MAXITER,
+                           return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError("eigenvalue iteration did not converge") from exc
-    return float(-np.min(vals))
+    return float(1.0 / np.min(theta) - sigma)
 
 
 def suggest_half_width(spec: LossSpec, s: float) -> float:

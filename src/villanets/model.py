@@ -37,7 +37,7 @@ def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable regression data with certified input/label bounds.
 
@@ -52,7 +52,7 @@ class Dataset:
     meta: dict | None = None
     x_bound: float = field(init=False)
     y_bound: float = field(init=False)
-    xsq: np.ndarray = field(init=False, repr=False, compare=False)
+    xsq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         xs = _readonly(np.atleast_2d(self.xs))
@@ -80,7 +80,7 @@ class Dataset:
         return self.xs.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Net:
     """Depth-2 net: fixed outer weights ``a`` (p,), trainable ``w`` (p, d).
 
@@ -91,8 +91,8 @@ class Net:
     w: np.ndarray
     act: Activation
     a_norm: float = field(init=False)
-    a_col: np.ndarray = field(init=False, repr=False, compare=False)
-    a_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    a_col: np.ndarray = field(init=False, repr=False)
+    a_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = _readonly(np.atleast_1d(self.a))
@@ -151,12 +151,14 @@ def outer_weights(mode: str, p: int, x_bound: float) -> np.ndarray:
     return normalized_outer(p, x_bound, signed=(mode == "normalized_signed"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossSpec:
     """Net + data + ridge strength; the unit every operation acts on.
 
     Immutable: derive a variant with ``with_lambda`` so all
-    lambda-dependent constants are consistently recomputed.  ``lam_op``,
+    lambda-dependent constants are consistently recomputed.  Like
+    :class:`Net` and :class:`Dataset`, whose fields are arrays, a spec
+    compares and hashes by identity.  ``lam_op``,
     ``half_lam_op`` and ``ridge_trace_op`` are lam, lam / 2 and the ridge
     term's Hessian trace lam * p * d as 0-d array operands of
     :func:`evaluate`.
@@ -165,9 +167,9 @@ class LossSpec:
     net: Net
     data: Dataset
     lam: float
-    lam_op: np.ndarray = field(init=False, repr=False, compare=False)
-    half_lam_op: np.ndarray = field(init=False, repr=False, compare=False)
-    ridge_trace_op: np.ndarray = field(init=False, repr=False, compare=False)
+    lam_op: np.ndarray = field(init=False, repr=False)
+    half_lam_op: np.ndarray = field(init=False, repr=False)
+    ridge_trace_op: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lam < 0 or not math.isfinite(self.lam):

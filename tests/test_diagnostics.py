@@ -116,6 +116,16 @@ class TestLaplacianUpperBound:
         assert b2 - b1 == pytest.approx(b3 - b2, rel=1e-9)
 
 
+@pytest.mark.parametrize("bound", [diagnostics.grad_lower_bound,
+                                   diagnostics.laplacian_upper_bound])
+def test_bounds_check_a_supplied_w(bound):
+    spec = small_spec("sigmoid")
+    with pytest.raises(ValueError, match="shape"):
+        bound(spec, np.ones(7))
+    with pytest.raises(ValueError, match="finite"):
+        bound(spec, np.array([[1.0, np.nan], [0.0, 0.0]]))
+
+
 def test_leading_coefficient_sign():
     spec = small_spec("sigmoid")
     lam_c = model.lambda_c(spec.net, spec.data)

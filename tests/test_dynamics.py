@@ -77,6 +77,18 @@ class TestSgdStep:
 
 
 class TestRunSgd:
+    def test_full_batch_is_gradient_descent_and_draws_nothing(self):
+        spec = small_spec(seed=2)
+        cfg = SgdConfig(0.05, spec.n, 60, seed=9, init=InitSpec(tau=0.5), log_every=7)
+        traj = dynamics.run_sgd(spec, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, cfg.step_size)
+        for _ in range(cfg.steps):
+            w = w - cfg.step_size * model.grad(spec, w)
+        np.testing.assert_array_equal(traj.final_w, w)
+        # the generator has drawn the initial weights and nothing else
+        assert traj.rng_state_digest == dynamics._digest(rng)
+
     def test_identical_seeds_bitwise_identical(self):
         spec = small_spec()
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=500, seed=42, log_every=50)

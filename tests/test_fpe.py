@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ class TestBuildGrid:
         spec = sigmoid_1d_spec()
         s, r = 1.0, 8.0
         grid = fpe.build_grid(spec, r, 1601, s)
-        z_grid = fpe.gibbs(grid).z
+        z_grid = math.exp(fpe.gibbs(grid).log_z)
         z_quad, _ = quad(
             lambda w: math.exp(-2.0 * model.loss(spec, np.array([[w]])) / s),
             -r, r, limit=200,
@@ -106,8 +107,38 @@ class TestBuildGrid:
         # U = 2 + W^2 / 4: log Z is about -2 * 2 / s = -800, far below exp's range
         grid = fpe.build_grid(ridge_only_spec(0.5, y=2.0), 0.5, 51, 0.005)
         mu = fpe.gibbs(grid)
-        assert mu.z == 0.0
+        assert math.exp(mu.log_z) == 0.0
         assert math.isfinite(mu.log_z) and mu.log_z == pytest.approx(-801.7, abs=0.05)
+
+    def test_unknown_init_name_raises(self):
+        for init in ("gibbs", "ones"):
+            with pytest.raises(ValueError, match="unknown init"):
+                fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=init)
+
+
+class TestBernoulli:
+    def test_zero_and_small_arguments(self):
+        assert fpe._bernoulli(0.0) == 1.0
+        for w in (1e-9, -1e-9):
+            expected = 1.0 - w / 2.0
+            assert abs(fpe._bernoulli(w) - expected) <= np.spacing(expected)
+
+    def test_tails_are_exact(self):
+        np.testing.assert_array_equal(fpe._bernoulli(np.array([710.0, 1e3, 1e300])), 0.0)
+        neg = np.array([-746.0, -1e3, -1e300])
+        np.testing.assert_array_equal(fpe._bernoulli(neg), -neg)
+
+    def test_reflection_identity(self):
+        # B(-w) = B(w) e^w, from w e^w / (e^w - 1)
+        w = np.r_[np.linspace(-30.0, 30.0, 600), np.logspace(-7.0, 2.5, 50)]
+        np.testing.assert_allclose(fpe._bernoulli(-w), fpe._bernoulli(w) * np.exp(w),
+                                   rtol=1e-15, atol=0)
+
+    def test_no_floating_point_warning(self):
+        w = np.array([0.0, 1e-300, -1e-300, 800.0, -800.0, 1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(fpe._bernoulli(w)))
 
 
 class TestFixedPoint:
@@ -122,7 +153,7 @@ class TestFixedPoint:
         root = np.sqrt(mu)
         h_mat = fpe.symmetrized_generator(grid)
         assert np.max(np.abs(h_mat @ root)) <= 1e-13 * scale * np.max(root)
-        # the banded matvec spectral_gap hands eigsh is the same H
+        # the upper-band storage that the solvers factor is the same H
         band = fpe._symmetric_band(grid)
         kd = band.shape[0] - 1
         assert np.max(np.abs(dsbmv(kd, 1.0, band, root))) <= 1e-13 * scale * np.max(root)
@@ -148,7 +179,8 @@ class TestDecayRate:
         assert np.all(np.abs(fit.mass_series - 1.0) <= 1e-12)
 
     def test_early_convergence_flag(self):
-        grid = fpe.build_grid(ridge_only_spec(0.5), 6.0, 201, 1.0, init="gibbs")
+        base = fpe.build_grid(ridge_only_spec(0.5), 6.0, 201, 1.0)
+        grid = fpe.build_grid(ridge_only_spec(0.5), 6.0, 201, 1.0, init=fpe.gibbs(base).values)
         fit = fpe.decay_rate(grid, t_max=2.0, dt=0.01)
         assert fit.early_converged
 

@@ -244,6 +244,17 @@ class TestCoercivity:
             assert model.loss(spec, big) >= 0.9 * 0.5 * spec.lam * np.sum(big * big)
 
 
+class TestIdentity:
+    def test_hash_and_equality_are_by_identity(self):
+        nets = [Net(np.ones(2), np.zeros((2, 2)), activations.sigmoid()) for _ in range(2)]
+        assert nets[0] == nets[0] and nets[0] != nets[1]
+        data = Dataset(np.ones((3, 2)), np.zeros(3))
+        assert data != Dataset(np.ones((3, 2)), np.zeros(3))
+        specs = [LossSpec(net, data, 0.1) for net in nets]
+        assert len({specs[0], specs[1], specs[0], nets[0], data}) == 4
+        assert specs[0] != specs[1] and hash(specs[0]) == hash(specs[0])
+
+
 class TestDataset:
     def test_bounds_are_recomputed_maxima(self):
         rng = np.random.default_rng(1)
