@@ -23,6 +23,7 @@ import numpy as np
 from . import activations, datasets, diagnostics, dynamics, fpe, harness, model
 from .configio import (
     load_ablate_config,
+    load_recipe,
     load_sgd_config,
     load_spec,
     load_sweep_config,
@@ -53,12 +54,16 @@ def emit_report(result: harness.SweepResult, out_dir, svg: bool = False) -> list
     return paths
 
 
+def _ablation_name(fraction: float) -> str:
+    return f"ablation_f{fraction:.2f}.csv"
+
+
 def write_ablation_csv(curves_by_fraction: dict, out_dir) -> list:
     """One CSV per fraction: step, train_loss, clean_test, noisy_test."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return [
-        _write_csv(out_dir / f"ablation_f{fraction:.2f}.csv",
+        _write_csv(out_dir / _ablation_name(fraction),
                    "step,train_loss,clean_test,noisy_test",
                    c.steps, c.train_losses, c.clean_test, c.noisy_test)
         for fraction, c in sorted(curves_by_fraction.items())
@@ -184,13 +189,11 @@ def _cmd_fpe(args) -> int:
     spec = load_spec(args.spec)
     half_width = args.R if args.R is not None else fpe.suggest_half_width(spec, args.s)
     grid = fpe.build_grid(spec, half_width, args.m, args.s)
+    # the gap first: it rejects an oversized operator before the decay run
+    gap = fpe.spectral_gap(grid) if args.gap else None
     fit = fpe.decay_rate(grid, t_max=args.tmax, dt=args.dt)
     if args.gap:
-        payload = {
-            "gap": fpe.spectral_gap(grid),
-            "decay_rate": fit.rate,
-            "r_squared": fit.r_squared,
-        }
+        payload = {"gap": gap, "decay_rate": fit.rate, "r_squared": fit.r_squared}
         print(json.dumps(payload, indent=2))
         return 0
     _write_csv(args.out, "t,chi2,mass", fit.times, fit.chi2_series, fit.mass_series)
@@ -199,8 +202,7 @@ def _cmd_fpe(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.recipe) as fh:
-        recipe = datasets.DataRecipe.from_dict(json.load(fh))
+    recipe = load_recipe(args.recipe)
     train, _ = recipe.realize()
     datasets.save_csv(train, args.out)
     sidecar = Path(args.out).with_suffix(".meta.json")
@@ -220,10 +222,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     configs, fractions = load_ablate_config(args.config)
-    out_root = Path(args.out)
-    for cfg in configs:
+    subs = [Path(args.out) / f"lam{cfg.lam:g}_p{cfg.width}" for cfg in configs]
+    paths = [sub / _ablation_name(fraction) for sub in subs for fraction in fractions]
+    clashes = sorted({str(path) for path in paths if paths.count(path) > 1})
+    if clashes:
+        raise ValueError(f"ablation curves would overwrite each other in {', '.join(clashes)}")
+    for cfg, sub in zip(configs, subs):
         curves = harness.run_ablation(cfg, fractions)
-        sub = out_root / f"lam{cfg.lam:g}_p{cfg.width}"
         write_ablation_csv(curves, sub)
         finals = {f: float(c.clean_test[-1]) for f, c in curves.items()}
         print(f"lam={cfg.lam:g} p={cfg.width}: final clean-test {finals}")

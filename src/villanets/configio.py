@@ -9,7 +9,9 @@ Problem spec files describe a net + data + ridge strength:
 "normalized" (a_j = 1 / (sqrt(p) * B_x), the default), "normalized_signed"
 (the same with alternating signs) or "ones".  SGD configs, sweep configs,
 and ablation configs mirror the corresponding dataclasses field for field;
-an optional key a file leaves out takes the dataclass default.
+an optional key a file leaves out takes the dataclass default.  A value of
+the wrong JSON type (a number where a list belongs, a list where a number
+does) is a ``ValueError`` that names the file, as a value out of range is.
 """
 
 from __future__ import annotations
@@ -26,16 +28,26 @@ from .harness import AblationConfig, SweepConfig, build_cell_spec
 from .model import LossSpec
 
 
-def _load_json(path) -> dict:
+def _load(path, parse):
+    """``parse`` applied to the JSON in ``path``.  A wrongly typed value
+    surfaces in ``parse`` as a TypeError or AttributeError; it is raised
+    again as a ValueError that names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    try:
+        return parse(obj)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: wrongly typed value: {exc}") from exc
 
 
 def load_spec(path) -> LossSpec:
-    obj = _load_json(path)
+    return _load(path, lambda obj: _parse_spec(obj, Path(path).parent))
+
+
+def _parse_spec(obj: dict, folder: Path) -> LossSpec:
     act = activations.make(obj["activation"], float(obj.get("beta", 1.0)))
     p, d = int(obj["p"]), int(obj["d"])
-    data_path = Path(path).parent / obj["data_path"]
+    data_path = folder / obj["data_path"]
     data = datasets.load_csv(data_path)
     if data.d != d:
         raise ValueError(f"spec says d={d} but {data_path} has d={data.d}")
@@ -73,11 +85,18 @@ def parse_sgd(obj: dict) -> SgdConfig:
 
 
 def load_sgd_config(path) -> SgdConfig:
-    return parse_sgd(_load_json(path))
+    return _load(path, parse_sgd)
+
+
+def load_recipe(path) -> DataRecipe:
+    return _load(path, DataRecipe.from_dict)
 
 
 def load_sweep_config(path) -> SweepConfig:
-    obj = _load_json(path)
+    return _load(path, _parse_sweep)
+
+
+def _parse_sweep(obj: dict) -> SweepConfig:
     return SweepConfig(
         lambdas=tuple(obj["lambdas"]),
         widths=tuple(obj["widths"]),
@@ -91,7 +110,10 @@ def load_sweep_config(path) -> SweepConfig:
 
 
 def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
-    obj = _load_json(path)
+    return _load(path, _parse_ablate)
+
+
+def _parse_ablate(obj: dict) -> tuple[list[AblationConfig], list[float]]:
     recipe = DataRecipe.from_dict(obj["recipe"])
     fractions = [float(f) for f in obj["fractions"]]
     shared = _given(obj, {"base_seed": ("base_seed", int),

@@ -118,10 +118,10 @@ class SgdConfig:
 class Trajectory:
     """Logged run: times, losses, gradient norms, and the final weights.
 
-    ``eval_values`` holds the optional held-out metrics at each log point,
-    one row per log point (scalar metrics get a single column); ``weights``
-    holds weight snapshots when requested.  The rng digest fingerprints the
-    terminal generator state for reproducibility checks.
+    ``eval_values`` holds what the run's ``eval_fn`` returned, one row per
+    log point (a scalar gets a single column; ``eval_fn=np.copy`` gives the
+    (p, d) weights), and is None without one.  The rng digest fingerprints
+    the terminal generator state for reproducibility checks.
     """
 
     times: np.ndarray
@@ -131,7 +131,6 @@ class Trajectory:
     final_w: np.ndarray
     rng_state_digest: str
     eval_values: np.ndarray | None = None
-    weights: list | None = None
 
 
 def _digest(rng: np.random.Generator) -> str:
@@ -161,12 +160,11 @@ def _all_finite(w: np.ndarray) -> bool:
 class _Chain:
     """One chain of a stack: its own generator and its log."""
 
-    def __init__(self, seed: int, record_weights: bool):
+    def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
         self.steps, self.losses, self.gnorms, self.evals = [], [], [], []
-        self.weights = [] if record_weights else None
 
-    def trajectory(self, final_w: np.ndarray, dt: float, with_evals: bool) -> Trajectory:
+    def trajectory(self, final_w: np.ndarray, dt: float) -> Trajectory:
         return Trajectory(
             times=np.array(self.steps) * dt,
             steps=np.array(self.steps),
@@ -174,14 +172,13 @@ class _Chain:
             grad_norms=np.array(self.gnorms),
             final_w=final_w,
             rng_state_digest=_digest(self.rng),
-            eval_values=np.array(self.evals) if with_evals else None,
-            weights=self.weights,
+            eval_values=np.array(self.evals) if self.evals else None,
         )
 
 
 def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: int,
                dt: float, log_every: int, step, draw=None, draw_shape=(),
-               eval_fn=None, record_weights=False) -> list:
+               eval_fn=None) -> list:
     """Advance one chain per seed for ``n_steps`` steps of length ``dt``, all
     chains as one (R, p, d) stack; the loop of both integrators.
 
@@ -191,15 +188,15 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     consumes the generator exactly as K per-step draws would.
     ``step(w, drawn)`` maps the stack and the chains' draws for this step
     (None without ``draw``) to the next stack.  Loss, gradient norm and
-    ``eval_fn`` are logged at step 0, every ``log_every`` steps and at the
-    last step.  Returns, per seed, the chain's :class:`Trajectory` or the
-    :class:`DivergenceError` a lone run of it raises: at the first step
-    whose weights are not finite, or at the first log point whose loss
-    exceeds ``DIVERGENCE_LIMIT``.  A diverged chain leaves the stack; the
-    others go on.  Overflow on the way to a divergence is not warned about,
-    since the check above reports it.
+    ``eval_fn(w)``, with one chain's (p, d) weights, are logged at step 0,
+    every ``log_every`` steps and at the last step.  Returns, per seed, the
+    chain's :class:`Trajectory` or the :class:`DivergenceError` a lone run
+    of it raises: at the first step whose weights are not finite, or at the
+    first log point whose loss exceeds ``DIVERGENCE_LIMIT``.  A diverged
+    chain leaves the stack; the others go on.  Overflow on the way to a
+    divergence is not warned about, since the check above reports it.
     """
-    chains = [_Chain(seed, record_weights) for seed in seeds]
+    chains = [_Chain(seed) for seed in seeds]
     out = [None] * len(chains)
     if not chains:
         return out
@@ -227,8 +224,6 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
                     c.gnorms.append(float(np.linalg.norm(grads[i])))
                     if eval_fn is not None:
                         c.evals.append(np.atleast_1d(np.asarray(eval_fn(w[i]), dtype=np.float64)))
-                    if c.weights is not None:
-                        c.weights.append(w[i].copy())
             if diverged:
                 for i, what in diverged.items():
                     out[live[i]] = DivergenceError(f"{what} left the finite regime at step {k}",
@@ -249,7 +244,7 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
             w_prev, w = w, step(w, None if drawn is None else drawn[:, j])
             j += 1
     for i, c in enumerate(live):
-        out[c] = chains[c].trajectory(w[i].copy(), dt, eval_fn is not None)
+        out[c] = chains[c].trajectory(w[i].copy(), dt)
     return out
 
 
@@ -293,14 +288,16 @@ def run_sgd(spec: LossSpec, config: SgdConfig, eval_fn=None) -> Trajectory:
 
 
 def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
-                  init: InitSpec | None = None, log_every: int = 1,
-                  record_weights: bool = False) -> list:
+                  init: InitSpec | None = None, log_every: int = 1, eval_fn=None) -> list:
     """:func:`run_sde` once per seed, all paths advanced as one stack.
 
     Returns one entry per seed: the :class:`Trajectory` of ``run_sde`` with
     that seed and the same arguments, bit for bit, or the
     :class:`DivergenceError` that run raises.  A path that diverges leaves
-    the stack; the others go on.
+    the stack; the others go on.  ``eval_fn`` is called with one path's
+    (p, d) weights at each log point, as in :func:`run_sgd_chains`, so
+    ``eval_fn=np.copy`` records the weights and ensemble moments read off
+    ``eval_values``.
     """
     if not (0 <= s < math.inf and 0 < dt < math.inf and 0 < t_max < math.inf):
         raise ValueError("need finite s >= 0, dt > 0, t_max > 0")
@@ -316,7 +313,7 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
 
     return _integrate(spec, seeds, init or InitSpec(), s if s > 0 else dt,
                       max(1, int(round(t_max / dt))), dt, log_every, step, draw,
-                      (spec.p, spec.d), record_weights=record_weights)
+                      (spec.p, spec.d), eval_fn=eval_fn)
 
 
 def run_sde(
@@ -327,7 +324,7 @@ def run_sde(
     seed: int = 0,
     init: InitSpec | None = None,
     log_every: int = 1,
-    record_weights: bool = False,
+    eval_fn=None,
 ) -> Trajectory:
     """Euler-Maruyama for dW = -grad(W) dt + sqrt(s) dB.
 
@@ -335,7 +332,7 @@ def run_sde(
     normal G.  ``s = 0`` reduces to explicit-Euler gradient flow.  Raises
     :class:`DivergenceError` as :func:`run_sgd` does.
     """
-    return _one(run_sde_paths(spec, s, dt, t_max, [seed], init, log_every, record_weights))
+    return _one(run_sde_paths(spec, s, dt, t_max, [seed], init, log_every, eval_fn))
 
 
 def _one(outcomes: list) -> Trajectory:

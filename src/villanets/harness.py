@@ -192,7 +192,8 @@ class AblationCurves:
 
 
 def run_ablation(cfg: AblationConfig, fractions) -> dict:
-    """Train once per corruption fraction; track clean/noisy held-out MSE.
+    """Train once per corruption fraction, each given once; track
+    clean/noisy held-out MSE.
 
     The training labels (and a mirrored copy of the test labels) are
     corrupted per fraction; the clean test set is never touched, so the
@@ -200,31 +201,28 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
     """
     if len(fractions) == 0 or not all(0.0 <= fraction <= 1.0 for fraction in fractions):
         raise ValueError("fractions must be a non-empty list in [0, 1]")
+    if len(set(fractions)) < len(fractions):
+        raise ValueError(f"fractions must not repeat: {list(fractions)}")
     clean_train, clean_test = cfg.recipe.realize()
+    # same SGD seed for every fraction: identical init and batch sequence,
+    # so the curves differ only through the corrupted labels
+    sgd = SgdConfig(
+        step_size=cfg.step_size,
+        batch_size=cfg.batch_size,
+        steps=cfg.steps,
+        seed=cell_seed(cfg.base_seed, 0, 0, 0),
+        init=InitSpec("gaussian", tau=cfg.init_tau),
+        log_every=cfg.log_every,
+    )
     out = {}
     for fraction in fractions:
-        train = (
-            corrupt_labels(clean_train, fraction, cfg.corruption_scale,
-                           cell_seed(cfg.base_seed, 1, 0, 0))
-            if fraction > 0 else clean_train
-        )
-        noisy_test = (
-            corrupt_labels(clean_test, fraction, cfg.corruption_scale,
-                           cell_seed(cfg.base_seed, 2, 0, 0))
-            if fraction > 0 else clean_test
-        )
+        # fraction 0 corrupts no label, so it trains on the clean labels
+        train = corrupt_labels(clean_train, fraction, cfg.corruption_scale,
+                               cell_seed(cfg.base_seed, 1, 0, 0))
+        noisy_test = corrupt_labels(clean_test, fraction, cfg.corruption_scale,
+                                    cell_seed(cfg.base_seed, 2, 0, 0))
         spec = build_cell_spec(train, cfg.width, cfg.lam, activations.sigmoid(1.0),
                                cfg.a_mode)
-        # same SGD seed for every fraction: identical init and batch
-        # sequence, so the curves differ only through the corrupted labels
-        sgd = SgdConfig(
-            step_size=cfg.step_size,
-            batch_size=cfg.batch_size,
-            steps=cfg.steps,
-            seed=cell_seed(cfg.base_seed, 0, 0, 0),
-            init=InitSpec("gaussian", tau=cfg.init_tau),
-            log_every=cfg.log_every,
-        )
         traj = run_sgd(
             spec,
             sgd,

@@ -332,6 +332,69 @@ def test_ablate_cli_rejects_empty_fractions(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("settings, fractions", [
+    # two settings that differ only in step_size share a folder
+    ([{**SETTING_REQUIRED, "lambda": 0.013, "step_size": step} for step in (0.05, 0.1)],
+     [0.0, 0.5]),
+    # two fractions that round to the same file name
+    ([{**SETTING_REQUIRED, "lambda": 0.013}], [0.501, 0.504]),
+], ids=["settings", "fractions"])
+def test_ablate_cli_refuses_colliding_outputs(workdir, capsys, monkeypatch, settings, fractions):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the output paths")
+
+    monkeypatch.setattr(harness, "run_sgd", no_training)
+    ablate = {"recipe": RECIPE, "fractions": fractions, "settings": settings}
+    out = workdir / "abldir"
+    code = cli.main(["ablate", "--config", str(_write(workdir, "a.json", ablate)),
+                     "--out", str(out)])
+    assert code == 2
+    assert str(out / "lam0.013_p2" / "ablation_f0.50.csv") in capsys.readouterr().err
+    assert not out.exists()
+
+
+SWEEP_REQUIRED = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": SGD_REQUIRED}
+SPEC = {"activation": "sigmoid", "p": 2, "d": 2, "lambda": 0.2, "data_path": "data.csv"}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("sweep", {**SWEEP_REQUIRED, "lambdas": 0.1}),
+    ("ablate", {"recipe": RECIPE, "fractions": 0.5, "settings": [SETTING_REQUIRED]}),
+    ("sweep", {**SWEEP_REQUIRED, "sgd": {**SGD_REQUIRED, "init": {"tau": "x"}}}),
+    ("sweep", {**SWEEP_REQUIRED, "restarts_per_cell": None}),
+    ("constants", {**SPEC, "lambda": [0.1]}),
+    ("gen", {**RECIPE, "n_train": [5]}),
+    ("train", [SPEC]),
+], ids=["lambdas-number", "fractions-number", "tau-string", "restarts-null", "lambda-list",
+        "n_train-list", "spec-list"])
+def test_wrongly_typed_values_are_configuration_errors(workdir, capsys, command, obj):
+    path = str(_write(workdir, "bad.json", obj))
+    out = str(workdir / "out")
+    argv = {"sweep": ["--config", path, "--out", out],
+            "ablate": ["--config", path, "--out", out],
+            "constants": ["--spec", path],
+            "gen": ["--recipe", path, "--out", out],
+            "train": ["--spec", path, "--sgd", str(workdir / "sgd.json"), "--out", out]}
+    assert cli.main([command, *argv[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {path}: wrongly typed value")
+    assert "Traceback" not in captured.err
+    assert not captured.out
+    assert not (workdir / "out").exists()
+
+
+def test_fpe_gap_checks_the_operator_size_before_the_decay_run(workdir, capsys, monkeypatch):
+    def no_decay_run(*args, **kwargs):
+        raise AssertionError("ran the decay before checking the operator size")
+
+    monkeypatch.setattr(fpe, "decay_rate", no_decay_run)
+    spec = _write(workdir, "spec2d.json", {**SPEC, "p": 1})
+    code = cli.main(["fpe", "--spec", str(spec), "--s", "0.5", "--m", "201",
+                     "--tmax", "10", "--dt", "0.01", "--gap"])
+    assert code == 2
+    assert f"operator size 40401 exceeds {fpe.MAX_OPERATOR_SIZE}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sgd_file", [
     {**SGD_REQUIRED, "step_size": math.nan},
     {**SGD_REQUIRED, "step_size": math.inf},

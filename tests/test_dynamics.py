@@ -206,11 +206,22 @@ class TestRunSde:
         spec = ridge_only_spec(4, 4, lam)
         traj = dynamics.run_sde(spec, s=s, dt=dt, t_max=782.0, seed=11,
                                 init=InitSpec("gaussian", tau=math.sqrt(s / (2 * lam))),
-                                log_every=1, record_weights=True)
-        w = np.array(traj.weights)
+                                log_every=1, eval_fn=np.copy)
+        w = traj.eval_values
         samples = w[w.shape[0] // 5:].reshape(-1)
         assert samples.size >= 1_000_000
         assert abs(samples.var() / (s / (2 * lam)) - 1.0) <= 0.05
+
+    def test_eval_fn_logs_one_row_per_log_point(self):
+        # 103 steps at log_every 25: log points 0, 25, 50, 75, 100 and the last
+        spec = small_spec()
+        kwargs = dict(s=0.05, dt=0.01, t_max=1.03, seed=2,
+                      init=InitSpec("gaussian", tau=1.0), log_every=25)
+        traj = dynamics.run_sde(spec, **kwargs, eval_fn=np.copy)
+        np.testing.assert_array_equal(traj.steps, [0, 25, 50, 75, 100, 103])
+        assert traj.eval_values.shape == (6, spec.p, spec.d)
+        np.testing.assert_array_equal(traj.eval_values[-1], traj.final_w)
+        assert dynamics.run_sde(spec, **kwargs).eval_values is None
 
     def test_ou_mean_relaxation_error_halves_with_dt(self):
         # drift part of the integrator is first-order accurate
@@ -278,10 +289,9 @@ def _outcome(entry):
     """Everything a run reports, as bytes and strings, for exact comparison."""
     if isinstance(entry, DivergenceError):
         return ("diverged", str(entry), entry.step, entry.last_w.tobytes())
-    weights = None if entry.weights is None else np.array(entry.weights).tobytes()
     evals = None if entry.eval_values is None else entry.eval_values.tobytes()
     return (entry.final_w.tobytes(), entry.times.tobytes(), entry.steps.tobytes(),
-            entry.losses.tobytes(), entry.grad_norms.tobytes(), evals, weights,
+            entry.losses.tobytes(), entry.grad_norms.tobytes(), evals,
             entry.rng_state_digest)
 
 
@@ -390,12 +400,12 @@ class TestEnsembles:
         init = InitSpec("gaussian", tau=1.0)
         seeds = list(range(8))
         stacked = dynamics.run_sde_paths(spec, 0.01, dt, t_max, seeds, init=init,
-                                         log_every=log_every, record_weights=True)
+                                         log_every=log_every, eval_fn=np.copy)
         if dt > 1:
             assert 0 < sum(isinstance(e, DivergenceError) for e in stacked) < len(seeds)
         for seed, entry in zip(seeds, stacked, strict=True):
             assert _outcome(entry) == _lone(dynamics.run_sde, spec, 0.01, dt, t_max, seed=seed,
-                                    init=init, log_every=log_every, record_weights=True)
+                                    init=init, log_every=log_every, eval_fn=np.copy)
 
     def test_no_seeds_no_runs(self):
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=10)

@@ -3,10 +3,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from villanets import cli, dynamics, harness, model
+from villanets import activations, cli, dynamics, harness, model
 from villanets.datasets import DataRecipe
 from villanets.dynamics import InitSpec, SgdConfig
 from villanets.harness import AblationConfig, SweepConfig
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("trained before checking every fraction")
 
 
 def tiny_recipe(seed=3):
@@ -127,6 +131,27 @@ class TestAblation:
             np.testing.assert_array_equal(c1[f].clean_test, c2[f].clean_test)
             np.testing.assert_array_equal(c1[f].train_losses, c2[f].train_losses)
 
+    def test_fraction_zero_is_a_run_on_the_clean_split(self):
+        cfg = self.ablation_cfg()
+        (curves,) = harness.run_ablation(cfg, [0.0]).values()
+        train, test = cfg.recipe.realize()
+        spec = harness.build_cell_spec(train, cfg.width, cfg.lam, activations.sigmoid(1.0),
+                                       cfg.a_mode)
+        sgd = SgdConfig(step_size=cfg.step_size, batch_size=cfg.batch_size, steps=cfg.steps,
+                        seed=harness.cell_seed(cfg.base_seed, 0, 0, 0),
+                        init=InitSpec("gaussian", tau=cfg.init_tau), log_every=cfg.log_every)
+        traj = harness.run_sgd(spec, sgd, eval_fn=lambda w: (harness.test_mse(spec, test, w),
+                                                             harness.test_mse(spec, test, w)))
+        for got, want in ((curves.steps, traj.steps), (curves.train_losses, traj.losses),
+                          (curves.clean_test, traj.eval_values[:, 0]),
+                          (curves.noisy_test, traj.eval_values[:, 1])):
+            assert got.tobytes() == want.tobytes()
+
+    def test_repeated_fraction_rejected_before_any_training(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_sgd", _no_training)
+        with pytest.raises(ValueError, match="repeat"):
+            harness.run_ablation(self.ablation_cfg(), [0.0, 0.5, 0.0])
+
     def test_curve_shapes_and_fraction_zero(self):
         curves = harness.run_ablation(self.ablation_cfg(), [0.0, 0.9])
         for f, c in curves.items():
@@ -140,10 +165,7 @@ class TestAblation:
                 harness.run_ablation(self.ablation_cfg(), fractions)
 
     def test_fractions_checked_before_any_training(self, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking every fraction")
-
-        monkeypatch.setattr(harness, "run_sgd", no_training)
+        monkeypatch.setattr(harness, "run_sgd", _no_training)
         with pytest.raises(ValueError, match="fractions"):
             harness.run_ablation(self.ablation_cfg(), [0.0, 1.5])
 
