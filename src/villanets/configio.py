@@ -9,9 +9,12 @@ Problem spec files describe a net + data + ridge strength:
 "normalized" (a_j = 1 / (sqrt(p) * B_x), the default), "normalized_signed"
 (the same with alternating signs) or "ones".  SGD configs, sweep configs,
 and ablation configs mirror the corresponding dataclasses field for field;
-an optional key a file leaves out takes the dataclass default.  A value of
-the wrong JSON type (a number where a list belongs, a list where a number
-does) is a ``ValueError`` that names the file, as a value out of range is.
+an optional key a file leaves out takes the dataclass default.  A key that
+no loader reads (a misspelt optional key, or ``seed`` in a sweep's ``sgd``,
+whose cells are seeded from ``base_seed``) is refused rather than ignored.
+An unknown key, a value of the wrong JSON type (a number where a list
+belongs, a list where a number does) and a value out of range are each a
+``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ def _load(path, parse):
         return parse(obj)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: wrongly typed value: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _known(obj: dict, what: str, keys) -> dict:
+    """``obj``, checked to hold no key outside ``keys``: a misspelt key
+    would otherwise be ignored, and its setting silently take the default."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; known keys: {sorted(keys)}")
+    return obj
 
 
 def load_spec(path) -> LossSpec:
@@ -45,6 +59,7 @@ def load_spec(path) -> LossSpec:
 
 
 def _parse_spec(obj: dict, folder: Path) -> LossSpec:
+    _known(obj, "spec", ("activation", "beta", "p", "d", "lambda", "a_mode", "data_path"))
     act = activations.make(obj["activation"], float(obj.get("beta", 1.0)))
     p, d = int(obj["p"]), int(obj["d"])
     data_path = folder / obj["data_path"]
@@ -67,14 +82,18 @@ def _as_is(value):
 
 
 def parse_init(obj: dict | None) -> InitSpec:
-    obj = obj or {}
+    obj = _known(obj or {}, "init", ("mode", "tau", "w0"))
     opts = _given(obj, {"mode": ("mode", _as_is), "tau": ("tau", _as_is)})
     if obj.get("w0") is not None:
         opts["w0"] = np.asarray(obj["w0"], dtype=np.float64)
     return InitSpec(**opts)
 
 
+_SGD_KEYS = ("step_size", "batch_size", "steps", "seed", "log_every", "init")
+
+
 def parse_sgd(obj: dict) -> SgdConfig:
+    _known(obj, "sgd", _SGD_KEYS)
     return SgdConfig(
         step_size=float(obj["step_size"]),
         batch_size=int(obj["batch_size"]),
@@ -89,7 +108,17 @@ def load_sgd_config(path) -> SgdConfig:
 
 
 def load_recipe(path) -> DataRecipe:
-    return _load(path, DataRecipe.from_dict)
+    return _load(path, _parse_recipe)
+
+
+def _parse_recipe(obj: dict) -> DataRecipe:
+    """:meth:`DataRecipe.from_dict`, refusing keys that the recipe does not
+    read, in ``params`` those of its kind."""
+    _known(obj, "recipe", ("kind", "n_train", "n_test", "seed", "params", "corruption"))
+    recipe = DataRecipe.from_dict(obj)
+    _known(recipe.params, f"{recipe.kind} params", datasets.RECIPE_PARAMS[recipe.kind])
+    _known(recipe.corruption, "corruption", ("fraction", "scale"))
+    return recipe
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -97,15 +126,19 @@ def load_sweep_config(path) -> SweepConfig:
 
 
 def _parse_sweep(obj: dict) -> SweepConfig:
+    optional = {"restarts_per_cell": ("restarts_per_cell", int),
+                "metric": ("metric", _as_is), "base_seed": ("base_seed", int),
+                "activation": ("act_kind", _as_is), "beta": ("act_beta", float),
+                "a_mode": ("a_mode", _as_is)}
+    _known(obj, "sweep", ("lambdas", "widths", "recipe", "sgd", *optional))
+    # every cell is seeded from base_seed, so a seed in sgd would go unread
+    _known(obj["sgd"], "sweep sgd", [key for key in _SGD_KEYS if key != "seed"])
     return SweepConfig(
         lambdas=tuple(obj["lambdas"]),
         widths=tuple(obj["widths"]),
-        recipe=DataRecipe.from_dict(obj["recipe"]),
+        recipe=_parse_recipe(obj["recipe"]),
         sgd=parse_sgd(obj["sgd"]),
-        **_given(obj, {"restarts_per_cell": ("restarts_per_cell", int),
-                       "metric": ("metric", _as_is), "base_seed": ("base_seed", int),
-                       "activation": ("act_kind", _as_is), "beta": ("act_beta", float),
-                       "a_mode": ("a_mode", _as_is)}),
+        **_given(obj, optional),
     )
 
 
@@ -114,13 +147,17 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
 
 
 def _parse_ablate(obj: dict) -> tuple[list[AblationConfig], list[float]]:
-    recipe = DataRecipe.from_dict(obj["recipe"])
+    optional = {"base_seed": ("base_seed", int),
+                "corruption_scale": ("corruption_scale", float),
+                "init_tau": ("init_tau", float), "a_mode": ("a_mode", _as_is)}
+    _known(obj, "ablate", ("recipe", "fractions", "settings", *optional))
+    recipe = _parse_recipe(obj["recipe"])
     fractions = [float(f) for f in obj["fractions"]]
-    shared = _given(obj, {"base_seed": ("base_seed", int),
-                          "corruption_scale": ("corruption_scale", float),
-                          "init_tau": ("init_tau", float), "a_mode": ("a_mode", _as_is)})
+    shared = _given(obj, optional)
     configs = []
     for setting in obj["settings"]:
+        _known(setting, "ablate setting",
+               ("lambda", "width", "step_size", "batch_size", "steps", "log_every"))
         configs.append(
             AblationConfig(
                 recipe=recipe,

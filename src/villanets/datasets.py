@@ -30,27 +30,16 @@ def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
     ys = np.sin(np.pi * np.sum(xs * xs, axis=1) / d)
     if noise_sd > 0:
         ys = ys + noise_sd * rng.standard_normal(n)
-    return Dataset(xs, ys, meta={"kind": "sine", "d": d, "noise_sd": noise_sd})
+    return Dataset(xs, ys)
 
 
 def sample_teacher(d: int, p_teacher: int, rng: np.random.Generator):
-    """Hidden teacher parameters: a_i ~ N(0,1)/sqrt(p), W entries ~ N(0,1).
-
-    The inner-weight law is the unmarked Gaussian default; it is recorded in
-    the dataset metadata by :func:`gen_teacher`.
-    """
+    """Hidden teacher parameters: a_i ~ N(0,1)/sqrt(p), W entries ~ N(0,1)."""
+    if d < 1 or p_teacher < 1:
+        raise ValueError("d and p_teacher must be at least 1")
     a = rng.standard_normal(p_teacher) / math.sqrt(p_teacher)
     w = rng.standard_normal((p_teacher, d))
     return a, w
-
-
-def gen_teacher(d: int, p_teacher: int, n: int, noise_sd: float, seed) -> Dataset:
-    """Labels from a hidden sigmoid(beta=1) net of width p_teacher plus noise."""
-    if d < 1 or p_teacher < 1:
-        raise ValueError("d and p_teacher must be at least 1")
-    rng = _as_rng(seed)
-    a, w = sample_teacher(d, p_teacher, rng)
-    return _teacher_split(a, w, d, n, noise_sd, rng)
 
 
 def corrupt_labels(ds: Dataset, fraction: float, scale: float, seed) -> Dataset:
@@ -76,9 +65,7 @@ def corrupt_labels(ds: Dataset, fraction: float, scale: float, seed) -> Dataset:
     if k > 0 and scale != 0.0:
         idx = perm[:k]
         ys[idx] = ys[idx] + scale * np.tan(np.pi * (u[:k] - 0.5))
-    meta = dict(ds.meta or {})
-    meta["corruption"] = {"fraction": fraction, "scale": scale, "count": k}
-    return Dataset(ds.xs, ys, meta=meta)
+    return Dataset(ds.xs, ys)
 
 
 def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,23 +83,18 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def _teacher_split(a, w, d: int, n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
+    """n uniform inputs, labelled by the sigmoid teacher (a, w) plus noise."""
     act = activations.sigmoid(1.0)
     xs = rng.random((n, d))
     ys = a @ act(w @ xs.T)
     if noise_sd > 0:
         ys = ys + noise_sd * rng.standard_normal(n)
-    return Dataset(
-        xs,
-        ys,
-        meta={
-            "kind": "teacher",
-            "d": d,
-            "p_teacher": a.shape[0],
-            "noise_sd": noise_sd,
-            "teacher_a_norm": float(np.linalg.norm(a)),
-            "inner_weight_law": "standard normal entries",
-        },
-    )
+    return Dataset(xs, ys)
+
+
+# the params each recipe kind reads
+RECIPE_PARAMS = {"sine": ("d", "noise_sd"), "teacher": ("d", "p_teacher", "noise_sd"),
+                 "file": ("path",)}
 
 
 @dataclass(frozen=True)
@@ -120,7 +102,7 @@ class DataRecipe:
     """Declarative description of a train/test pair.
 
     kind: 'sine', 'teacher', or 'file'.
-    params: generator arguments (d, noise_sd, p_teacher, path as relevant).
+    params: generator arguments, the ``RECIPE_PARAMS`` of the kind.
     corruption: {'fraction': f in [0,1], 'scale': s}; applied to the training
         labels only.  Test draws always come from the clean recipe.
     """
@@ -133,7 +115,7 @@ class DataRecipe:
     corruption: dict = field(default_factory=lambda: {"fraction": 0.0, "scale": 0.0})
 
     def __post_init__(self):
-        if self.kind not in ("sine", "teacher", "file"):
+        if self.kind not in RECIPE_PARAMS:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be at least 1")

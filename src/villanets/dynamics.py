@@ -103,11 +103,11 @@ class SgdConfig:
     init: InitSpec = field(default_factory=InitSpec)
     log_every: int = 100
 
-    def validate(self, n: int) -> None:
+    def __post_init__(self):
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")
-        if not 1 <= self.batch_size <= n:
-            raise ValueError(f"batch_size must be in [1, {n}]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.log_every < 1:
@@ -258,7 +258,8 @@ def run_sgd_chains(spec: LossSpec, config: SgdConfig, seeds, eval_fn=None) -> li
     leaves the stack; the others go on.  ``eval_fn`` is called with one
     chain's (p, d) weights at a time.
     """
-    config.validate(spec.n)
+    if config.batch_size > spec.n:
+        raise ValueError(f"batch_size must be in [1, {spec.n}]")
     s = config.step_size
     s_op = np.array(float(s))
 

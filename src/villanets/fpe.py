@@ -297,6 +297,13 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     The fit is least-squares on log chi over the second half of the horizon,
     excluding points at the round-off floor.  A floor hit before the window
     opens sets ``early_converged``.
+
+    The fit assumes that the second half of [0, t_max] is past the
+    transient: the next decay rate lambda_2 must have died out against the
+    gap by t_max / 2, which takes several times 1 / (lambda_2 - gap).
+    Where it still shows, the rate comes out high with an R^2 near 1, and
+    nothing flags it yet.  On README's 1-D grid (gap 0.2028, lambda_2
+    0.3956), t_max = 40 gives 0.2203 and t_max = 80 gives 0.2024.
     """
     if not (0 < t_max < math.inf and 0 < dt < math.inf):
         raise ValueError("t_max and dt must be positive and finite")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,17 +43,36 @@ class SweepConfig:
     a_mode: str = "normalized"
 
     def __post_init__(self):
+        """Check every cell, so that a bad one fails before any trains."""
+        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        object.__setattr__(self, "widths", tuple(int(v) for v in self.widths))
         if not self.lambdas or not self.widths:
             raise ValueError("lambdas and widths must be non-empty")
+        for name, values in (("lambdas", self.lambdas), ("widths", self.widths)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat: {list(values)}")
         if self.restarts_per_cell < 1:
             raise ValueError("restarts_per_cell must be at least 1")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "widths", tuple(int(v) for v in self.widths))
+        self.activation()            # raises on an unknown kind or a bad beta
+        _check_cells(self.lambdas, self.widths, self.a_mode, self.sgd, self.recipe)
 
     def activation(self):
         return activations.make(self.act_kind, self.act_beta)
+
+
+def _check_cells(lambdas, widths, a_mode: str, sgd: SgdConfig, recipe: DataRecipe) -> None:
+    """Raise the error that building or training any of these (lambda,
+    width) cells on ``recipe``'s training split would raise."""
+    for lam in lambdas:
+        model.check_lam(lam)
+    for width in widths:
+        if width < 1:
+            raise ValueError(f"width must be at least 1, not {width}")
+    model.check_outer_mode(a_mode)
+    if sgd.batch_size > recipe.n_train:
+        raise ValueError(f"batch_size must be in [1, {recipe.n_train}]")
 
 
 @dataclass
@@ -167,7 +186,12 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
 
 @dataclass(frozen=True)
 class AblationConfig:
-    """One (ridge, width, step-size) setting of the noisy-label study."""
+    """One (ridge, width, step-size) setting of the noisy-label study.
+
+    ``sgd`` is the one SGD configuration, seed included, that every
+    fraction trains with: the same init and batch sequence, so the curves
+    differ only through the corrupted labels.
+    """
 
     recipe: DataRecipe               # clean recipe; corruption applied here
     lam: float
@@ -180,11 +204,23 @@ class AblationConfig:
     corruption_scale: float = 0.05
     init_tau: float = 1.0
     a_mode: str = "normalized"
+    sgd: SgdConfig = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.recipe.corruption.get("fraction", 0.0) > 0.0:
+            raise ValueError("the ablation recipe must be clean: corrupt it through "
+                             "fractions and corruption_scale")
+        if not math.isfinite(self.corruption_scale):
+            raise ValueError("corruption_scale must be finite")
+        object.__setattr__(self, "sgd", SgdConfig(
+            step_size=self.step_size, batch_size=self.batch_size, steps=self.steps,
+            seed=cell_seed(self.base_seed, 0, 0, 0),
+            init=InitSpec("gaussian", tau=self.init_tau), log_every=self.log_every))
+        _check_cells((self.lam,), (self.width,), self.a_mode, self.sgd, self.recipe)
 
 
 @dataclass
 class AblationCurves:
-    fraction: float
     steps: np.ndarray
     train_losses: np.ndarray
     clean_test: np.ndarray
@@ -204,16 +240,6 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
     if len(set(fractions)) < len(fractions):
         raise ValueError(f"fractions must not repeat: {list(fractions)}")
     clean_train, clean_test = cfg.recipe.realize()
-    # same SGD seed for every fraction: identical init and batch sequence,
-    # so the curves differ only through the corrupted labels
-    sgd = SgdConfig(
-        step_size=cfg.step_size,
-        batch_size=cfg.batch_size,
-        steps=cfg.steps,
-        seed=cell_seed(cfg.base_seed, 0, 0, 0),
-        init=InitSpec("gaussian", tau=cfg.init_tau),
-        log_every=cfg.log_every,
-    )
     out = {}
     for fraction in fractions:
         # fraction 0 corrupts no label, so it trains on the clean labels
@@ -225,12 +251,11 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
                                cfg.a_mode)
         traj = run_sgd(
             spec,
-            sgd,
+            cfg.sgd,
             eval_fn=lambda w: (test_mse(spec, clean_test, w),
                                test_mse(spec, noisy_test, w)),
         )
         out[fraction] = AblationCurves(
-            fraction=fraction,
             steps=traj.steps,
             train_losses=traj.losses,
             clean_test=traj.eval_values[:, 0],

@@ -49,7 +49,6 @@ class Dataset:
 
     xs: np.ndarray
     ys: np.ndarray
-    meta: dict | None = None
     x_bound: float = field(init=False)
     y_bound: float = field(init=False)
     xsq: np.ndarray = field(init=False, repr=False)
@@ -138,14 +137,23 @@ def normalized_outer(p: int, x_bound: float, signed: bool = False) -> np.ndarray
 OUTER_MODES = ("normalized", "normalized_signed", "ones")
 
 
+def check_outer_mode(mode: str) -> None:
+    if mode not in OUTER_MODES:
+        raise ValueError(f"unknown a_mode {mode!r}; expected one of {OUTER_MODES}")
+
+
+def check_lam(lam: float) -> None:
+    if lam < 0 or not math.isfinite(lam):
+        raise ValueError("lam must be a finite nonnegative real")
+
+
 def outer_weights(mode: str, p: int, x_bound: float) -> np.ndarray:
     """Outer weights by name, one of ``OUTER_MODES``, as spec files and the
     harness spell them: "normalized" and "normalized_signed" are
     :func:`normalized_outer` with all-positive and alternating signs,
     "ones" sets every a_j = 1.
     """
-    if mode not in OUTER_MODES:
-        raise ValueError(f"unknown a_mode {mode!r}; expected one of {OUTER_MODES}")
+    check_outer_mode(mode)
     if mode == "ones":
         return np.ones(p)
     return normalized_outer(p, x_bound, signed=(mode == "normalized_signed"))
@@ -155,10 +163,8 @@ def outer_weights(mode: str, p: int, x_bound: float) -> np.ndarray:
 class LossSpec:
     """Net + data + ridge strength; the unit every operation acts on.
 
-    Immutable: derive a variant with ``with_lambda`` so all
-    lambda-dependent constants are consistently recomputed.  Like
-    :class:`Net` and :class:`Dataset`, whose fields are arrays, a spec
-    compares and hashes by identity.  ``lam_op``,
+    Immutable.  Like :class:`Net` and :class:`Dataset`, whose fields are
+    arrays, a spec compares and hashes by identity.  ``lam_op``,
     ``half_lam_op`` and ``ridge_trace_op`` are lam, lam / 2 and the ridge
     term's Hessian trace lam * p * d as 0-d array operands of
     :func:`evaluate`.
@@ -172,8 +178,7 @@ class LossSpec:
     ridge_trace_op: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.lam < 0 or not math.isfinite(self.lam):
-            raise ValueError("lam must be a finite nonnegative real")
+        check_lam(self.lam)
         if self.net.d != self.data.d:
             raise ValueError(
                 f"net input dim {self.net.d} does not match data dim {self.data.d}"
@@ -194,9 +199,6 @@ class LossSpec:
     @property
     def n(self) -> int:
         return self.data.n
-
-    def with_lambda(self, lam: float) -> "LossSpec":
-        return LossSpec(self.net, self.data, lam)
 
 
 def weights(spec: LossSpec, w=None) -> np.ndarray:

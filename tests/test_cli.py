@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,11 +292,13 @@ def test_config_files_set_every_optional_key(workdir):
     init = configio.parse_init({"mode": "explicit", "w0": [[1.0, 2.0]]})
     assert init.mode == "explicit" and init.tau is None
     np.testing.assert_array_equal(init.w0, [[1.0, 2.0]])
-    sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": sgd_file,
+    # a sweep seeds its cells from base_seed, so its sgd block takes no seed
+    sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE,
+             "sgd": {key: value for key, value in sgd_file.items() if key != "seed"},
              "restarts_per_cell": 3, "metric": "final_train_loss", "base_seed": 5,
              "activation": "tanh", "beta": 2.0, "a_mode": "ones"}
     assert configio.load_sweep_config(_write(workdir, "w.json", sweep)) == SweepConfig(
-        (0.1,), (2,), DataRecipe.from_dict(RECIPE), sgd, restarts_per_cell=3,
+        (0.1,), (2,), DataRecipe.from_dict(RECIPE), replace(sgd, seed=0), restarts_per_cell=3,
         metric="final_train_loss", base_seed=5, act_kind="tanh", act_beta=2.0, a_mode="ones")
     ablate = {"recipe": RECIPE, "fractions": [0.0],
               "settings": [{**SETTING_REQUIRED, "log_every": 9}], "base_seed": 6,
@@ -357,6 +360,39 @@ SWEEP_REQUIRED = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": SGD_
 SPEC = {"activation": "sigmoid", "p": 2, "d": 2, "lambda": 0.2, "data_path": "data.csv"}
 
 
+def _refused(workdir, capsys, command, path) -> str:
+    """stderr of ``command`` run on the config file ``path`` (the spec for
+    ``constants`` and ``train``; ``sgd`` is ``train`` with ``path`` as its
+    SGD config), which must exit 2 with a configuration error, print
+    nothing to stdout and write nothing."""
+    path, out = str(path), str(workdir / "out")
+    spec = str(workdir / "spec.json")
+    argv = {"sweep": ["sweep", "--config", path, "--out", out],
+            "ablate": ["ablate", "--config", path, "--out", out],
+            "constants": ["constants", "--spec", path],
+            "gen": ["gen", "--recipe", path, "--out", out],
+            "train": ["train", "--spec", path, "--sgd", str(workdir / "sgd.json"), "--out", out],
+            "sgd": ["train", "--spec", spec, "--sgd", path, "--out", out]}
+    assert cli.main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert not captured.out
+    assert not (workdir / "out").exists()
+    return captured.err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every training run and every data draw raises: a configuration error
+    must be found before any of them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work before checking the whole configuration")
+
+    for owner, name in ((harness, "run_sgd"), (harness, "run_sgd_chains"),
+                        (dynamics, "run_sgd_chains"), (DataRecipe, "realize")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
 @pytest.mark.parametrize("command, obj", [
     ("sweep", {**SWEEP_REQUIRED, "lambdas": 0.1}),
     ("ablate", {"recipe": RECIPE, "fractions": 0.5, "settings": [SETTING_REQUIRED]}),
@@ -368,19 +404,72 @@ SPEC = {"activation": "sigmoid", "p": 2, "d": 2, "lambda": 0.2, "data_path": "da
 ], ids=["lambdas-number", "fractions-number", "tau-string", "restarts-null", "lambda-list",
         "n_train-list", "spec-list"])
 def test_wrongly_typed_values_are_configuration_errors(workdir, capsys, command, obj):
-    path = str(_write(workdir, "bad.json", obj))
-    out = str(workdir / "out")
-    argv = {"sweep": ["--config", path, "--out", out],
-            "ablate": ["--config", path, "--out", out],
-            "constants": ["--spec", path],
-            "gen": ["--recipe", path, "--out", out],
-            "train": ["--spec", path, "--sgd", str(workdir / "sgd.json"), "--out", out]}
-    assert cli.main([command, *argv[command]]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"configuration error: {path}: wrongly typed value")
-    assert "Traceback" not in captured.err
-    assert not captured.out
-    assert not (workdir / "out").exists()
+    path = _write(workdir, "bad.json", obj)
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: wrongly typed value")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"step_size": 0.0}, "step_size must be positive and finite"),
+    ({"lambda": -0.1}, "lam must be a finite nonnegative real"),
+    ({"width": 0}, "width must be at least 1"),
+    ({"batch_size": 31}, "batch_size must be in [1, 30]"),
+], ids=["step_size", "lambda", "width", "batch_size"])
+def test_ablate_cli_checks_every_setting_before_training_any(workdir, capsys, no_work,
+                                                             change, message):
+    settings = [SETTING_REQUIRED, {**SETTING_REQUIRED, "lambda": 0.13, **change}]
+    ablate = {"recipe": RECIPE, "fractions": [0.0, 0.5], "settings": settings}
+    assert message in _refused(workdir, capsys, "ablate", _write(workdir, "a.json", ablate))
+
+
+def test_ablate_cli_refuses_a_corrupted_recipe(workdir, capsys, no_work):
+    recipe = {**RECIPE, "corruption": {"fraction": 0.5, "scale": 0.05}}
+    ablate = {"recipe": recipe, "fractions": [0.0, 0.5], "settings": [SETTING_REQUIRED]}
+    err = _refused(workdir, capsys, "ablate", _write(workdir, "a.json", ablate))
+    assert "recipe must be clean" in err and "corruption_scale" in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lambdas": [0.01, -0.1]}, "lam must be a finite nonnegative real"),
+    ({"lambdas": [0.01, math.nan]}, "lam must be a finite nonnegative real"),
+    ({"lambdas": [0.01, 0.01]}, "lambdas must not repeat"),
+    ({"widths": [2, 0]}, "width must be at least 1"),
+    ({"widths": [2, 2]}, "widths must not repeat"),
+    ({"activation": "relu"}, "unknown activation kind 'relu'"),
+    ({"a_mode": "signed"}, "unknown a_mode 'signed'"),
+    ({"sgd": {**SGD_REQUIRED, "batch_size": 31}}, "batch_size must be in [1, 30]"),
+], ids=["negative-lambda", "nan-lambda", "repeated-lambda", "zero-width", "repeated-width",
+        "activation", "a_mode", "batch_size"])
+def test_sweep_cli_checks_every_cell_before_training_any(workdir, capsys, no_work,
+                                                         change, message):
+    sweep = {**SWEEP_REQUIRED, "widths": [2, 3], **change}
+    assert message in _refused(workdir, capsys, "sweep", _write(workdir, "w.json", sweep))
+
+
+@pytest.mark.parametrize("command, obj, key", [
+    ("sweep", {**SWEEP_REQUIRED, "restart_per_cell": 4}, "restart_per_cell"),
+    ("sweep", {**SWEEP_REQUIRED, "sgd": {**SGD_REQUIRED, "seed": 5}}, "seed"),
+    ("sweep", {**SWEEP_REQUIRED, "recipe": {**RECIPE, "params": {"d": 3, "noise": 0.0}}},
+     "noise"),
+    ("sweep", {**SWEEP_REQUIRED, "sgd": {**SGD_REQUIRED, "init": {"taus": 0.5}}}, "taus"),
+    ("ablate", {"recipe": RECIPE, "fractions": [0.0], "settings": [SETTING_REQUIRED],
+                "corruption_scal": 0.1}, "corruption_scal"),
+    ("ablate", {"recipe": RECIPE, "fractions": [0.0],
+                "settings": [SETTING_REQUIRED, {**SETTING_REQUIRED, "log_evry": 5}]},
+     "log_evry"),
+    ("gen", {**RECIPE, "corruption": {"fraction": 0.1, "scales": 0.1}}, "scales"),
+    ("gen", {**RECIPE, "kind": "teacher", "params": {"d": 3, "p": 2}}, "p"),
+    ("gen", {**RECIPE, "n_tests": 5}, "n_tests"),
+    ("train", {**SPEC, "lamda": 0.3}, "lamda"),
+    ("sgd", {**SGD_REQUIRED, "log_evry": 5}, "log_evry"),
+], ids=["sweep", "sweep-sgd-seed", "recipe-params", "init", "ablate", "ablate-setting",
+        "corruption", "teacher-params", "recipe", "spec", "sgd"])
+def test_unknown_config_keys_are_refused(workdir, capsys, no_work, command, obj, key):
+    path = _write(workdir, "typo.json", obj)
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: unknown ")
+    assert repr(key) in err
 
 
 def test_fpe_gap_checks_the_operator_size_before_the_decay_run(workdir, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from villanets import datasets
+from villanets import activations, datasets
 from villanets.datasets import DataRecipe
 
 
@@ -32,19 +32,24 @@ class TestSine:
 
 class TestTeacher:
     def test_label_magnitude_bound(self):
-        ds = datasets.gen_teacher(6, 4, 2000, 0.0, seed=5)
-        cap = ds.meta["teacher_a_norm"] * math.sqrt(4) * 1.0  # Cauchy-Schwarz
+        recipe = DataRecipe("teacher", 2000, 1, seed=5,
+                            params={"d": 6, "p_teacher": 4, "noise_sd": 0.0})
+        ds, _ = recipe.realize()
+        a, _ = datasets.sample_teacher(6, 4, recipe.streams()[0])
+        cap = np.linalg.norm(a) * math.sqrt(4) * 1.0  # Cauchy-Schwarz
         assert np.all(np.abs(ds.ys) <= cap)
 
     def test_variance_regression_value(self):
         # determinism regression: recorded at first build, must never drift
-        ds = datasets.gen_teacher(20, 5, 100_000, 0.1, seed=123)
-        assert float(np.var(ds.ys)) == 0.03650438105014359
+        recipe = DataRecipe("teacher", 100_000, 1, seed=123,
+                            params={"d": 20, "p_teacher": 5, "noise_sd": 0.1})
+        ds, _ = recipe.realize()
+        assert float(np.var(ds.ys)) == 0.010825694547425265
 
-    def test_metadata_records_generator_choices(self):
-        ds = datasets.gen_teacher(3, 2, 10, 0.0, seed=0)
-        assert ds.meta["kind"] == "teacher"
-        assert "inner_weight_law" in ds.meta
+    @pytest.mark.parametrize("params", [{"d": 0}, {"p_teacher": 0}])
+    def test_rejects_bad_dimensions(self, params):
+        with pytest.raises(ValueError, match="d and p_teacher must be at least 1"):
+            DataRecipe("teacher", 5, 5, seed=1, params=params).realize()
 
 
 class TestCorruption:
@@ -103,9 +108,11 @@ class TestRecipe:
         recipe = DataRecipe("teacher", 2000, 2000, seed=13,
                             params={"d": 8, "p_teacher": 4, "noise_sd": 0.0})
         train, test = recipe.realize()
-        assert train.meta["teacher_a_norm"] == test.meta["teacher_a_norm"]
-        # identical label law: means agree to sampling error
-        assert abs(train.ys.mean() - test.ys.mean()) < 0.05
+        # both splits' noise-free labels come from the one teacher drawn
+        # from the shared stream
+        a, w = datasets.sample_teacher(8, 4, recipe.streams()[0])
+        for split in (train, test):
+            np.testing.assert_array_equal(split.ys, a @ activations.sigmoid(1.0)(w @ split.xs.T))
 
     def test_corruption_applies_to_train_only(self):
         clean = DataRecipe("sine", 100, 100, seed=5, params={"d": 2, "noise_sd": 0.0})

@@ -130,8 +130,9 @@ def test_leading_coefficient_sign():
     spec = small_spec("sigmoid")
     lam_c = model.lambda_c(spec.net, spec.data)
     for mult in (1.01, 1.5, 3.0, 10.0):
-        assert diagnostics.ray_quadratic_coeff(spec.with_lambda(mult * lam_c)) > 0
-    assert diagnostics.ray_quadratic_coeff(spec.with_lambda(lam_c)) == pytest.approx(0.0, abs=1e-15)
+        assert diagnostics.ray_quadratic_coeff(LossSpec(spec.net, spec.data, mult * lam_c)) > 0
+    at_lam_c = diagnostics.ray_quadratic_coeff(LossSpec(spec.net, spec.data, lam_c))
+    assert at_lam_c == pytest.approx(0.0, abs=1e-15)
 
 
 class TestVillaniScan:

@@ -162,10 +162,13 @@ class TestRunSgd:
 
     def test_config_validation(self):
         spec = small_spec()
-        with pytest.raises(ValueError):
+        # the config checks its own fields; the run checks the batch against the data
+        with pytest.raises(ValueError, match=rf"batch_size must be in \[1, {spec.n}\]"):
             dynamics.run_sgd(spec, SgdConfig(step_size=0.1, batch_size=99, steps=10))
-        with pytest.raises(ValueError):
-            dynamics.run_sgd(spec, SgdConfig(step_size=-0.1, batch_size=4, steps=10))
+        for field, value in (("step_size", -0.1), ("step_size", math.nan), ("batch_size", 0),
+                             ("steps", 0), ("log_every", 0)):
+            with pytest.raises(ValueError, match=field):
+                SgdConfig(**{"step_size": 0.1, "batch_size": 4, "steps": 10, field: value})
 
 
 class TestInitSpec:

@@ -1,4 +1,6 @@
+import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +91,23 @@ class TestSweep:
             SweepConfig(lambdas=(0.1,), widths=(2,), recipe=tiny_recipe(),
                         sgd=SgdConfig(0.05, 8, 10), metric="bogus")
 
+    @pytest.mark.parametrize("change, match", [
+        ({"lambdas": (0.01, -0.1)}, "lam must be a finite nonnegative real"),
+        ({"lambdas": (0.01, math.inf)}, "lam must be a finite nonnegative real"),
+        ({"lambdas": (0.01, 0.01)}, "lambdas must not repeat"),
+        ({"widths": (2, 0)}, "width must be at least 1"),
+        ({"widths": (2, 2)}, "widths must not repeat"),
+        ({"act_kind": "relu"}, "unknown activation kind"),
+        ({"act_beta": 0.0}, "beta must be positive"),
+        ({"a_mode": "signed"}, "unknown a_mode"),
+        ({"sgd": SgdConfig(0.05, 41, 10)}, r"batch_size must be in \[1, 40\]"),
+    ])
+    def test_every_cell_checked_at_construction(self, change, match):
+        base = {"lambdas": (0.01, 0.1), "widths": (2, 3), "recipe": tiny_recipe(),
+                "sgd": SgdConfig(0.05, 8, 10)}
+        with pytest.raises(ValueError, match=match):
+            SweepConfig(**{**base, **change})
+
 
 class TestReports:
     def test_csv_round_trip(self, tmp_path):
@@ -137,15 +156,36 @@ class TestAblation:
         train, test = cfg.recipe.realize()
         spec = harness.build_cell_spec(train, cfg.width, cfg.lam, activations.sigmoid(1.0),
                                        cfg.a_mode)
-        sgd = SgdConfig(step_size=cfg.step_size, batch_size=cfg.batch_size, steps=cfg.steps,
-                        seed=harness.cell_seed(cfg.base_seed, 0, 0, 0),
-                        init=InitSpec("gaussian", tau=cfg.init_tau), log_every=cfg.log_every)
-        traj = harness.run_sgd(spec, sgd, eval_fn=lambda w: (harness.test_mse(spec, test, w),
-                                                             harness.test_mse(spec, test, w)))
+        traj = harness.run_sgd(spec, cfg.sgd, eval_fn=lambda w: (harness.test_mse(spec, test, w),
+                                                                 harness.test_mse(spec, test, w)))
         for got, want in ((curves.steps, traj.steps), (curves.train_losses, traj.losses),
                           (curves.clean_test, traj.eval_values[:, 0]),
                           (curves.noisy_test, traj.eval_values[:, 1])):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change, match", [
+        ({"lam": -0.1}, "lam must be a finite nonnegative real"),
+        ({"width": 0}, "width must be at least 1"),
+        ({"a_mode": "signed"}, "unknown a_mode"),
+        ({"step_size": 0.0}, "step_size must be positive and finite"),
+        ({"batch_size": 61}, r"batch_size must be in \[1, 60\]"),
+        ({"steps": 0}, "steps must be at least 1"),
+        ({"init_tau": math.nan}, "tau must be positive and finite"),
+        ({"corruption_scale": math.inf}, "corruption_scale must be finite"),
+        ({"recipe": DataRecipe("sine", 60, 60, seed=3, params={"d": 4},
+                               corruption={"fraction": 0.5, "scale": 0.05})},
+         "recipe must be clean"),
+    ])
+    def test_setting_checked_at_construction(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            replace(self.ablation_cfg(), **change)
+
+    def test_every_fraction_shares_one_seeded_sgd_config(self):
+        cfg = self.ablation_cfg()
+        assert cfg.sgd == SgdConfig(step_size=cfg.step_size, batch_size=cfg.batch_size,
+                                    steps=cfg.steps, seed=harness.cell_seed(cfg.base_seed, 0, 0, 0),
+                                    init=InitSpec("gaussian", tau=cfg.init_tau),
+                                    log_every=cfg.log_every)
 
     def test_repeated_fraction_rejected_before_any_training(self, monkeypatch):
         monkeypatch.setattr(harness, "run_sgd", _no_training)
