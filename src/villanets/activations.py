@@ -13,7 +13,7 @@ Lipschitz constant of sigma'.  Every formula is written once, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,15 +112,7 @@ class Activation:
 
     def table(self) -> dict:
         """Constant table for reporting (JSON-friendly)."""
-        return {
-            "kind": self.kind,
-            "beta": self.beta,
-            "sup_value": self.sup_value,
-            "lipschitz": self.lipschitz,
-            "d1_sup": self.d1_sup,
-            "d2_sup": self.d2_sup,
-            "at_zero": self.at_zero,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 def make(kind: str, beta: float = 1.0) -> Activation:

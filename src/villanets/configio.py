@@ -7,28 +7,29 @@ Problem spec files describe a net + data + ridge strength:
 
 ``a_mode`` names the outer weights (:func:`villanets.model.outer_weights`):
 "normalized" (a_j = 1 / (sqrt(p) * B_x), the default), "normalized_signed"
-(the same with alternating signs) or "ones".  SGD configs, sweep configs,
-and ablation configs mirror the corresponding dataclasses field for field;
-an optional key a file leaves out takes the dataclass default.  A key that
-no loader reads (a misspelt optional key, or ``seed`` in a sweep's ``sgd``,
-whose cells are seeded from ``base_seed``) is refused rather than ignored.
-An unknown key, a value of the wrong JSON type (a number where a list
-belongs, a list where a number does) and a value out of range are each a
-``ValueError`` that names the file.
+(the same with alternating signs) or "ones".  Every other config is its
+dataclass written as JSON, and its keys are the dataclass's fields: an SGD
+config (``init`` an :class:`InitSpec`), a recipe, a sweep (``act_kind`` and
+``act_beta`` spelt ``activation`` and ``beta``; its ``sgd`` takes no
+``seed``, since the cells are seeded from ``base_seed``) and each ablate
+setting (``lam`` spelt ``lambda``; the recipe and the shared fields sit at
+the file's top level).  An unknown key and a missing required key are
+refused, and an optional key left out takes the dataclass default.  An
+``int`` field takes a JSON integer or an integral float such as ``1e4``,
+not a bool, a fraction or a string.  Each failure, including a value of the
+wrong JSON type or out of range, is a ``ValueError`` that names the file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import activations, datasets
-from .datasets import DataRecipe
+from .datasets import DataRecipe, check_keys
 from .dynamics import InitSpec, SgdConfig
 from .harness import AblationConfig, SweepConfig, build_cell_spec
-from .model import LossSpec
 
 
 def _load(path, parse):
@@ -45,66 +46,66 @@ def _load(path, parse):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _known(obj: dict, what: str, keys) -> dict:
-    """``obj``, checked to hold no key outside ``keys``: a misspelt key
-    would otherwise be ignored, and its setting silently take the default."""
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; known keys: {sorted(keys)}")
-    return obj
+def _int(value, key: str) -> int:
+    """A JSON integer or an integral float; a list or null stays a TypeError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (bool, float, str)):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
 
 
-def load_spec(path) -> LossSpec:
+def _build(cls, obj: dict, what: str, spelt=None, parse=None, drop=(), shared=None):
+    """``cls`` built from the JSON object ``obj``, whose keys are the init
+    fields of ``cls`` spelt as ``spelt`` maps them, less those in ``drop``:
+    these take their defaults, or their values from ``shared``, the keys an
+    enclosing object gives every ``obj``."""
+    spelt, parse = spelt or {}, {**_PARSERS, **(parse or {})}
+    fields = {spelt.get(f.name, f.name): f for f in dataclasses.fields(cls) if f.init}
+    known = [key for key, f in fields.items() if f.name not in drop]
+    check_keys(obj, what, known, [key for key in known if _required(fields[key])])
+    given = {**(shared or {}), **obj}
+    return cls(**{f.name: _value(f, key, given[key], parse)
+                  for key, f in fields.items() if key in given})
+
+
+def _required(field: dataclasses.Field) -> bool:
+    return field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING
+
+
+def _value(field: dataclasses.Field, key: str, value, parse: dict):
+    """``value`` through the field's parser, else cast by its declared type."""
+    if field.name in parse:
+        return parse[field.name](value)
+    if field.type == "int":
+        return _int(value, key)
+    return float(value) if field.type == "float" else value
+
+
+def load_spec(path):
     return _load(path, lambda obj: _parse_spec(obj, Path(path).parent))
 
 
-def _parse_spec(obj: dict, folder: Path) -> LossSpec:
-    _known(obj, "spec", ("activation", "beta", "p", "d", "lambda", "a_mode", "data_path"))
+def _parse_spec(obj: dict, folder: Path):
+    """The spec file's vocabulary is not a dataclass, so it is read here."""
+    check_keys(obj, "spec", ("activation", "beta", "p", "d", "lambda", "a_mode", "data_path"),
+               ("activation", "p", "d", "lambda", "data_path"))
     act = activations.make(obj["activation"], float(obj.get("beta", 1.0)))
-    p, d = int(obj["p"]), int(obj["d"])
+    p, d = _int(obj["p"], "p"), _int(obj["d"], "d")
     data_path = folder / obj["data_path"]
     data = datasets.load_csv(data_path)
     if data.d != d:
         raise ValueError(f"spec says d={d} but {data_path} has d={data.d}")
-    return build_cell_spec(data, p, float(obj["lambda"]), act,
-                           **_given(obj, {"a_mode": ("a_mode", _as_is)}))
-
-
-def _given(obj: dict, keys: dict) -> dict:
-    """Keyword arguments for the optional keys that ``obj`` holds; ``keys``
-    maps a file key to (argument name, cast).  A key the file leaves out is
-    not passed, so each default is written once, in its dataclass."""
-    return {name: cast(obj[key]) for key, (name, cast) in keys.items() if key in obj}
-
-
-def _as_is(value):
-    return value
+    a_mode = {"a_mode": obj["a_mode"]} if "a_mode" in obj else {}
+    return build_cell_spec(data, p, float(obj["lambda"]), act, **a_mode)
 
 
 def parse_init(obj: dict | None) -> InitSpec:
-    obj = _known(obj or {}, "init", ("mode", "tau", "w0"))
-    opts = _given(obj, {"mode": ("mode", _as_is), "tau": ("tau", _as_is)})
-    if obj.get("w0") is not None:
-        opts["w0"] = np.asarray(obj["w0"], dtype=np.float64)
-    return InitSpec(**opts)
-
-
-_SGD_KEYS = ("step_size", "batch_size", "steps", "seed", "log_every", "init")
-
-
-def parse_sgd(obj: dict) -> SgdConfig:
-    _known(obj, "sgd", _SGD_KEYS)
-    return SgdConfig(
-        step_size=float(obj["step_size"]),
-        batch_size=int(obj["batch_size"]),
-        steps=int(obj["steps"]),
-        init=parse_init(obj.get("init")),
-        **_given(obj, {"seed": ("seed", int), "log_every": ("log_every", int)}),
-    )
+    return _build(InitSpec, obj or {}, "init")
 
 
 def load_sgd_config(path) -> SgdConfig:
-    return _load(path, parse_sgd)
+    return _load(path, lambda obj: _build(SgdConfig, obj, "sgd"))
 
 
 def load_recipe(path) -> DataRecipe:
@@ -112,34 +113,21 @@ def load_recipe(path) -> DataRecipe:
 
 
 def _parse_recipe(obj: dict) -> DataRecipe:
-    """:meth:`DataRecipe.from_dict`, refusing keys that the recipe does not
-    read, in ``params`` those of its kind."""
-    _known(obj, "recipe", ("kind", "n_train", "n_test", "seed", "params", "corruption"))
-    recipe = DataRecipe.from_dict(obj)
-    _known(recipe.params, f"{recipe.kind} params", datasets.RECIPE_PARAMS[recipe.kind])
-    _known(recipe.corruption, "corruption", ("fraction", "scale"))
-    return recipe
+    return _build(DataRecipe, obj, "recipe")
+
+
+# the parsers of the fields that hold a nested config
+_PARSERS = {"init": parse_init, "recipe": _parse_recipe}
 
 
 def load_sweep_config(path) -> SweepConfig:
-    return _load(path, _parse_sweep)
+    return _load(path, lambda obj: _build(
+        SweepConfig, obj, "sweep", spelt={"act_kind": "activation", "act_beta": "beta"},
+        parse={"sgd": lambda sgd: _build(SgdConfig, sgd, "sweep sgd", drop=("seed",))}))
 
 
-def _parse_sweep(obj: dict) -> SweepConfig:
-    optional = {"restarts_per_cell": ("restarts_per_cell", int),
-                "metric": ("metric", _as_is), "base_seed": ("base_seed", int),
-                "activation": ("act_kind", _as_is), "beta": ("act_beta", float),
-                "a_mode": ("a_mode", _as_is)}
-    _known(obj, "sweep", ("lambdas", "widths", "recipe", "sgd", *optional))
-    # every cell is seeded from base_seed, so a seed in sgd would go unread
-    _known(obj["sgd"], "sweep sgd", [key for key in _SGD_KEYS if key != "seed"])
-    return SweepConfig(
-        lambdas=tuple(obj["lambdas"]),
-        widths=tuple(obj["widths"]),
-        recipe=_parse_recipe(obj["recipe"]),
-        sgd=parse_sgd(obj["sgd"]),
-        **_given(obj, optional),
-    )
+# the AblationConfig fields that an ablate file gives once, for every setting
+_ABLATE_SHARED = ("recipe", "base_seed", "corruption_scale", "init_tau", "a_mode")
 
 
 def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
@@ -147,27 +135,12 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
 
 
 def _parse_ablate(obj: dict) -> tuple[list[AblationConfig], list[float]]:
-    optional = {"base_seed": ("base_seed", int),
-                "corruption_scale": ("corruption_scale", float),
-                "init_tau": ("init_tau", float), "a_mode": ("a_mode", _as_is)}
-    _known(obj, "ablate", ("recipe", "fractions", "settings", *optional))
-    recipe = _parse_recipe(obj["recipe"])
+    check_keys(obj, "ablate", (*_ABLATE_SHARED, "fractions", "settings"),
+               ("recipe", "fractions", "settings"))
     fractions = [float(f) for f in obj["fractions"]]
-    shared = _given(obj, optional)
-    configs = []
-    for setting in obj["settings"]:
-        _known(setting, "ablate setting",
-               ("lambda", "width", "step_size", "batch_size", "steps", "log_every"))
-        configs.append(
-            AblationConfig(
-                recipe=recipe,
-                lam=float(setting["lambda"]),
-                width=int(setting["width"]),
-                step_size=float(setting["step_size"]),
-                batch_size=int(setting["batch_size"]),
-                steps=int(setting["steps"]),
-                **_given(setting, {"log_every": ("log_every", int)}),
-                **shared,
-            )
-        )
+    if not obj["settings"]:
+        raise ValueError("settings must be a non-empty list")
+    shared = {key: obj[key] for key in _ABLATE_SHARED if key in obj}
+    configs = [_build(AblationConfig, setting, "ablate setting", spelt={"lam": "lambda"},
+                      drop=_ABLATE_SHARED, shared=shared) for setting in obj["settings"]]
     return configs, fractions

@@ -92,9 +92,23 @@ def _teacher_split(a, w, d: int, n: int, noise_sd: float, rng: np.random.Generat
     return Dataset(xs, ys)
 
 
-# the params each recipe kind reads
-RECIPE_PARAMS = {"sine": ("d", "noise_sd"), "teacher": ("d", "p_teacher", "noise_sd"),
-                 "file": ("path",)}
+def check_keys(obj: dict, what: str, known, required=()) -> None:
+    """Refuse a key of ``obj`` outside ``known``, which would otherwise be
+    ignored and its setting silently take the default, and a ``required``
+    key that ``obj`` leaves out."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; known keys: {sorted(known)}")
+    missing = sorted(key for key in required if key not in obj)
+    if missing:
+        raise ValueError(f"missing {what} keys {missing}")
+
+
+# Each recipe kind's params and their defaults: the one place that names
+# them.  None marks a param with no default, which the recipe must give.
+RECIPE_PARAMS = {"sine": {"d": 20, "noise_sd": 0.5},
+                 "teacher": {"d": 20, "p_teacher": 5, "noise_sd": 0.1},
+                 "file": {"path": None}}
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,8 @@ class DataRecipe:
     """Declarative description of a train/test pair.
 
     kind: 'sine', 'teacher', or 'file'.
-    params: generator arguments, the ``RECIPE_PARAMS`` of the kind.
+    params: generator arguments, the ``RECIPE_PARAMS`` of the kind; one left
+        out takes its default there, and an unknown one is refused.
     corruption: {'fraction': f in [0,1], 'scale': s}; applied to the training
         labels only.  Test draws always come from the clean recipe.
     """
@@ -119,6 +134,10 @@ class DataRecipe:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be at least 1")
+        defaults = RECIPE_PARAMS[self.kind]
+        check_keys(self.params, f"{self.kind} params", defaults,
+                   [key for key, value in defaults.items() if value is None])
+        check_keys(self.corruption, "corruption", ("fraction", "scale"))
         frac = self.corruption.get("fraction", 0.0)
         if not 0.0 <= frac <= 1.0:
             raise ValueError("corruption fraction must be in [0, 1]")
@@ -135,21 +154,19 @@ class DataRecipe:
     def realize(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, test); corruption touches only train labels."""
         shared_rng, train_rng, test_rng, corrupt_rng = self.streams()
+        params = {**RECIPE_PARAMS[self.kind], **self.params}
         if self.kind == "sine":
-            d = int(self.params.get("d", 20))
-            noise_sd = float(self.params.get("noise_sd", 0.5))
+            d, noise_sd = int(params["d"]), float(params["noise_sd"])
             train = gen_sine(d, self.n_train, noise_sd, train_rng)
             test = gen_sine(d, self.n_test, noise_sd, test_rng)
         elif self.kind == "teacher":
-            d = int(self.params.get("d", 20))
-            p_teacher = int(self.params.get("p_teacher", 5))
-            noise_sd = float(self.params.get("noise_sd", 0.1))
+            d, noise_sd = int(params["d"]), float(params["noise_sd"])
             # one teacher for both splits; only inputs and noise are redrawn
-            a, w = sample_teacher(d, p_teacher, shared_rng)
+            a, w = sample_teacher(d, int(params["p_teacher"]), shared_rng)
             train = _teacher_split(a, w, d, self.n_train, noise_sd, train_rng)
             test = _teacher_split(a, w, d, self.n_test, noise_sd, test_rng)
         else:
-            full = load_csv(self.params["path"])
+            full = load_csv(params["path"])
             if self.n_train + self.n_test > full.n:
                 raise ValueError("file dataset too small for requested split")
             train = Dataset(full.xs[: self.n_train], full.ys[: self.n_train])
@@ -162,20 +179,6 @@ class DataRecipe:
         if frac > 0.0:
             train = corrupt_labels(train, frac, scale, corrupt_rng)
         return train, test
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(obj: dict) -> "DataRecipe":
-        return DataRecipe(
-            kind=obj["kind"],
-            n_train=int(obj["n_train"]),
-            n_test=int(obj["n_test"]),
-            seed=int(obj["seed"]),
-            params=dict(obj.get("params", {})),
-            corruption=dict(obj.get("corruption", {"fraction": 0.0, "scale": 0.0})),
-        )
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -202,7 +205,7 @@ def content_hash(ds: Dataset) -> str:
 def write_metadata(recipe: DataRecipe, ds: Dataset, path) -> None:
     """Sidecar JSON: recipe, seed, certified bounds, and a content hash."""
     payload = {
-        "recipe": recipe.to_dict(),
+        "recipe": asdict(recipe),
         "seed": recipe.seed,
         "B_x": ds.x_bound,
         "B_y": ds.y_bound,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,17 +103,11 @@ class VillaniReport:
     diverging: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "s": self.s,
-            "lambda_c": self.lambda_c,
-            "ray_count": self.ray_count,
-            "radii": self.radii.tolist(),
-            "v_values": self.v_values.tolist(),
-            "grad_bound_violations": self.grad_bound_violations,
-            "laplacian_bound_violations": self.laplacian_bound_violations,
-            "diverging": self.diverging,
-        }
+        """The fields in order, ``lam`` as "lambda" and arrays as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"lambda" if name == "lam" else name:
+                value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in values.items()}
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -73,7 +73,11 @@ class InitSpec:
     def __post_init__(self):
         if self.mode not in ("gaussian", "zero", "explicit"):
             raise ValueError(f"unknown init mode {self.mode!r}")
-        if self.mode == "gaussian" and self.tau is not None and not 0 < self.tau < math.inf:
+        # a setting that the mode never reads would be dropped in silence
+        for name, mode in (("tau", "gaussian"), ("w0", "explicit")):
+            if getattr(self, name) is not None and self.mode != mode:
+                raise ValueError(f"{name} is read only in {mode} mode, not in {self.mode} mode")
+        if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
         if self.mode == "explicit" and self.w0 is None:
             raise ValueError("explicit init needs w0")

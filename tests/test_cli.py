@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -178,7 +178,7 @@ def test_fpe_cli_csv_and_gap(workdir, capsys):
 
 def test_gen_cli(workdir, capsys):
     recipe = DataRecipe("sine", 25, 10, seed=4, params={"d": 3, "noise_sd": 0.1})
-    (workdir / "recipe.json").write_text(json.dumps(recipe.to_dict()))
+    (workdir / "recipe.json").write_text(json.dumps(asdict(recipe)))
     out = workdir / "gen.csv"
     code = cli.main(["gen", "--recipe", str(workdir / "recipe.json"),
                      "--out", str(out)])
@@ -279,10 +279,10 @@ def test_config_files_with_required_keys_take_the_dataclass_defaults(workdir):
     assert configio.load_sgd_config(_write(workdir, "s.json", SGD_REQUIRED)) == sgd
     sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE, "sgd": SGD_REQUIRED}
     assert configio.load_sweep_config(_write(workdir, "w.json", sweep)) == SweepConfig(
-        (0.1,), (2,), DataRecipe.from_dict(RECIPE), sgd)
+        (0.1,), (2,), DataRecipe(**RECIPE), sgd)
     ablate = {"recipe": RECIPE, "fractions": [0.0], "settings": [SETTING_REQUIRED]}
     configs, _ = configio.load_ablate_config(_write(workdir, "a.json", ablate))
-    assert configs == [AblationConfig(DataRecipe.from_dict(RECIPE), 0.05, 2, 0.05, 8, 100)]
+    assert configs == [AblationConfig(DataRecipe(**RECIPE), 0.05, 2, 0.05, 8, 100)]
 
 
 def test_config_files_set_every_optional_key(workdir):
@@ -298,13 +298,13 @@ def test_config_files_set_every_optional_key(workdir):
              "restarts_per_cell": 3, "metric": "final_train_loss", "base_seed": 5,
              "activation": "tanh", "beta": 2.0, "a_mode": "ones"}
     assert configio.load_sweep_config(_write(workdir, "w.json", sweep)) == SweepConfig(
-        (0.1,), (2,), DataRecipe.from_dict(RECIPE), replace(sgd, seed=0), restarts_per_cell=3,
+        (0.1,), (2,), DataRecipe(**RECIPE), replace(sgd, seed=0), restarts_per_cell=3,
         metric="final_train_loss", base_seed=5, act_kind="tanh", act_beta=2.0, a_mode="ones")
     ablate = {"recipe": RECIPE, "fractions": [0.0],
               "settings": [{**SETTING_REQUIRED, "log_every": 9}], "base_seed": 6,
               "corruption_scale": 0.2, "init_tau": 0.7, "a_mode": "normalized_signed"}
     configs, _ = configio.load_ablate_config(_write(workdir, "a.json", ablate))
-    assert configs == [AblationConfig(DataRecipe.from_dict(RECIPE), 0.05, 2, 0.05, 8, 100,
+    assert configs == [AblationConfig(DataRecipe(**RECIPE), 0.05, 2, 0.05, 8, 100,
                                       log_every=9, base_seed=6, corruption_scale=0.2,
                                       init_tau=0.7, a_mode="normalized_signed")]
 
@@ -333,6 +333,12 @@ def test_ablate_cli_rejects_empty_fractions(workdir, capsys):
     assert code == 2
     assert "fractions" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ablate_cli_rejects_empty_settings(workdir, capsys, no_work):
+    ablate = {"recipe": RECIPE, "fractions": [0.0], "settings": []}
+    err = _refused(workdir, capsys, "ablate", _write(workdir, "a.json", ablate))
+    assert "settings must be a non-empty list" in err
 
 
 @pytest.mark.parametrize("settings, fractions", [
@@ -470,6 +476,58 @@ def test_unknown_config_keys_are_refused(workdir, capsys, no_work, command, obj,
     err = _refused(workdir, capsys, command, path)
     assert err.startswith(f"configuration error: {path}: unknown ")
     assert repr(key) in err
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: value for k, value in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("command, obj, key", [
+    ("sgd", _without(SGD_REQUIRED, "steps"), "steps"),
+    ("sweep", _without(SWEEP_REQUIRED, "widths"), "widths"),
+    ("sweep", {**SWEEP_REQUIRED, "sgd": _without(SGD_REQUIRED, "batch_size")}, "batch_size"),
+    ("ablate", {"recipe": RECIPE, "fractions": [0.0],
+                "settings": [SETTING_REQUIRED, _without(SETTING_REQUIRED, "lambda")]}, "lambda"),
+    ("ablate", {"recipe": RECIPE, "settings": [SETTING_REQUIRED]}, "fractions"),
+    ("gen", _without(RECIPE, "n_test"), "n_test"),
+    ("gen", {**RECIPE, "kind": "file", "params": {}}, "path"),
+    ("constants", _without(SPEC, "p"), "p"),
+], ids=["sgd", "sweep", "sweep-sgd", "ablate-setting", "ablate", "recipe", "file-params", "spec"])
+def test_missing_config_keys_are_refused(workdir, capsys, no_work, command, obj, key):
+    path = _write(workdir, "short.json", obj)
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: missing ")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command, obj, key", [
+    ("sgd", {**SGD_REQUIRED, "steps": 100.7}, "steps"),
+    ("sgd", {**SGD_REQUIRED, "batch_size": 8.9}, "batch_size"),
+    ("sgd", {**SGD_REQUIRED, "batch_size": True}, "batch_size"),
+    ("sgd", {**SGD_REQUIRED, "steps": "100"}, "steps"),
+    ("sweep", {**SWEEP_REQUIRED, "restarts_per_cell": 1.5}, "restarts_per_cell"),
+    ("gen", {**RECIPE, "seed": 2.5}, "seed"),
+    ("constants", {**SPEC, "p": 2.7}, "p"),
+], ids=["steps-fraction", "batch-fraction", "batch-bool", "steps-string", "restarts",
+        "recipe-seed", "spec-p"])
+def test_integer_fields_refuse_non_integers(workdir, capsys, no_work, command, obj, key):
+    err = _refused(workdir, capsys, command, _write(workdir, "float.json", obj))
+    assert f"{key} must be an integer, not {obj[key]!r}" in err
+
+
+@pytest.mark.parametrize("init, name", [({"w0": [[1.0, 2.0]]}, "w0"),
+                                         ({"mode": "zero", "tau": 0.5}, "tau")])
+def test_init_settings_that_the_mode_never_reads_are_refused(workdir, capsys, no_work,
+                                                             init, name):
+    path = _write(workdir, "init.json", {**SGD_REQUIRED, "init": init})
+    assert f"{path}: {name} is read only in" in _refused(workdir, capsys, "sgd", path)
+
+
+def test_integer_fields_take_integral_floats(workdir):
+    sgd = {"step_size": 0.05, "batch_size": 8.0, "steps": 1e2}
+    loaded = configio.load_sgd_config(_write(workdir, "s.json", sgd))
+    assert loaded == SgdConfig(0.05, 8, 100)
+    assert type(loaded.steps) is int and type(loaded.batch_size) is int
 
 
 def test_fpe_gap_checks_the_operator_size_before_the_decay_run(workdir, capsys, monkeypatch):

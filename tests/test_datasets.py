@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from villanets import activations, datasets
+from villanets import activations, configio, datasets
 from villanets.datasets import DataRecipe
 
 
@@ -126,7 +127,7 @@ class TestRecipe:
 
     def test_round_trip_dict(self):
         recipe = DataRecipe("sine", 10, 10, seed=1, params={"d": 2, "noise_sd": 0.5})
-        again = DataRecipe.from_dict(json.loads(json.dumps(recipe.to_dict())))
+        again = configio._parse_recipe(json.loads(json.dumps(asdict(recipe))))
         assert again == recipe
 
     def test_validation(self):
@@ -136,6 +137,24 @@ class TestRecipe:
             DataRecipe("sine", 0, 10, seed=0)
         with pytest.raises(ValueError):
             DataRecipe("sine", 10, 10, seed=0, corruption={"fraction": 2.0})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"params": {"d": 2, "noise": 0.0}}, r"unknown sine params keys \['noise'\]"),
+        ({"corruption": {"frac": 0.5}}, r"unknown corruption keys \['frac'\]"),
+        ({"kind": "teacher", "params": {"d": 2, "p": 3}}, r"unknown teacher params keys \['p'\]"),
+        ({"kind": "file"}, r"missing file params keys \['path'\]"),
+    ], ids=["sine-params", "corruption", "teacher-params", "file-path"])
+    def test_refuses_keys_it_does_not_read(self, kwargs, message):
+        # a misspelt key would otherwise leave its setting at the default
+        with pytest.raises(ValueError, match=message):
+            DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, **kwargs})
+
+    def test_params_left_out_take_the_table_defaults(self):
+        for kind in ("sine", "teacher"):
+            given, default = (DataRecipe(kind, 30, 10, seed=3, params=params).realize()
+                              for params in ({"d": 2}, {**datasets.RECIPE_PARAMS[kind], "d": 2}))
+            for got, want in zip(given, default):
+                np.testing.assert_array_equal(got.ys, want.ys)
 
 
 class TestSerialization:

@@ -186,6 +186,16 @@ class TestInitSpec:
         with pytest.raises(ValueError):
             InitSpec("explicit", w0=np.array([[0.0, np.nan]]))
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"w0": [[1.0, 2.0]]}, "w0"),
+        ({"mode": "zero", "w0": [[1.0, 2.0]]}, "w0"),
+        ({"mode": "zero", "tau": 0.5}, "tau"),
+        ({"mode": "explicit", "tau": 0.5, "w0": [[1.0, 2.0]]}, "tau"),
+    ], ids=["w0-gaussian", "w0-zero", "tau-zero", "tau-explicit"])
+    def test_refuses_a_setting_its_mode_never_reads(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} is read only in"):
+            InitSpec(**kwargs)
+
     def test_default_scale_rule(self):
         draws = InitSpec().sample(np.random.default_rng(1), 40, 40, lam=0.25, s=1.0)
         # tau^2 = s / (4 lam) = 1
