@@ -1,5 +1,5 @@
-"""Ridge-regularized depth-2 net training, coercivity diagnostics, SGD and
-its diffusion limit, and Fokker-Planck mixing at toy scale."""
+"""Ridge-regularized depth-2 nets: coercivity diagnostics, minibatch SGD, and
+the theorem's SGD (Euler-Maruyama at dt = s) with its Fokker-Planck mixing."""
 
 from . import activations, datasets, diagnostics, dynamics, fpe, harness, model
 from .activations import Activation, make as make_activation

@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("sde", help="Euler-Maruyama paths of the diffusion limit")
+    p = sub.add_parser("sde", help="Euler-Maruyama SDE paths; at --dt = --s, the theorem's SGD")
     p.add_argument("--spec", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         parser.error("constants needs --activation or --spec")
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except dynamics.DivergenceError as exc:

@@ -14,10 +14,12 @@ config (``init`` an :class:`InitSpec`), a recipe, a sweep (``act_kind`` and
 ``seed``, since the cells are seeded from ``base_seed``) and each ablate
 setting (``lam`` spelt ``lambda``; the recipe and the shared fields sit at
 the file's top level).  An unknown key and a missing required key are
-refused, and an optional key left out takes the dataclass default.  An
-``int`` field takes a JSON integer or an integral float such as ``1e4``,
-not a bool, a fraction or a string.  Each failure, including a value of the
-wrong JSON type or out of range, is a ``ValueError`` that names the file.
+refused, and an optional key left out takes the dataclass default.  Every
+number (a field, a ``lambdas``, ``widths``, ``fractions`` or ``w0`` entry, a
+recipe param or corruption entry) passes ``datasets.as_number``: no bool,
+no string, and for an int no fraction (``1e4`` is one), and the dataclasses
+hold library code to it too.  Each failure, including a value of the wrong
+JSON type or out of range, is a ``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 from pathlib import Path
 
 from . import activations, datasets
-from .datasets import DataRecipe, check_keys
+from .datasets import DataRecipe, as_number, check_keys
 from .dynamics import InitSpec, SgdConfig
 from .harness import AblationConfig, SweepConfig, build_cell_spec
 
@@ -44,15 +46,6 @@ def _load(path, parse):
         raise ValueError(f"{path}: wrongly typed value: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _int(value, key: str) -> int:
-    """A JSON integer or an integral float; a list or null stays a TypeError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (bool, float, str)):
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return int(value)
 
 
 def _build(cls, obj: dict, what: str, spelt=None, parse=None, drop=(), shared=None):
@@ -74,12 +67,14 @@ def _required(field: dataclasses.Field) -> bool:
 
 
 def _value(field: dataclasses.Field, key: str, value, parse: dict):
-    """``value`` through the field's parser, else cast by its declared type."""
+    """``value`` through the field's parser, else by the number rule of its
+    declared type; a field whose default is None takes null."""
     if field.name in parse:
         return parse[field.name](value)
-    if field.type == "int":
-        return _int(value, key)
-    return float(value) if field.type == "float" else value
+    kind = {"int": int, "float": float}.get(field.type.removesuffix(" | None"))
+    if kind is None or value is None and field.default is None:
+        return value
+    return as_number(value, key, kind)
 
 
 def load_spec(path):
@@ -90,14 +85,14 @@ def _parse_spec(obj: dict, folder: Path):
     """The spec file's vocabulary is not a dataclass, so it is read here."""
     check_keys(obj, "spec", ("activation", "beta", "p", "d", "lambda", "a_mode", "data_path"),
                ("activation", "p", "d", "lambda", "data_path"))
-    act = activations.make(obj["activation"], float(obj.get("beta", 1.0)))
-    p, d = _int(obj["p"], "p"), _int(obj["d"], "d")
+    act = activations.make(obj["activation"], as_number(obj.get("beta", 1.0), "beta"))
+    p, d = as_number(obj["p"], "p", int), as_number(obj["d"], "d", int)
     data_path = folder / obj["data_path"]
     data = datasets.load_csv(data_path)
     if data.d != d:
         raise ValueError(f"spec says d={d} but {data_path} has d={data.d}")
     a_mode = {"a_mode": obj["a_mode"]} if "a_mode" in obj else {}
-    return build_cell_spec(data, p, float(obj["lambda"]), act, **a_mode)
+    return build_cell_spec(data, p, as_number(obj["lambda"], "lambda"), act, **a_mode)
 
 
 def parse_init(obj: dict | None) -> InitSpec:
@@ -137,7 +132,7 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
 def _parse_ablate(obj: dict) -> tuple[list[AblationConfig], list[float]]:
     check_keys(obj, "ablate", (*_ABLATE_SHARED, "fractions", "settings"),
                ("recipe", "fractions", "settings"))
-    fractions = [float(f) for f in obj["fractions"]]
+    fractions = [as_number(f, "fraction") for f in obj["fractions"]]
     if not obj["settings"]:
         raise ValueError("settings must be a non-empty list")
     shared = {key: obj[key] for key in _ABLATE_SHARED if key in obj}

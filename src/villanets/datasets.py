@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
     """x ~ Uniform[0,1)^d, y = sin(pi * ||x||^2 / d) + N(0, noise_sd^2)."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)   # a Generator is returned as is
     xs = rng.random((n, d))
     ys = np.sin(np.pi * np.sum(xs * xs, axis=1) / d)
     if noise_sd > 0:
@@ -56,7 +57,7 @@ def corrupt_labels(ds: Dataset, fraction: float, scale: float, seed) -> Dataset:
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = ds.n
     k = int(math.floor(fraction * n))
     ys = ds.ys.copy()
@@ -76,16 +77,10 @@ def _fisher_yates(n: int, rng: np.random.Generator) -> np.ndarray:
     return idx
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def _teacher_split(a, w, d: int, n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
+def _teacher_split(a, w, n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
     """n uniform inputs, labelled by the sigmoid teacher (a, w) plus noise."""
     act = activations.sigmoid(1.0)
-    xs = rng.random((n, d))
+    xs = rng.random((n, w.shape[1]))
     ys = a @ act(w @ xs.T)
     if noise_sd > 0:
         ys = ys + noise_sd * rng.standard_normal(n)
@@ -104,6 +99,18 @@ def check_keys(obj: dict, what: str, known, required=()) -> None:
         raise ValueError(f"missing {what} keys {missing}")
 
 
+def as_number(value, key: str, kind=float):
+    """``value`` as a ``kind``, ``float`` or ``int``: a bool, a string or any
+    other non-number is a TypeError, and a fraction for ``int`` (not ``1e4``)
+    a ValueError, so no value is read as 1, parsed or truncated in silence."""
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{key} must be {noun}, not {value!r}")
+    if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return kind(value)
+
+
 # Each recipe kind's params and their defaults: the one place that names
 # them.  None marks a param with no default, which the recipe must give.
 RECIPE_PARAMS = {"sine": {"d": 20, "noise_sd": 0.5},
@@ -116,10 +123,11 @@ class DataRecipe:
     """Declarative description of a train/test pair.
 
     kind: 'sine', 'teacher', or 'file'.
-    params: generator arguments, the ``RECIPE_PARAMS`` of the kind; one left
-        out takes its default there, and an unknown one is refused.
-    corruption: {'fraction': f in [0,1], 'scale': s}; applied to the training
-        labels only.  Test draws always come from the clean recipe.
+    params: generator arguments, the ``RECIPE_PARAMS`` of the kind, each a
+        number of its default's type; one left out takes its default there,
+        and an unknown one is refused.
+    corruption: {'fraction': f in [0,1], 'scale': s}, numbers; applied to the
+        training labels only.  Test draws always come from the clean recipe.
     """
 
     kind: str
@@ -138,8 +146,13 @@ class DataRecipe:
         check_keys(self.params, f"{self.kind} params", defaults,
                    [key for key, value in defaults.items() if value is None])
         check_keys(self.corruption, "corruption", ("fraction", "scale"))
-        frac = self.corruption.get("fraction", 0.0)
-        if not 0.0 <= frac <= 1.0:
+        # a param with no default (a file's path) is no number
+        object.__setattr__(self, "params", {
+            key: value if defaults[key] is None else as_number(value, key, type(defaults[key]))
+            for key, value in self.params.items()})
+        object.__setattr__(self, "corruption", {
+            key: as_number(value, f"corruption {key}") for key, value in self.corruption.items()})
+        if not 0.0 <= self.corruption.get("fraction", 0.0) <= 1.0:
             raise ValueError("corruption fraction must be in [0, 1]")
 
     def streams(self):
@@ -156,15 +169,13 @@ class DataRecipe:
         shared_rng, train_rng, test_rng, corrupt_rng = self.streams()
         params = {**RECIPE_PARAMS[self.kind], **self.params}
         if self.kind == "sine":
-            d, noise_sd = int(params["d"]), float(params["noise_sd"])
-            train = gen_sine(d, self.n_train, noise_sd, train_rng)
-            test = gen_sine(d, self.n_test, noise_sd, test_rng)
+            train = gen_sine(params["d"], self.n_train, params["noise_sd"], train_rng)
+            test = gen_sine(params["d"], self.n_test, params["noise_sd"], test_rng)
         elif self.kind == "teacher":
-            d, noise_sd = int(params["d"]), float(params["noise_sd"])
             # one teacher for both splits; only inputs and noise are redrawn
-            a, w = sample_teacher(d, int(params["p_teacher"]), shared_rng)
-            train = _teacher_split(a, w, d, self.n_train, noise_sd, train_rng)
-            test = _teacher_split(a, w, d, self.n_test, noise_sd, test_rng)
+            a, w = sample_teacher(params["d"], params["p_teacher"], shared_rng)
+            train = _teacher_split(a, w, self.n_train, params["noise_sd"], train_rng)
+            test = _teacher_split(a, w, self.n_test, params["noise_sd"], test_rng)
         else:
             full = load_csv(params["path"])
             if self.n_train + self.n_test > full.n:
@@ -174,10 +185,9 @@ class DataRecipe:
                 full.xs[self.n_train : self.n_train + self.n_test],
                 full.ys[self.n_train : self.n_train + self.n_test],
             )
-        frac = float(self.corruption.get("fraction", 0.0))
-        scale = float(self.corruption.get("scale", 0.0))
+        frac = self.corruption.get("fraction", 0.0)
         if frac > 0.0:
-            train = corrupt_labels(train, frac, scale, corrupt_rng)
+            train = corrupt_labels(train, frac, self.corruption.get("scale", 0.0), corrupt_rng)
         return train, test
 
 

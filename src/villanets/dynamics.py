@@ -1,9 +1,12 @@
-"""Constant-step minibatch SGD and its small-noise diffusion limit.
+"""Constant-step minibatch SGD, and Euler-Maruyama for dW = -grad dt + sqrt(s) dB.
 
-Both integrators operate on a :class:`~villanets.model.LossSpec` and log
-loss / gradient-norm trajectories.  Minibatches are i.i.d. uniform with
-replacement, matching the noise model under which the diffusion limit is
-derived.  Runs are deterministic given the seed.  Each chain owns its
+Both integrators log loss / gradient-norm trajectories of a
+:class:`~villanets.model.LossSpec`.  The theorem's SGD, W <- W - s grad + s G
+(G standard normal), is :func:`run_sde` at dt = s, whose law the FPE density,
+the gap and the Villani scan describe.  Minibatch SGD (i.i.d. uniform draws
+with replacement) follows the stochastic modified equation, noise covariance
+eta Sigma(W) / b: its stationary law was measured ~100x narrower than the
+Gibbs law.  Runs are deterministic given the seed.  Each chain owns its
 generator, so an ensemble of seeds advances as one stack of weight
 matrices (:func:`run_sgd_chains`, :func:`run_sde_paths`) and every chain
 in it ends exactly as its lone run does.
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
+from .datasets import as_number
 from .model import LossSpec
 
 DIVERGENCE_LIMIT = 1e12
@@ -62,8 +66,9 @@ class InitSpec:
     In gaussian mode with ``tau=None`` the scale defaults to
     sqrt(s / (4 * lam)); that keeps the initial density inside the class of
     laws whose squared ratio against the Gibbs factor exp(-2*loss/s) is
-    integrable, which is the qualitative initialization requirement of the
-    convergence theory.  (Falls back to tau=1 when lam = 0.)
+    integrable, the initialization requirement of the convergence theory
+    for :func:`run_sde`'s s.  :func:`run_sgd` passes its step size as s,
+    although minibatch SGD's law is far narrower.  (tau=1 when lam = 0.)
     """
 
     mode: str = "gaussian"
@@ -81,7 +86,8 @@ class InitSpec:
             raise ValueError("tau must be positive and finite")
         if self.mode == "explicit" and self.w0 is None:
             raise ValueError("explicit init needs w0")
-        if self.w0 is not None and not np.isfinite(np.asarray(self.w0, dtype=np.float64)).all():
+        entries = [] if self.w0 is None else np.asarray(self.w0, dtype=object).ravel()
+        if not np.isfinite([as_number(v, "w0 entry") for v in entries]).all():
             raise ValueError("w0 must be finite")
 
     def sample(self, rng: np.random.Generator, p: int, d: int, lam: float, s: float):

@@ -1,6 +1,6 @@
 """Finite-difference drift-diffusion density solver on 1-D/2-D weight spaces.
 
-Solves the density evolution of the small-noise SGD diffusion,
+Solves the density evolution of ``run_sde``'s SDE, the theorem's SGD at dt = s,
 
     d rho / dt = div(rho * grad(U)) + (s/2) * laplace(rho),
 
@@ -147,11 +147,11 @@ def tabulate_potential(spec: LossSpec, points: np.ndarray) -> np.ndarray:
     return model.evaluate(spec, points.reshape(-1, spec.p, spec.d), ("loss",))[0]
 
 
-def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="uniform") -> FpeGrid:
+def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -> FpeGrid:
     """Tabulate the loss on the box and set the initial density.
 
     Only weight spaces of total dimension p*d in {1, 2} are supported.
-    ``init`` may be 'uniform' or an explicit finite, nonnegative array of
+    ``init`` is None (uniform) or an explicit finite, nonnegative array of
     the right size and positive sum (normalized here).
     """
     dim = spec.p * spec.d
@@ -164,9 +164,7 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init="unifor
     points = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
     potential = tabulate_potential(spec, points)
     size = m**dim
-    if isinstance(init, str):
-        if init != "uniform":
-            raise ValueError(f"unknown init {init!r}")
+    if init is None:
         rho = np.full(size, 1.0)
     else:
         rho = np.asarray(init, dtype=np.float64).ravel()

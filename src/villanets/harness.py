@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import activations, model
-from .datasets import DataRecipe, corrupt_labels
+from .datasets import DataRecipe, as_number, corrupt_labels
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, outer_weights
 
@@ -44,8 +44,8 @@ class SweepConfig:
 
     def __post_init__(self):
         """Check every cell, so that a bad one fails before any trains."""
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "widths", tuple(int(v) for v in self.widths))
+        object.__setattr__(self, "lambdas", tuple(as_number(v, "lambda") for v in self.lambdas))
+        object.__setattr__(self, "widths", tuple(as_number(v, "width", int) for v in self.widths))
         if not self.lambdas or not self.widths:
             raise ValueError("lambdas and widths must be non-empty")
         for name, values in (("lambdas", self.lambdas), ("widths", self.widths)):

@@ -528,6 +528,54 @@ def test_integer_fields_take_integral_floats(workdir):
     loaded = configio.load_sgd_config(_write(workdir, "s.json", sgd))
     assert loaded == SgdConfig(0.05, 8, 100)
     assert type(loaded.steps) is int and type(loaded.batch_size) is int
+    # so do a sweep's widths and a recipe's integer params
+    sweep = {**SWEEP_REQUIRED, "widths": [2.0, 3], "recipe": {**RECIPE, "params": {"d": 20.0}}}
+    cfg = configio.load_sweep_config(_write(workdir, "w.json", sweep))
+    assert cfg.widths == (2, 3) and all(type(width) is int for width in cfg.widths)
+    assert cfg.recipe.params == {"d": 20} and type(cfg.recipe.params["d"]) is int
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("sgd", {**SGD_REQUIRED, "step_size": True}, "step_size must be a number, not True"),
+    ("sgd", {**SGD_REQUIRED, "step_size": "0.05"}, "step_size must be a number, not '0.05'"),
+    ("sweep", {**SWEEP_REQUIRED, "widths": [2.5]}, "width must be an integer, not 2.5"),
+    ("sweep", {**SWEEP_REQUIRED, "lambdas": [True]}, "lambda must be a number, not True"),
+    ("constants", {**SPEC, "beta": True}, "beta must be a number, not True"),
+    ("constants", {**SPEC, "lambda": "0.2"}, "lambda must be a number, not '0.2'"),
+    ("ablate", {"recipe": RECIPE, "fractions": [True, "0.5"], "settings": [SETTING_REQUIRED]},
+     "fraction must be a number, not True"),
+    ("gen", {**RECIPE, "params": {"d": 2.5}}, "d must be an integer, not 2.5"),
+    ("gen", {**RECIPE, "params": {"d": "2"}}, "d must be an integer, not '2'"),
+    ("gen", {**RECIPE, "corruption": {"fraction": True, "scale": "0.1"}},
+     "corruption fraction must be a number, not True"),
+    ("gen", {**RECIPE, "corruption": {"fraction": 0.5, "scale": "0.1"}},
+     "corruption scale must be a number, not '0.1'"),
+    ("sgd", {**SGD_REQUIRED, "init": {"tau": True}}, "tau must be a number, not True"),
+    ("sgd", {**SGD_REQUIRED, "init": {"mode": "explicit", "w0": [["0.5", True], [0.1, 0.2]]}},
+     "w0 entry must be a number, not '0.5'"),
+    ("sgd", {**SGD_REQUIRED, "init": {"mode": "explicit", "w0": [[0.5, True], [0.1, 0.2]]}},
+     "w0 entry must be a number, not True"),
+], ids=["step_size-bool", "step_size-string", "width-fraction", "lambda-bool", "beta-bool",
+        "lambda-string", "fractions", "d-fraction", "d-string", "corruption-fraction",
+        "corruption-scale", "tau-bool", "w0-string", "w0-bool"])
+def test_numbers_are_refused_rather_than_coerced(workdir, capsys, no_work, command, obj,
+                                                 message):
+    # a bool read as 1, a parsed string or a truncated fraction would run
+    # with a number the file never gave
+    path = _write(workdir, "coerced.json", obj)
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: ") and message in err
+
+
+def test_a_key_error_inside_a_command_is_no_configuration_error(workdir, monkeypatch):
+    # no configuration path raises KeyError, so one is a fault to surface
+    def lookup_fault(*args, **kwargs):
+        raise KeyError("unknown output 'hessian'")
+
+    monkeypatch.setattr(harness, "run_sweep", lookup_fault)
+    with pytest.raises(KeyError, match="hessian"):
+        cli.main(["sweep", "--config", str(_write(workdir, "w.json", SWEEP_REQUIRED)),
+                  "--out", str(workdir / "out")])
 
 
 def test_fpe_gap_checks_the_operator_size_before_the_decay_run(workdir, capsys, monkeypatch):

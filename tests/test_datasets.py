@@ -149,6 +149,34 @@ class TestRecipe:
         with pytest.raises(ValueError, match=message):
             DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, **kwargs})
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"params": {"d": 2.5}}, ValueError, "d must be an integer, not 2.5"),
+        ({"params": {"d": "2"}}, TypeError, "d must be an integer, not '2'"),
+        ({"params": {"noise_sd": True}}, TypeError, "noise_sd must be a number, not True"),
+        ({"kind": "teacher", "params": {"p_teacher": 1.5}}, ValueError,
+         "p_teacher must be an integer, not 1.5"),
+        ({"corruption": {"fraction": True}}, TypeError,
+         "corruption fraction must be a number, not True"),
+        ({"corruption": {"fraction": 0.1, "scale": "0.1"}}, TypeError,
+         "corruption scale must be a number, not '0.1'"),
+    ], ids=["d-fraction", "d-string", "noise-bool", "p_teacher-fraction", "fraction-bool",
+            "scale-string"])
+    def test_params_and_corruption_are_numbers_as_given(self, kwargs, error, message):
+        # refused at construction, before any draw
+        with pytest.raises(error, match=message):
+            DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, **kwargs})
+
+    def test_params_and_corruption_take_the_types_of_their_defaults(self):
+        recipe = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2.0, "noise_sd": 0},
+                            corruption={"fraction": 1, "scale": 2})
+        assert recipe.params == {"d": 2, "noise_sd": 0.0}
+        assert [type(v) for v in recipe.params.values()] == [int, float]
+        assert [type(v) for v in recipe.corruption.values()] == [float, float]
+        given = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2, "noise_sd": 0.0},
+                           corruption={"fraction": 1.0, "scale": 2.0})
+        for got, want in zip(recipe.realize(), given.realize()):
+            np.testing.assert_array_equal(got.ys, want.ys)
+
     def test_params_left_out_take_the_table_defaults(self):
         for kind in ("sine", "teacher"):
             given, default = (DataRecipe(kind, 30, 10, seed=3, params=params).realize()
@@ -184,3 +212,25 @@ class TestSerialization:
         train, test = recipe.realize()
         assert train.n == 20 and test.n == 10
         np.testing.assert_allclose(np.vstack([train.xs, test.xs]), ds.xs)
+
+
+class TestAsNumber:
+    def test_numbers_keep_their_values(self):
+        for value in (0.1, 1e-300, -3, np.float64(0.13), np.int64(7)):
+            got = datasets.as_number(value, "x")
+            assert type(got) is float and got == value
+        for value in (7, 1e4, 20.0, np.int64(7), np.float64(-2.0)):
+            got = datasets.as_number(value, "n", int)
+            assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, [1.0], {"x": 1}])
+    def test_non_numbers_are_type_errors(self, value):
+        for kind, noun in ((float, "a number"), (int, "an integer")):
+            with pytest.raises(TypeError, match=f"x must be {noun}, not "):
+                datasets.as_number(value, "x", kind)
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, np.float64(0.5)])
+    def test_fractions_are_no_integers(self, value):
+        with pytest.raises(ValueError) as error:
+            datasets.as_number(value, "n", int)
+        assert str(error.value) == f"n must be an integer, not {value!r}"

@@ -186,6 +186,17 @@ class TestInitSpec:
         with pytest.raises(ValueError):
             InitSpec("explicit", w0=np.array([[0.0, np.nan]]))
 
+    @pytest.mark.parametrize("w0, message", [
+        ([["0.5", 1.0]], "w0 entry must be a number, not '0.5'"),
+        ([[0.5, True]], "w0 entry must be a number, not True"),
+        (np.array([[True, False]]), "w0 entry must be a number, not True"),
+        ([[0.5, None]], "w0 entry must be a number, not None"),
+    ], ids=["string", "bool", "bool-array", "null"])
+    def test_w0_entries_are_numbers_as_given(self, w0, message):
+        # np.asarray(w0, dtype=float) would parse the string and read True as 1
+        with pytest.raises(TypeError, match=message):
+            InitSpec("explicit", w0=w0)
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"w0": [[1.0, 2.0]]}, "w0"),
         ({"mode": "zero", "w0": [[1.0, 2.0]]}, "w0"),

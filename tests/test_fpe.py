@@ -111,8 +111,9 @@ class TestBuildGrid:
         assert math.isfinite(mu.log_z) and mu.log_z == pytest.approx(-801.7, abs=0.05)
 
     def test_unknown_init_name_raises(self):
-        for init in ("gibbs", "ones"):
-            with pytest.raises(ValueError, match="unknown init"):
+        # init is None (uniform) or an array, so a name, "uniform" too, is no density
+        for init in ("gibbs", "ones", "uniform"):
+            with pytest.raises(ValueError, match="could not convert string to float"):
                 fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=init)
 
 

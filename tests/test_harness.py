@@ -33,6 +33,16 @@ def tiny_sweep(lambdas=(1e-3, 0.13), widths=(2, 4), restarts=1, base_seed=0,
 
 
 class TestSweep:
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"widths": (2.5,)}, ValueError, "width must be an integer, not 2.5"),
+        ({"widths": ("2",)}, TypeError, "width must be an integer, not '2'"),
+        ({"lambdas": (True,)}, TypeError, "lambda must be a number, not True"),
+        ({"lambdas": ("0.1",)}, TypeError, "lambda must be a number, not '0.1'"),
+    ], ids=["width-fraction", "width-string", "lambda-bool", "lambda-string"])
+    def test_cells_are_numbers_as_given(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            tiny_sweep(**kwargs)
+
     def test_degenerate_sweep_equals_single_run(self):
         cfg = tiny_sweep(lambdas=(0.05,), widths=(3,))
         result = harness.run_sweep(cfg)
