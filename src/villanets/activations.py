@@ -77,29 +77,64 @@ class Activation:
         the model checks weights and data where they enter.  At beta == 1 the
         multiplies and divides by beta are skipped, which is exact
         (1.0 * x == x / 1.0 == x).  Every operand is an array.
+
+        This is the first layer of every SGD step, so every temporary is
+        written in place into an array this call allocated: the logistic
+        chain runs in one array, and each derivative is built in its own.
+        Each in-place operation is the one IEEE operation of the formula on
+        the same operands (a product's operands may swap; no product is
+        regrouped and no constant folded), so the bits are those of the
+        formula written out.  ``x`` itself is never written, and it must have
+        at least one dimension, since a ufunc returns a scalar, not an
+        array, for 0-d input; the views pass a 0-d input as one element.
         """
         if self.kind == "tanh":
             t = np.tanh(x)
             if not order:
                 return (t,)
-            d1 = _ONE - t * t
-            return (t, d1) if order == 1 else (t, d1, _MINUS_TWO * t * d1)
+            d1 = np.multiply(t, t)
+            np.subtract(_ONE, d1, out=d1)
+            if order == 1:
+                return (t, d1)
+            d2 = np.multiply(_MINUS_TWO, t)
+            d2 *= d1
+            return (t, d1, d2)
         b = self.beta_op
-        z = x if b is None else b * x
         softplus = self.kind == "softplus"
-        s = _ONE / (_ONE + np.exp(np.minimum(-z, _EXP_CAP))) if order or not softplus else None
-        # beta s (1 - s): sigma' of sigmoid, sigma'' of softplus
-        ds = (s if b is None else b * s) * (_ONE - s) if order > softplus else None
+        z = x if b is None else np.multiply(b, x)
+        s = ds = None
+        if order or not softplus:
+            # 1 / (1 + exp(min(-z, 709))), in z's array when z is ours and
+            # nothing reads it after
+            s = np.negative(z, out=z if b is not None and not softplus else None)
+            np.minimum(s, _EXP_CAP, out=s)
+            np.exp(s, out=s)
+            np.add(_ONE, s, out=s)
+            np.divide(_ONE, s, out=s)
+        if order > softplus:
+            # (beta s)(1 - s): sigma' of sigmoid, sigma'' of softplus
+            spare = None if b is None else np.multiply(b, s)
+            ds = np.subtract(_ONE, s)
+            np.multiply(s if b is None else spare, ds, out=ds)
         if softplus:
             # log(1 + e^(beta x)) / beta via stable log-sum-exp; its slope is s
-            value = np.logaddexp(_ZERO, z)
-            return (value if b is None else value / b, s, ds)[: order + 1]
-        d2 = (ds if b is None else b * ds) * (_ONE - _TWO * s) if order > 1 else None
-        return (s, ds, d2)[: order + 1]
+            value = np.logaddexp(_ZERO, z, out=None if b is None else z)
+            if b is not None:
+                value /= b
+            return (value, s, ds)[: order + 1]
+        if order < 2:
+            return (s, ds)[: order + 1]
+        # (beta ds)(1 - 2 s), 1 - 2 s in the array beta s is done with
+        d2 = np.multiply(_TWO, s, out=spare)
+        np.subtract(_ONE, d2, out=d2)
+        np.multiply(ds if b is None else np.multiply(b, ds), d2, out=d2)
+        return (s, ds, d2)
 
     def _view(self, x, k: int):
-        out = self.derivs(_check_finite(x), k)[k]
-        return float(out) if out.ndim == 0 else out
+        arr = _check_finite(x)
+        if arr.ndim:
+            return self.derivs(arr, k)[k]
+        return float(self.derivs(arr.reshape(1), k)[k][0])
 
     def __call__(self, x):
         return self._view(x, 0)

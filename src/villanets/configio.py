@@ -17,9 +17,12 @@ the file's top level).  An unknown key and a missing required key are
 refused, and an optional key left out takes the dataclass default.  Every
 number (a field, a ``lambdas``, ``widths``, ``fractions`` or ``w0`` entry, a
 recipe param or corruption entry) passes ``datasets.as_number``: no bool,
-no string, and for an int no fraction (``1e4`` is one), and the dataclasses
-hold library code to it too.  Each failure, including a value of the wrong
-JSON type or out of range, is a ``ValueError`` that names the file.
+no string, and for an int no fraction (``1e4`` is one).  The dataclasses
+apply that rule to their own fields, so library code is held to it too.  A
+``file`` recipe's relative ``path``, like a spec's ``data_path``, is read
+against the folder of the config file that holds it.  Each failure,
+including a value of the wrong JSON type or out of range, is a
+``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -53,28 +56,17 @@ def _build(cls, obj: dict, what: str, spelt=None, parse=None, drop=(), shared=No
     fields of ``cls`` spelt as ``spelt`` maps them, less those in ``drop``:
     these take their defaults, or their values from ``shared``, the keys an
     enclosing object gives every ``obj``."""
-    spelt, parse = spelt or {}, {**_PARSERS, **(parse or {})}
+    spelt, parse = spelt or {}, {"init": parse_init, **(parse or {})}
     fields = {spelt.get(f.name, f.name): f for f in dataclasses.fields(cls) if f.init}
     known = [key for key, f in fields.items() if f.name not in drop]
     check_keys(obj, what, known, [key for key in known if _required(fields[key])])
     given = {**(shared or {}), **obj}
-    return cls(**{f.name: _value(f, key, given[key], parse)
+    return cls(**{f.name: parse[f.name](given[key]) if f.name in parse else given[key]
                   for key, f in fields.items() if key in given})
 
 
 def _required(field: dataclasses.Field) -> bool:
     return field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING
-
-
-def _value(field: dataclasses.Field, key: str, value, parse: dict):
-    """``value`` through the field's parser, else by the number rule of its
-    declared type; a field whose default is None takes null."""
-    if field.name in parse:
-        return parse[field.name](value)
-    kind = {"int": int, "float": float}.get(field.type.removesuffix(" | None"))
-    if kind is None or value is None and field.default is None:
-        return value
-    return as_number(value, key, kind)
 
 
 def load_spec(path):
@@ -104,21 +96,24 @@ def load_sgd_config(path) -> SgdConfig:
 
 
 def load_recipe(path) -> DataRecipe:
-    return _load(path, _parse_recipe)
+    return _load(path, lambda obj: _parse_recipe(obj, Path(path).parent))
 
 
-def _parse_recipe(obj: dict) -> DataRecipe:
-    return _build(DataRecipe, obj, "recipe")
-
-
-# the parsers of the fields that hold a nested config
-_PARSERS = {"init": parse_init, "recipe": _parse_recipe}
+def _parse_recipe(obj: dict, folder: Path) -> DataRecipe:
+    """A ``file`` recipe's relative path is read against ``folder``, the
+    folder of the config file that holds the recipe."""
+    recipe = _build(DataRecipe, obj, "recipe")
+    if recipe.kind != "file":
+        return recipe
+    return dataclasses.replace(recipe, params={"path": str(folder / recipe.params["path"])})
 
 
 def load_sweep_config(path) -> SweepConfig:
+    folder = Path(path).parent
     return _load(path, lambda obj: _build(
         SweepConfig, obj, "sweep", spelt={"act_kind": "activation", "act_beta": "beta"},
-        parse={"sgd": lambda sgd: _build(SgdConfig, sgd, "sweep sgd", drop=("seed",))}))
+        parse={"sgd": lambda sgd: _build(SgdConfig, sgd, "sweep sgd", drop=("seed",)),
+               "recipe": lambda recipe: _parse_recipe(recipe, folder)}))
 
 
 # the AblationConfig fields that an ablate file gives once, for every setting
@@ -126,16 +121,18 @@ _ABLATE_SHARED = ("recipe", "base_seed", "corruption_scale", "init_tau", "a_mode
 
 
 def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
-    return _load(path, _parse_ablate)
+    return _load(path, lambda obj: _parse_ablate(obj, Path(path).parent))
 
 
-def _parse_ablate(obj: dict) -> tuple[list[AblationConfig], list[float]]:
+def _parse_ablate(obj: dict, folder: Path) -> tuple[list[AblationConfig], list[float]]:
     check_keys(obj, "ablate", (*_ABLATE_SHARED, "fractions", "settings"),
                ("recipe", "fractions", "settings"))
     fractions = [as_number(f, "fraction") for f in obj["fractions"]]
     if not obj["settings"]:
         raise ValueError("settings must be a non-empty list")
     shared = {key: obj[key] for key in _ABLATE_SHARED if key in obj}
+    parse = {"recipe": lambda recipe: _parse_recipe(recipe, folder)}
     configs = [_build(AblationConfig, setting, "ablate setting", spelt={"lam": "lambda"},
-                      drop=_ABLATE_SHARED, shared=shared) for setting in obj["settings"]]
+                      parse=parse, drop=_ABLATE_SHARED, shared=shared)
+               for setting in obj["settings"]]
     return configs, fractions

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -111,6 +111,19 @@ def as_number(value, key: str, kind=float):
     return kind(value)
 
 
+def numbers_as_declared(obj) -> None:
+    """Pass each field of the dataclass ``obj`` that is declared ``int`` or
+    ``float`` through :func:`as_number`, in place; a ``float | None``
+    field whose default is None also takes None."""
+    for f in fields(obj):
+        kind = {"int": int, "float": float}.get(f.type.removesuffix(" | None"))
+        if kind is None:
+            continue
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            object.__setattr__(obj, f.name, as_number(value, f.name, kind))
+
+
 # Each recipe kind's params and their defaults: the one place that names
 # them.  None marks a param with no default, which the recipe must give.
 RECIPE_PARAMS = {"sine": {"d": 20, "noise_sd": 0.5},
@@ -140,6 +153,7 @@ class DataRecipe:
     def __post_init__(self):
         if self.kind not in RECIPE_PARAMS:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
+        numbers_as_declared(self)
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be at least 1")
         defaults = RECIPE_PARAMS[self.kind]

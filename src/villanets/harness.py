@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import activations, model
-from .datasets import DataRecipe, as_number, corrupt_labels
+from .datasets import DataRecipe, as_number, corrupt_labels, numbers_as_declared
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, outer_weights
 
@@ -44,6 +43,7 @@ class SweepConfig:
 
     def __post_init__(self):
         """Check every cell, so that a bad one fails before any trains."""
+        numbers_as_declared(self)
         object.__setattr__(self, "lambdas", tuple(as_number(v, "lambda") for v in self.lambdas))
         object.__setattr__(self, "widths", tuple(as_number(v, "width", int) for v in self.widths))
         if not self.lambdas or not self.widths:
@@ -92,7 +92,8 @@ def cell_seed(base_seed: int, i_lam: int, i_width: int, restart: int) -> int:
 
 def test_mse(spec: LossSpec, test: Dataset, w: np.ndarray) -> float:
     """Unregularized held-out mean squared error."""
-    r = model.predict(spec, test.xs, w) - test.ys
+    r = model.predict(spec, test.xs, w)
+    r -= test.ys
     return float(np.mean(r * r))
 
 
@@ -173,6 +174,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     grid = np.full((len(cfg.lambdas), len(cfg.widths)), math.inf)
     per_cell = []
     if jobs > 1:
+        # imported here, so that no other command loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:
@@ -207,6 +210,7 @@ class AblationConfig:
     sgd: SgdConfig = field(init=False, compare=False)
 
     def __post_init__(self):
+        numbers_as_declared(self)
         if self.recipe.corruption.get("fraction", 0.0) > 0.0:
             raise ValueError("the ablation recipe must be clean: corrupt it through "
                              "fractions and corruption_scale")

@@ -248,7 +248,13 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     :class:`Net`, :class:`LossSpec`, :class:`Activation` hold them as
     derived fields), and every operand is an array, 0-d for a scalar, since
     numpy converts a Python float or int operand on every call.  The 0-d
-    operands hold the same doubles, so no result changes by a bit.
+    operands hold the same doubles, so no result changes by a bit.  Each
+    (..., p, n) and (..., p, d) temporary is written in place into an array
+    this call owns, by the same IEEE operation on the same operands as the
+    formula below (operands may swap; nothing is regrouped): the gradient's
+    coefficient and the Laplacian's sigma'^2 reuse sigma's array, which
+    nothing reads once the residual is formed.  ``w``, the data and the
+    spec's constants are never written.
 
     With r_i = f(x_i) - y_i and means over the samples, row j of the
     gradient is mean_i a_j r_i sigma'(w_j.x_i) x_i + lam w_j, and the
@@ -267,19 +273,25 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     n = _count(xs.shape[-2])
     xs_t = xs.swapaxes(-1, -2) if xs.ndim == 3 else xs.T
     sig = net.act.derivs(w @ xs_t, _max_order(outputs))   # each (..., p, n)
-    r = net.a @ sig[0] - ys                               # (..., n)
+    r = net.a @ sig[0]                                    # (..., n)
+    r -= ys
+    spare = sig[0]            # sigma's array, which nothing reads after r
     out = []
     for name in outputs:
         if name == "grad":
-            coef = (net.a_col * sig[1]) * r[..., None, :]
-            out.append((coef @ xs) / n + spec.lam_op * w)
+            coef = np.multiply(net.a_col, sig[1], out=spare)
+            coef *= r[..., None, :]
+            g = coef @ xs
+            g /= n
+            g += spec.lam_op * w
+            out.append(g)
         elif name == "loss":
             # add.reduce / n is np.mean's own arithmetic, without its wrappers
             out.append(_HALF * (np.add.reduce(r * r, axis=-1) / n)
                        + spec.half_lam_op * np.add.reduce(w * w, axis=(-2, -1)))
         else:
             xsq = data.xsq if batch is None else data.xsq.take(batch)
-            sq_term = net.a_sq @ ((sig[1] * sig[1]) @ xsq[..., None])
+            sq_term = net.a_sq @ (np.multiply(sig[1], sig[1], out=spare) @ xsq[..., None])
             curv_term = net.a @ (sig[2] @ (r * xsq)[..., None])
             out.append((sq_term + curv_term)[..., 0] / n + spec.ridge_trace_op)
     return tuple(out)

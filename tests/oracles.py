@@ -5,6 +5,10 @@ walks python loops over math functions, the derivative oracles are central
 finite differences of the loss, the global-minimum oracle is plain
 multi-start full-batch gradient descent, and the density-solver oracles step
 rho with a sparse LU of I - dt * G instead of the symmetric banded form.
+The kernel references write the formulas of ``Activation.derivs``,
+``model.evaluate`` and ``dynamics.sgd_step`` out, one fresh array per
+operation, in the order of operations that the library's in-place kernel
+must reproduce bit for bit.
 """
 
 import math
@@ -24,6 +28,47 @@ def naive_sigma(kind: str, beta: float, z: float) -> float:
     if kind == "tanh":
         return math.tanh(z)
     return math.log1p(math.exp(beta * z)) / beta
+
+
+def derivs_reference(act: Activation, x: np.ndarray, order: int) -> tuple:
+    """(sigma, sigma', sigma'')[: order + 1] at ``x``; at beta = 1 each
+    multiply and divide by beta is exact, so one formula serves every beta."""
+    if act.kind == "tanh":
+        t = np.tanh(x)
+        d1 = 1.0 - t * t
+        return (t, d1, -2.0 * t * d1)[: order + 1]
+    b = act.beta
+    z = b * x
+    s = 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
+    ds = (b * s) * (1.0 - s)
+    if act.kind == "softplus":
+        return (np.logaddexp(0.0, z) / b, s, ds)[: order + 1]
+    return (s, ds, (b * ds) * (1.0 - 2.0 * s))[: order + 1]
+
+
+def evaluate_reference(spec: LossSpec, w: np.ndarray, batch=None) -> tuple:
+    """(loss, grad, laplacian) of ``model.evaluate`` at one (p, d) matrix or
+    a (k, p, d) stack, with ``batch`` as it takes it."""
+    net, data = spec.net, spec.data
+    xs, ys, xsq = data.xs, data.ys, data.xsq
+    if batch is not None:
+        xs, ys, xsq = xs.take(batch, axis=0), ys.take(batch, axis=0), xsq.take(batch)
+    n = xs.shape[-2]
+    sig = derivs_reference(net.act, w @ xs.swapaxes(-1, -2), 2)
+    r = net.a @ sig[0] - ys
+    loss = (0.5 * (np.add.reduce(r * r, axis=-1) / n)
+            + 0.5 * spec.lam * np.add.reduce(w * w, axis=(-2, -1)))
+    coef = (net.a[:, None] * sig[1]) * r[..., None, :]
+    grad = (coef @ xs) / n + spec.lam * w
+    sq_term = (net.a * net.a) @ ((sig[1] * sig[1]) @ xsq[..., None])
+    curv_term = net.a @ (sig[2] @ (r * xsq)[..., None])
+    laplacian = (sq_term + curv_term)[..., 0] / n + spec.lam * spec.p * spec.d
+    return loss, grad, laplacian
+
+
+def sgd_step_reference(spec: LossSpec, w: np.ndarray, batch, s) -> np.ndarray:
+    """``dynamics.sgd_step``: W - s * grad over the batch."""
+    return w - s * evaluate_reference(spec, w, batch)[1]
 
 
 def naive_loss(spec: LossSpec, w: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import oracles
 from villanets import activations
 
 ALL_KINDS = ["sigmoid", "tanh", "softplus"]
@@ -82,6 +83,31 @@ def test_derivs_equals_the_public_views(kind):
     for order in (0, 1):
         for got, want in zip(act.derivs(x, order), (value, d1)[: order + 1], strict=True):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("beta", [1.0, 2.5])
+def test_derivs_are_the_formulas_bit_for_bit(kind, beta):
+    # the in-place kernel against the formulas written out; its input is
+    # read-only, so a write to it raises
+    act = activations.make(kind, beta)
+    rng = np.random.default_rng(23)
+    for shape in ((7,), (5, 9), (3, 4, 6)):
+        x = 20.0 * rng.standard_normal(shape)
+        x.flat[:2] = (-800.0 / beta, 800.0 / beta)  # past the exponent cap
+        given = x.copy()
+        x.setflags(write=False)
+        for order in (0, 1, 2):
+            got = act.derivs(x, order)
+            want = oracles.derivs_reference(act, x, order)
+            for out, ref in zip(got, want, strict=True):
+                assert out.shape == shape and np.array_equal(out, ref)
+        assert np.array_equal(x, given)
+    for x in (-800.0 / beta, -3.2, 0.0, 0.7, 30.0):
+        for order, view in enumerate((act, act.d1, act.d2)):
+            got = view(x)
+            assert type(got) is float
+            assert got == float(oracles.derivs_reference(act, np.array(x), order)[order])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

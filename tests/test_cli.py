@@ -500,6 +500,30 @@ def test_missing_config_keys_are_refused(workdir, capsys, no_work, command, obj,
     assert repr(key) in err
 
 
+FILE_RECIPE = {"kind": "file", "n_train": 30, "n_test": 10, "seed": 0,
+               "params": {"path": "full.csv"}}
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("gen", FILE_RECIPE),
+    ("sweep", {**SWEEP_REQUIRED, "recipe": FILE_RECIPE}),
+    ("ablate", {"recipe": FILE_RECIPE, "fractions": [0.0], "settings": [SETTING_REQUIRED]}),
+])
+def test_a_file_recipe_path_is_read_against_its_config_folder(workdir, monkeypatch, command,
+                                                              obj):
+    # run from another folder: the data file sits beside the config file
+    folder = workdir / "cfg"
+    folder.mkdir()
+    full = datasets.gen_sine(3, 40, 0.1, seed=7)
+    datasets.save_csv(full, folder / "full.csv")
+    _write(folder, "config.json", obj)
+    monkeypatch.chdir(workdir)
+    flag = "--recipe" if command == "gen" else "--config"
+    assert cli.main([command, flag, "cfg/config.json", "--out", "out"]) == 0
+    if command == "gen":
+        assert np.array_equal(datasets.load_csv("out").xs, full.xs[:30])
+
+
 @pytest.mark.parametrize("command, obj, key", [
     ("sgd", {**SGD_REQUIRED, "steps": 100.7}, "steps"),
     ("sgd", {**SGD_REQUIRED, "batch_size": 8.9}, "batch_size"),

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestRecipe:
 
     def test_round_trip_dict(self):
         recipe = DataRecipe("sine", 10, 10, seed=1, params={"d": 2, "noise_sd": 0.5})
-        again = configio._parse_recipe(json.loads(json.dumps(asdict(recipe))))
+        again = configio._parse_recipe(json.loads(json.dumps(asdict(recipe))), Path())
         assert again == recipe
 
     def test_validation(self):
@@ -165,6 +166,17 @@ class TestRecipe:
         # refused at construction, before any draw
         with pytest.raises(error, match=message):
             DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("n_train", True, TypeError), ("n_test", 5.5, ValueError),
+        ("seed", 1.5, ValueError), ("seed", "1", TypeError),
+    ], ids=["n_train-bool", "n_test-fraction", "seed-fraction", "seed-string"])
+    def test_counts_and_seed_are_numbers_as_given(self, field, value, error):
+        with pytest.raises(error, match=f"{field} must be an integer, not {value!r}"):
+            DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, field: value})
+        recipe = DataRecipe("sine", 50.0, 1e1, seed=np.int64(3))
+        assert (recipe.n_train, recipe.n_test, recipe.seed) == (50, 10, 3)
+        assert {type(v) for v in (recipe.n_train, recipe.n_test, recipe.seed)} == {int}
 
     def test_params_and_corruption_take_the_types_of_their_defaults(self):
         recipe = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2.0, "noise_sd": 0},

@@ -53,6 +53,22 @@ class TestSgdStep:
             np.testing.assert_allclose(stepped, w - s * model.grad(spec, w),
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("kind, beta", [("sigmoid", 1.0), ("tanh", 1.0), ("softplus", 2.5)])
+    def test_step_is_the_update_formula_bit_for_bit(self, kind, beta):
+        # the weights are read-only, so a write to them raises
+        rng = np.random.default_rng(29)
+        spec = oracles.random_spec(rng, activations.make(kind, beta))
+        p, d, n = spec.p, spec.d, spec.n
+        for w, batch in ((rng.standard_normal((p, d)), None),
+                         (rng.standard_normal((p, d)), rng.integers(0, n, 3)),
+                         (rng.standard_normal((4, p, d)), rng.integers(0, n, (4, 3)))):
+            given = w.copy()
+            w.setflags(write=False)
+            want = oracles.sgd_step_reference(spec, w, batch, 0.03)
+            for s in (0.03, np.array(0.03)):
+                assert np.array_equal(dynamics.sgd_step(spec, w, batch, s), want)
+            assert np.array_equal(w, given)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             dynamics.sgd_step(small_spec(), np.zeros((2, 2)), [], 0.1)
@@ -170,6 +186,23 @@ class TestRunSgd:
             with pytest.raises(ValueError, match=field):
                 SgdConfig(**{"step_size": 0.1, "batch_size": 4, "steps": 10, field: value})
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("step_size", True, TypeError, "step_size must be a number, not True"),
+        ("step_size", "0.1", TypeError, "step_size must be a number, not '0.1'"),
+        ("batch_size", 8.5, ValueError, "batch_size must be an integer, not 8.5"),
+        ("steps", True, TypeError, "steps must be an integer, not True"),
+        ("seed", 1.5, ValueError, "seed must be an integer, not 1.5"),
+        ("log_every", "5", TypeError, "log_every must be an integer, not '5'"),
+    ], ids=["step-bool", "step-string", "batch-fraction", "steps-bool", "seed-fraction",
+            "log-string"])
+    def test_config_fields_are_numbers_as_given(self, field, value, error, message):
+        # as in a config file: refused in library code, not read as 1 or truncated
+        with pytest.raises(error, match=message):
+            SgdConfig(**{"step_size": 0.1, "batch_size": 4, "steps": 10, field: value})
+        integral = SgdConfig(step_size=1, batch_size=4.0, steps=1e2)
+        assert integral == SgdConfig(1.0, 4, 100)
+        assert [type(integral.step_size), type(integral.batch_size)] == [float, int]
+
 
 class TestInitSpec:
     def test_modes(self):
@@ -185,6 +218,12 @@ class TestInitSpec:
             InitSpec("gaussian", tau=-1.0)
         with pytest.raises(ValueError):
             InitSpec("explicit", w0=np.array([[0.0, np.nan]]))
+
+    def test_tau_is_a_number_as_given(self):
+        for tau in (True, "0.5"):
+            with pytest.raises(TypeError, match=f"tau must be a number, not {tau!r}"):
+                InitSpec(tau=tau)
+        assert type(InitSpec(tau=1).tau) is float and InitSpec().tau is None
 
     @pytest.mark.parametrize("w0, message", [
         ([["0.5", 1.0]], "w0 entry must be a number, not '0.5'"),
@@ -416,6 +455,25 @@ class TestEnsembles:
         for seed, entry in zip(seeds, stacked, strict=True):
             assert _outcome(entry) == _lone(dynamics.run_sgd, spec,
                                             dataclasses.replace(cfg, seed=seed))
+
+    def test_last_w_is_the_last_finite_row_of_the_update_formula(self):
+        # s * lam ~ 190: every chain's weights overflow between log points
+        spec = small_spec()
+        cfg = SgdConfig(step_size=1e3, batch_size=4, steps=1000, seed=0,
+                        init=InitSpec("gaussian", tau=1.0), log_every=1000)
+        seeds = [0, 1, 2]
+        for seed, entry in zip(seeds, dynamics.run_sgd_chains(spec, cfg, seeds), strict=True):
+            assert isinstance(entry, DivergenceError) and 0 < entry.step < cfg.steps
+            rng = np.random.default_rng(seed)
+            w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, cfg.step_size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(entry.step - 1):
+                    w = oracles.sgd_step_reference(spec, w, rng.integers(0, spec.n, size=4),
+                                                   cfg.step_size)
+                last = oracles.sgd_step_reference(spec, w, rng.integers(0, spec.n, size=4),
+                                                  cfg.step_size)
+            assert np.isfinite(w).all() and not np.isfinite(last).all()
+            assert np.array_equal(entry.last_w, w)
 
     @pytest.mark.parametrize("dt, t_max, log_every", [(0.01, 3.0, 40), (11.5, 1150.0, 5)])
     def test_sde_paths_equal_lone_runs(self, dt, t_max, log_every):

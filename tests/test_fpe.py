@@ -318,12 +318,15 @@ def _run_fresh(code: str) -> str:
 
 
 def test_import_loads_no_scipy():
-    # fpe imports each scipy module the first time a function needs it, so
-    # commands that solve no density pay for numpy only
+    # fpe imports each scipy module the first time a function needs it, and
+    # the harness the process pool only for a sweep on more than one job, so
+    # commands that need neither pay for numpy only
     for module in ("villanets", "villanets.cli"):
-        _run_fresh(f"import sys, {module}\n"
-                   "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-                   "assert not loaded, loaded")
+        for packages in (("scipy",), ("multiprocessing", "concurrent")):
+            _run_fresh(f"import sys, {module}\n"
+                       "loaded = sorted(m for m in sys.modules\n"
+                       f"                if m.split('.')[0] in {packages!r})\n"
+                       "assert not loaded, loaded")
 
 
 def test_deferred_scipy_imports_resolve_in_a_fresh_process():

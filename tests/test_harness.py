@@ -118,6 +118,15 @@ class TestSweep:
         with pytest.raises(ValueError, match=match):
             SweepConfig(**{**base, **change})
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("restarts_per_cell", 1.5, ValueError, "restarts_per_cell must be an integer, not 1.5"),
+        ("base_seed", True, TypeError, "base_seed must be an integer, not True"),
+        ("act_beta", "2", TypeError, "act_beta must be a number, not '2'"),
+    ], ids=["restarts-fraction", "seed-bool", "beta-string"])
+    def test_scalar_fields_are_numbers_as_given(self, field, value, error, message):
+        with pytest.raises(error, match=message):
+            replace(tiny_sweep(), **{field: value})
+
 
 class TestReports:
     def test_csv_round_trip(self, tmp_path):
@@ -189,6 +198,23 @@ class TestAblation:
     def test_setting_checked_at_construction(self, change, match):
         with pytest.raises(ValueError, match=match):
             replace(self.ablation_cfg(), **change)
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("lam", True, TypeError, "lam must be a number, not True"),
+        ("width", 2.5, ValueError, "width must be an integer, not 2.5"),
+        ("step_size", "0.05", TypeError, "step_size must be a number, not '0.05'"),
+        ("steps", True, TypeError, "steps must be an integer, not True"),
+        ("base_seed", 1.5, ValueError, "base_seed must be an integer, not 1.5"),
+        ("corruption_scale", True, TypeError, "corruption_scale must be a number, not True"),
+        ("init_tau", "1", TypeError, "init_tau must be a number, not '1'"),
+    ], ids=["lam-bool", "width-fraction", "step-string", "steps-bool", "seed-fraction",
+            "scale-bool", "tau-string"])
+    def test_setting_fields_are_numbers_as_given(self, field, value, error, message):
+        # as in an ablate file: refused in library code, not read as 1 or truncated
+        with pytest.raises(error, match=message):
+            replace(self.ablation_cfg(), **{field: value})
+        integral = replace(self.ablation_cfg(), lam=0, width=4.0)
+        assert (type(integral.lam), type(integral.width)) == (float, int)
 
     def test_every_fraction_shares_one_seeded_sgd_config(self):
         cfg = self.ablation_cfg()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -160,6 +161,30 @@ class TestEvaluate:
                 single = model.evaluate(spec, stack[i], self.OUTPUTS, batches[i])
                 for got, want in zip(stacked, single, strict=True):
                     np.testing.assert_array_equal(got[i], want)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.5])
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softplus"])
+    def test_outputs_are_the_formulas_bit_for_bit(self, kind, beta):
+        # every order of every set of outputs, since they share the kernel's
+        # arrays; the weights are read-only, so a write to them raises
+        rng = np.random.default_rng(47)
+        named = [names for k in (1, 2, 3) for names in itertools.permutations(self.OUTPUTS, k)]
+        for _ in range(3):
+            spec = oracles.random_spec(rng, activations.make(kind, beta))
+            p, d, n = spec.p, spec.d, spec.n
+            for w, batch in ((rng.standard_normal((p, d)), None),
+                             (rng.standard_normal((p, d)), rng.integers(0, n, 3)),
+                             (rng.standard_normal((4, p, d)), None),
+                             (rng.standard_normal((4, p, d)), rng.integers(0, n, (4, 3)))):
+                given = w.copy()
+                w.setflags(write=False)
+                want = dict(zip(self.OUTPUTS, oracles.evaluate_reference(spec, w, batch)))
+                for outputs in named:
+                    got = model.evaluate(spec, w, outputs, batch)
+                    for name, out in zip(outputs, got, strict=True):
+                        assert np.shape(out) == np.shape(want[name])
+                        assert np.array_equal(out, want[name])
+                assert np.array_equal(w, given)
 
     def test_outputs_come_in_the_order_named(self):
         spec = oracles.random_spec(np.random.default_rng(3), activations.tanh())
