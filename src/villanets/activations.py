@@ -4,10 +4,11 @@ Each activation carries the constants every bound downstream needs:
 the sup of |sigma|, the Lipschitz constant of sigma, the sups of the first
 and second derivatives, and sigma(0).  The sup of |sigma''| is also the
 Lipschitz constant of sigma'.  Every formula is written once, in
-:meth:`Activation.derivs`.  The logistic function of sigmoid and softplus is
-1 / (1 + exp(-z)) on numpy's vectorized ``exp``, with the exponent capped at
-709 so no pre-activation overflows or warns: below z = -709 it returns
-~1.2e-308 in place of e^z, an absolute error under 1.3e-308.
+:meth:`Activation.derivs`, in place where a workload runs it.  The logistic
+function of sigmoid and softplus is 1 / (1 + exp(-z)) on numpy's ``exp``,
+with the exponent capped at 709 so no pre-activation overflows or warns:
+below z = -709 it returns ~1.2e-308 in place of e^z, an absolute error
+under 1.3e-308.
 """
 
 from __future__ import annotations
@@ -78,56 +79,46 @@ class Activation:
         multiplies and divides by beta are skipped, which is exact
         (1.0 * x == x / 1.0 == x).  Every operand is an array.
 
-        This is the first layer of every SGD step, so every temporary is
-        written in place into an array this call allocated: the logistic
-        chain runs in one array, and each derivative is built in its own.
-        Each in-place operation is the one IEEE operation of the formula on
-        the same operands (a product's operands may swap; no product is
-        regrouped and no constant folded), so the bits are those of the
-        formula written out.  ``x`` itself is never written, and it must have
-        at least one dimension, since a ufunc returns a scalar, not an
-        array, for 0-d input; the views pass a 0-d input as one element.
+        In place on the path a workload measures, sigmoid at beta == 1: the
+        logistic chain runs in one array, sigma' and sigma'' in their own,
+        each step the formula's IEEE operation on the same operands (a
+        product's or sum's may swap; nothing is regrouped or folded), so the
+        bits are the formula's.  Tanh, the softplus value and beta != 1 are
+        the formulas written out.  ``x`` is never written and must have a
+        dimension (a ufunc gives a scalar for 0-d input), so the views pass
+        a 0-d input as one element.
         """
         if self.kind == "tanh":
             t = np.tanh(x)
             if not order:
                 return (t,)
-            d1 = np.multiply(t, t)
-            np.subtract(_ONE, d1, out=d1)
-            if order == 1:
-                return (t, d1)
-            d2 = np.multiply(_MINUS_TWO, t)
-            d2 *= d1
-            return (t, d1, d2)
+            d1 = _ONE - t * t
+            return (t, d1) if order == 1 else (t, d1, (_MINUS_TWO * t) * d1)
         b = self.beta_op
         softplus = self.kind == "softplus"
-        z = x if b is None else np.multiply(b, x)
+        z = x if b is None else b * x
         s = ds = None
         if order or not softplus:
-            # 1 / (1 + exp(min(-z, 709))), in z's array when z is ours and
-            # nothing reads it after
-            s = np.negative(z, out=z if b is not None and not softplus else None)
+            # 1 / (1 + exp(min(-z, 709))) in one array
+            s = np.negative(z)
             np.minimum(s, _EXP_CAP, out=s)
             np.exp(s, out=s)
-            np.add(_ONE, s, out=s)
+            s += _ONE
             np.divide(_ONE, s, out=s)
         if order > softplus:
             # (beta s)(1 - s): sigma' of sigmoid, sigma'' of softplus
-            spare = None if b is None else np.multiply(b, s)
             ds = np.subtract(_ONE, s)
-            np.multiply(s if b is None else spare, ds, out=ds)
+            ds *= s if b is None else b * s
         if softplus:
             # log(1 + e^(beta x)) / beta via stable log-sum-exp; its slope is s
-            value = np.logaddexp(_ZERO, z, out=None if b is None else z)
-            if b is not None:
-                value /= b
-            return (value, s, ds)[: order + 1]
+            value = np.logaddexp(_ZERO, z)
+            return (value if b is None else value / b, s, ds)[: order + 1]
         if order < 2:
             return (s, ds)[: order + 1]
-        # (beta ds)(1 - 2 s), 1 - 2 s in the array beta s is done with
-        d2 = np.multiply(_TWO, s, out=spare)
+        # (beta ds)(1 - 2 s)
+        d2 = np.multiply(_TWO, s)
         np.subtract(_ONE, d2, out=d2)
-        np.multiply(ds if b is None else np.multiply(b, ds), d2, out=d2)
+        d2 *= ds if b is None else b * ds
         return (s, ds, d2)
 
     def _view(self, x, k: int):

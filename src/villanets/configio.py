@@ -20,9 +20,9 @@ recipe param or corruption entry) passes ``datasets.as_number``: no bool,
 no string, and for an int no fraction (``1e4`` is one).  The dataclasses
 apply that rule to their own fields, so library code is held to it too.  A
 ``file`` recipe's relative ``path``, like a spec's ``data_path``, is read
-against the folder of the config file that holds it.  Each failure,
-including a value of the wrong JSON type or out of range, is a
-``ValueError`` that names the file.
+against the folder of the config file that holds it.  Each failure, a JSON
+syntax error and a value of the wrong JSON type (a string for an array)
+included, is a ``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from .harness import AblationConfig, SweepConfig, build_cell_spec
 
 def _load(path, parse):
     """``parse`` applied to the JSON in ``path``.  A wrongly typed value
-    surfaces in ``parse`` as a TypeError or AttributeError; it is raised
-    again as a ValueError that names the file."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    surfaces in ``parse`` as a TypeError or AttributeError; it, and a JSON
+    syntax error, are raised again as a ValueError that names the file."""
     try:
-        return parse(obj)
+        with open(path) as fh:
+            return parse(json.load(fh))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: wrongly typed value: {exc}") from exc
     except ValueError as exc:
@@ -63,6 +62,12 @@ def _build(cls, obj: dict, what: str, spelt=None, parse=None, drop=(), shared=No
     given = {**(shared or {}), **obj}
     return cls(**{f.name: parse[f.name](given[key]) if f.name in parse else given[key]
                   for key, f in fields.items() if key in given})
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):   # a string's characters would pass as entries
+        raise TypeError(f"{what} must be a JSON array, not {value!r}")
+    return value
 
 
 def _required(field: dataclasses.Field) -> bool:
@@ -88,7 +93,7 @@ def _parse_spec(obj: dict, folder: Path):
 
 
 def parse_init(obj: dict | None) -> InitSpec:
-    return _build(InitSpec, obj or {}, "init")
+    return _build(InitSpec, {} if obj is None else obj, "init")
 
 
 def load_sgd_config(path) -> SgdConfig:
@@ -113,7 +118,9 @@ def load_sweep_config(path) -> SweepConfig:
     return _load(path, lambda obj: _build(
         SweepConfig, obj, "sweep", spelt={"act_kind": "activation", "act_beta": "beta"},
         parse={"sgd": lambda sgd: _build(SgdConfig, sgd, "sweep sgd", drop=("seed",)),
-               "recipe": lambda recipe: _parse_recipe(recipe, folder)}))
+               "recipe": lambda recipe: _parse_recipe(recipe, folder),
+               "lambdas": lambda values: _array(values, "lambdas"),
+               "widths": lambda values: _array(values, "widths")}))
 
 
 # the AblationConfig fields that an ablate file gives once, for every setting
@@ -127,8 +134,8 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
 def _parse_ablate(obj: dict, folder: Path) -> tuple[list[AblationConfig], list[float]]:
     check_keys(obj, "ablate", (*_ABLATE_SHARED, "fractions", "settings"),
                ("recipe", "fractions", "settings"))
-    fractions = [as_number(f, "fraction") for f in obj["fractions"]]
-    if not obj["settings"]:
+    fractions = [as_number(f, "fraction") for f in _array(obj["fractions"], "fractions")]
+    if not _array(obj["settings"], "settings"):
         raise ValueError("settings must be a non-empty list")
     shared = {key: obj[key] for key in _ABLATE_SHARED if key in obj}
     parse = {"recipe": lambda recipe: _parse_recipe(recipe, folder)}

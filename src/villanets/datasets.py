@@ -90,7 +90,9 @@ def _teacher_split(a, w, n: int, noise_sd: float, rng: np.random.Generator) -> D
 def check_keys(obj: dict, what: str, known, required=()) -> None:
     """Refuse a key of ``obj`` outside ``known``, which would otherwise be
     ignored and its setting silently take the default, and a ``required``
-    key that ``obj`` leaves out."""
+    key that ``obj`` leaves out; a non-dict ``obj`` is a TypeError."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object, not {obj!r}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}; known keys: {sorted(known)}")

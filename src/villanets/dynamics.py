@@ -26,10 +26,11 @@ rules:
   holds the same double, so no bit changes;
 * each step's weights are checked by :func:`_all_finite`, whose exact
   pre-check is one dot product;
-* each temporary is written in place, into an array that the same call
-  allocated, by the same IEEE operation on the same operands (a product's
-  or sum's operands may swap; nothing is regrouped and no constant
-  folded), so no bit changes.  Nothing the caller owns is written: not the
+* on the path a workload measures, each temporary is written in place,
+  into an array that the same call allocated, by the same IEEE operation
+  on the same operands (operands may swap; nothing is regrouped and no
+  constant folded), so no bit changes; elsewhere the formula is written
+  out.  Nothing the caller owns is written: not the
   input of ``derivs``, not the ``w`` given to ``evaluate`` or
   :func:`sgd_step` (:func:`_integrate` keeps the previous stack for
   ``DivergenceError.last_w``), not the data arrays.
@@ -329,10 +330,7 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     dt_op, noise_scale = np.array(float(dt)), np.array(math.sqrt(s * dt))
 
     def draw(rng, size):
-        # scaled once per block: the same one multiply per number as per step
-        noise = rng.standard_normal(size)
-        noise *= noise_scale
-        return noise
+        return noise_scale * rng.standard_normal(size)
 
     def step(w, noise):
         g = model.evaluate(spec, w, ("grad",))[0]

@@ -271,8 +271,7 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     if batch is not None:
         xs, ys = xs.take(batch, axis=0), ys.take(batch, axis=0)
     n = _count(xs.shape[-2])
-    xs_t = xs.swapaxes(-1, -2) if xs.ndim == 3 else xs.T
-    sig = net.act.derivs(w @ xs_t, _max_order(outputs))   # each (..., p, n)
+    sig = net.act.derivs(w @ xs.swapaxes(-1, -2), _max_order(outputs))   # each (..., p, n)
     r = net.a @ sig[0]                                    # (..., n)
     r -= ys
     spare = sig[0]            # sigma's array, which nothing reads after r

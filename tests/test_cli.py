@@ -416,6 +416,34 @@ def test_wrongly_typed_values_are_configuration_errors(workdir, capsys, command,
     assert "Traceback" not in err
 
 
+def test_a_json_syntax_error_names_the_file(workdir, capsys, no_work):
+    path = workdir / "cut.json"
+    path.write_text('{"steps": 10,')
+    err = _refused(workdir, capsys, "sgd", path)
+    assert err.startswith(f"configuration error: {path}: Expecting property name")
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("sgd", {**SGD_REQUIRED, "init": "zero"}, "init must be a JSON object, not 'zero'"),
+    ("sgd", {**SGD_REQUIRED, "init": []}, "init must be a JSON object, not []"),
+    ("train", [1, 2], "spec must be a JSON object, not [1, 2]"),
+    ("gen", {**RECIPE, "params": "d"}, "sine params must be a JSON object, not 'd'"),
+    ("ablate", {"recipe": RECIPE, "fractions": [0.0], "settings": {"lambda": 0.1}},
+     "settings must be a JSON array, not {'lambda': 0.1}"),
+    ("ablate", {"recipe": RECIPE, "fractions": "0.5", "settings": [SETTING_REQUIRED]},
+     "fractions must be a JSON array, not '0.5'"),
+    ("sweep", {**SWEEP_REQUIRED, "lambdas": "0.1"}, "lambdas must be a JSON array, not '0.1'"),
+    ("sweep", {**SWEEP_REQUIRED, "widths": "2"}, "widths must be a JSON array, not '2'"),
+], ids=["init-string", "init-list", "spec-list", "params-string", "settings-object",
+        "fractions-string", "lambdas-string", "widths-string"])
+def test_a_value_of_the_wrong_json_type_is_named_as_such(workdir, capsys, no_work, command,
+                                                         obj, message):
+    # a string's characters or an object's keys are never read as entries or keys
+    path = _write(workdir, "shape.json", obj)
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: ") and message in err
+
+
 @pytest.mark.parametrize("change, message", [
     ({"step_size": 0.0}, "step_size must be positive and finite"),
     ({"lambda": -0.1}, "lam must be a finite nonnegative real"),

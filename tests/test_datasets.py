@@ -206,6 +206,12 @@ class TestSerialization:
         np.testing.assert_allclose(back.xs, ds.xs, rtol=1e-15)
         np.testing.assert_allclose(back.ys, ds.ys, rtol=1e-15)
 
+    def test_csv_needs_a_feature_and_a_label(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("y\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match="at least one feature column and a label"):
+            datasets.load_csv(path)
+
     def test_metadata_sidecar(self, tmp_path):
         recipe = DataRecipe("sine", 20, 10, seed=2, params={"d": 3, "noise_sd": 0.1})
         train, _ = recipe.realize()
@@ -224,6 +230,9 @@ class TestSerialization:
         train, test = recipe.realize()
         assert train.n == 20 and test.n == 10
         np.testing.assert_allclose(np.vstack([train.xs, test.xs]), ds.xs)
+        too_many = DataRecipe("file", 25, 10, seed=0, params={"path": str(path)})
+        with pytest.raises(ValueError, match="file dataset too small for requested split"):
+            too_many.realize()
 
 
 class TestAsNumber:

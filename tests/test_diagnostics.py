@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,15 @@ class TestVillaniScan:
                 diagnostics.villani_scan(spec, s=value)
             with pytest.raises(ValueError, match="finite"):
                 diagnostics.villani_scan(spec, s=0.1, r_max=value)
+
+    def test_violations_are_counted_per_point(self, monkeypatch):
+        # bounds that no point meets: |grad|^2 >= inf and laplacian <= -inf
+        monkeypatch.setattr(diagnostics, "_bounds",
+                            lambda spec: (lambda wn: math.inf, lambda wn: -math.inf))
+        report = diagnostics.villani_scan(small_spec("sigmoid"), s=0.1, ray_count=8,
+                                          r_max=100.0)
+        points = report.v_values.size
+        assert report.grad_bound_violations == report.laplacian_bound_violations == points
 
     def test_seeded_determinism(self):
         spec = small_spec("sigmoid")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from villanets import activations, dynamics, model
+from villanets import activations, dynamics, fpe, model
 from villanets.dynamics import DivergenceError, InitSpec, SgdConfig
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
@@ -170,6 +170,19 @@ class TestRunSgd:
         assert 0 < err.value.step < 1000
         assert np.all(np.isfinite(err.value.last_w))
 
+    def test_weights_that_overflow_at_a_log_point_are_named(self):
+        # s * lam = 1e305 takes w from 1e5 past the largest double at step 1,
+        # a log point, where the loss is not finite either: the weights left first
+        spec = small_spec(p=1, d=1)
+        spec = LossSpec(spec.net, spec.data, 1.0)
+        cfg = SgdConfig(step_size=1e305, batch_size=spec.n, steps=5, log_every=1,
+                        init=InitSpec("explicit", w0=[[1e5]]))
+        with pytest.raises(DivergenceError) as err:
+            dynamics.run_sgd(spec, cfg)
+        assert str(err.value) == "weights left the finite regime at step 1"
+        assert err.value.step == 1
+        np.testing.assert_array_equal(err.value.last_w, [[1e5]])
+
     def test_vector_eval_fn_logged_per_checkpoint(self):
         spec = small_spec()
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=100, seed=3, log_every=25)
@@ -218,6 +231,10 @@ class TestInitSpec:
             InitSpec("gaussian", tau=-1.0)
         with pytest.raises(ValueError):
             InitSpec("explicit", w0=np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError, match="unknown init mode 'uniform'"):
+            InitSpec("uniform")
+        with pytest.raises(ValueError, match=r"w0 must have shape \(2, 3\)"):
+            InitSpec("explicit", w0=[[1.0, 2.0]]).sample(rng, 2, 3, 0.1, 0.01)
 
     def test_tau_is_a_number_as_given(self):
         for tau in (True, "0.5"):
@@ -320,6 +337,38 @@ class TestRunSde:
         gap_full = np.mean(full) - loss_star
         assert gap_full > 0
         assert gap_half / gap_full >= 1.5
+
+    def test_sde_at_dt_equal_to_s_samples_the_gibbs_law(self):
+        # the theorem's SGD, W <- W - s grad + s G, is run_sde at dt = s; its
+        # stationary law is the Gibbs law exp(-2 U / s), whose moments the
+        # FPE grid gives.  1-D sigmoid spec: x ~ U(-1, 1), y = sin 3x + noise.
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, 16)
+        data = Dataset(x[:, None], np.sin(3 * x) + 0.3 * rng.standard_normal(16))
+        net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 1)), activations.sigmoid(1.0))
+        spec = LossSpec(net, data, 1.5 * model.lambda_c(net, data))
+        s = 0.05
+        grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, s), 2001, s)
+        w, mass = grid.axis(), fpe.gibbs(grid).values * grid.h
+        mean = np.sum(w * mass)
+        var = np.sum((w - mean) ** 2 * mass)
+        # 200 paths of 40,000 steps, sampled every 100 steps after step 10,000
+        paths = dynamics.run_sde_paths(spec, s, s, 40_000 * s, range(200), log_every=100,
+                                       eval_fn=np.copy)
+        samples = np.stack([path.eval_values[path.steps >= 10_000, 0, 0] for path in paths])
+        # Monte Carlo error: the spread of the per-path averages, which are
+        # independent however correlated the samples of one path are
+        path_means = samples.mean(axis=1)
+        path_vars = ((samples - samples.mean()) ** 2).mean(axis=1)
+
+        def stderr(values):
+            return values.std(ddof=1) / math.sqrt(len(values))
+
+        # O(dt) slack: Euler-Maruyama in a quadratic well of curvature k has
+        # stationary variance (s / 2k) / (1 - k dt / 2); allow twice that bias
+        k = s / (2 * var)
+        assert abs(path_vars.mean() - var) <= 4 * stderr(path_vars) + k * s * var
+        assert abs(path_means.mean() - mean) <= 4 * stderr(path_means) + k * s * math.sqrt(var)
 
     def test_divergence_detection(self):
         spec = small_spec(lam_mult=200.0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.linalg.blas import dsbmv
 from scipy.stats import norm
@@ -91,6 +92,12 @@ class TestBuildGrid:
                      np.r_[np.ones(100), math.inf], np.zeros(101)):
             with pytest.raises(ValueError, match="init density"):
                 fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=init)
+        with pytest.raises(ValueError, match="init density must have 101 entries"):
+            fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=np.ones(100))
+
+    def test_gibbs_measure_refuses_a_zero(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            fpe.GibbsMeasure(values=np.array([0.5, 0.0, 0.5]), log_z=0.0)
 
     def test_two_dimensional_grid(self):
         grid = fpe.build_grid(two_dim_spec(), 4.0, 41, 1.0)
@@ -250,6 +257,14 @@ class TestSpectralGap:
         grid = sigmoid_grid(dim, m)
         gaps = [fpe.spectral_gap(grid) for _ in range(3)]
         assert gaps[0] == gaps[1] == gaps[2]
+
+    def test_eigsh_that_does_not_converge_is_a_runtime_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(fpe.spla, "eigsh", no_convergence)
+        with pytest.raises(RuntimeError, match="eigenvalue iteration did not converge"):
+            fpe.spectral_gap(ou_grid(m=101))
 
     def test_size_guard(self):
         grid = ou_grid(m=401)

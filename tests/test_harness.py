@@ -97,6 +97,8 @@ class TestSweep:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             tiny_sweep(lambdas=())
+        with pytest.raises(ValueError, match="restarts_per_cell must be at least 1"):
+            tiny_sweep(restarts=0)
         with pytest.raises(ValueError):
             SweepConfig(lambdas=(0.1,), widths=(2,), recipe=tiny_recipe(),
                         sgd=SgdConfig(0.05, 8, 10), metric="bogus")
@@ -147,6 +149,14 @@ class TestReports:
         svg = [p for p in paths if p.suffix == ".svg"][0]
         ET.fromstring(svg.read_text())  # raises on malformed XML
         assert cli.heatmap_svg(result) == cli.heatmap_svg(result)
+
+    def test_svg_paints_a_divergent_cell_black(self):
+        grid = np.array([[0.5, math.inf], [2.0, 8.0]])
+        result = harness.SweepResult((0.01, 0.1), (2, 4), "best_test_loss", grid, [])
+        fills = [rect.get("fill") for rect in ET.fromstring(cli.heatmap_svg(result))
+                 if rect.tag.endswith("rect")]
+        assert len(fills) == 4 and fills[1] == "rgb(0,0,0)"
+        assert "rgb(0,0,0)" not in fills[:1] + fills[2:]
 
     def test_csv_only_by_default(self, tmp_path):
         result = harness.run_sweep(tiny_sweep())

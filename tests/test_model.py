@@ -296,6 +296,21 @@ class TestDataset:
             Dataset(np.array([[1.0, np.nan]]), np.array([1.0]))
         with pytest.raises(ValueError):
             Dataset(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(ValueError, match=r"xs must be \(n, d\)"):
+            Dataset(np.ones((2, 2, 2)), np.ones(2))
+
+    def test_net_rejects_bad_shapes_and_weights(self):
+        act = activations.tanh()
+        for a, w, message in ((np.ones((2, 1)), np.ones((2, 1)), r"a must be \(p,\)"),
+                              (np.ones(2), np.ones((3, 1)), r"a must be \(p,\)"),
+                              (np.ones(0), np.ones((0, 2)), "p and d must be at least 1"),
+                              (np.ones(1), np.ones((1, 0)), "p and d must be at least 1"),
+                              (np.array([math.inf]), np.ones((1, 1)), "must be finite")):
+            with pytest.raises(ValueError, match=message):
+                Net(a, w, act)
+        for p, x_bound in ((0, 1.0), (2, 0.0)):
+            with pytest.raises(ValueError, match="need p >= 1 and x_bound > 0"):
+                normalized_outer(p, x_bound)
 
     def test_normalized_outer_invariant(self):
         for p in (1, 3, 4, 10):
