@@ -2,11 +2,14 @@
 
 Subcommands: constants, villani-scan, train, sde, fpe, gen, sweep, ablate.
 Exit codes: 0 on success (sweeps count divergence sentinels as success),
-2 on configuration errors, 3 when a ``train``, ``sde`` or ``ablate`` run
-diverges (``diverged at step k: ...`` on stderr; the diverged run writes no
-file, earlier ``ablate`` settings keep theirs).  Every results CSV is a
-header plus plain decimals that ``np.loadtxt(path, delimiter=",",
-skiprows=1)`` reads back exactly.
+2 on configuration errors (a path that cannot be read or written among
+them), 3 when a ``train``, ``sde`` or ``ablate`` run diverges (``diverged
+at step k: ...`` on stderr; the diverged run writes no file, earlier
+``ablate`` settings keep theirs).  This module writes every
+file; the library reads its inputs and computes.  Every CSV, ``gen``'s data
+included, is a header plus plain decimals that ``np.loadtxt(path,
+delimiter=",", skiprows=1)`` reads back exactly; every JSON file is
+``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,13 @@ def _write_csv(path, header: str, *columns) -> Path:
     rows = zip(*(np.asarray(col).tolist() for col in columns))
     path = Path(path)
     path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+    return path
+
+
+def _write_json(path, payload) -> Path:
+    """Write ``payload`` as two-space-indented JSON, no trailing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=2))
     return path
 
 
@@ -136,7 +147,7 @@ def _cmd_villani_scan(args) -> int:
     report = diagnostics.villani_scan(
         spec, s=args.s, ray_count=args.rays, r_max=args.rmax, seed=args.seed
     )
-    report.to_json(args.out)
+    _write_json(args.out, report.to_dict())
     print(
         f"diverging={report.diverging} "
         f"grad_violations={report.grad_bound_violations} "
@@ -204,9 +215,11 @@ def _cmd_fpe(args) -> int:
 def _cmd_gen(args) -> int:
     recipe = load_recipe(args.recipe)
     train, _ = recipe.realize()
-    datasets.save_csv(train, args.out)
-    sidecar = Path(args.out).with_suffix(".meta.json")
-    datasets.write_metadata(recipe, train, sidecar)
+    _write_csv(args.out, ",".join([*(f"x{j}" for j in range(train.d)), "y"]),
+               *train.xs.T, train.ys)
+    sidecar = _write_json(Path(args.out).with_suffix(".meta.json"),
+                          {"recipe": asdict(recipe), "seed": recipe.seed, "B_x": train.x_bound,
+                           "B_y": train.y_bound, "hash": datasets.content_hash(train)})
     print(f"wrote {train.n} rows to {args.out} (metadata: {sidecar})")
     return 0
 
@@ -243,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="print activation or problem constants as JSON")
-    p.add_argument("--activation", choices=activations.KINDS)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--activation", choices=activations.KINDS)
+    which.add_argument("--spec", help="problem spec JSON (prints lambda_c, glip_bound, ...)")
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--spec", help="problem spec JSON (prints lambda_c, glip_bound, ...)")
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("villani-scan", help="certify divergence of the coercivity diagnostic")
@@ -306,13 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "constants" and not args.spec and not args.activation:
-        parser.error("constants needs --activation or --spec")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except dynamics.DivergenceError as exc:

@@ -11,10 +11,9 @@ is reproducible and independent of the others.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -207,13 +206,6 @@ class DataRecipe:
         return train, test
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """CSV with d feature columns followed by the label column."""
-    table = np.column_stack([ds.xs, ds.ys])
-    header = ",".join([f"x{j}" for j in range(ds.d)] + ["y"])
-    np.savetxt(path, table, delimiter=",", header=header, comments="")
-
-
 def load_csv(path) -> Dataset:
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if table.shape[1] < 2:
@@ -226,16 +218,3 @@ def content_hash(ds: Dataset) -> str:
     h.update(np.ascontiguousarray(ds.xs).tobytes())
     h.update(np.ascontiguousarray(ds.ys).tobytes())
     return h.hexdigest()
-
-
-def write_metadata(recipe: DataRecipe, ds: Dataset, path) -> None:
-    """Sidecar JSON: recipe, seed, certified bounds, and a content hash."""
-    payload = {
-        "recipe": asdict(recipe),
-        "seed": recipe.seed,
-        "B_x": ds.x_bound,
-        "B_y": ds.y_bound,
-        "hash": content_hash(ds),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)

@@ -11,7 +11,6 @@ ray-scan that certifies divergence numerically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -108,10 +107,6 @@ class VillaniReport:
         return {"lambda" if name == "lam" else name:
                 value.tolist() if isinstance(value, np.ndarray) else value
                 for name, value in values.items()}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 def scan_radii(r_max: float) -> np.ndarray:

@@ -14,9 +14,9 @@ in it ends exactly as its lone run does.
 One step of the toy chains (p=2, d=2, b=4) costs ~16 us in ``run_sgd`` (min
 of 7 runs of 50,000 steps on a 2-vCPU Xeon, Python 3.11, numpy 2.4), nearly
 all of it fixed per-call cost rather than arithmetic, so the step path
-(:func:`_integrate` -> :func:`sgd_step` or the Euler-Maruyama step ->
-:func:`~villanets.model.evaluate` -> ``Activation.derivs``) keeps four
-rules:
+(:func:`_integrate` -> :func:`sgd_step`, full batch plus the noise in the
+Euler-Maruyama step -> :func:`~villanets.model.evaluate` ->
+``Activation.derivs``) keeps four rules:
 
 * constants are hoisted: the model's objects carry theirs as derived
   fields, and the integrators turn the step size, ``dt`` and
@@ -333,11 +333,9 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
         return noise_scale * rng.standard_normal(size)
 
     def step(w, noise):
-        g = model.evaluate(spec, w, ("grad",))[0]
-        g *= dt_op
-        np.subtract(w, g, out=g)
-        g += noise
-        return g
+        w = sgd_step(spec, w, None, dt_op)
+        w += noise
+        return w
 
     return _integrate(spec, seeds, init or InitSpec(), s if s > 0 else dt,
                       max(1, int(round(t_max / dt))), dt, log_every, step, draw,

@@ -55,6 +55,9 @@ class SweepConfig:
             raise ValueError("restarts_per_cell must be at least 1")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
+        if self.sgd.seed != 0:
+            raise ValueError(f"sgd.seed is not read ({self.sgd.seed}): "
+                             "the cells are seeded from base_seed")
         self.activation()            # raises on an unknown kind or a bad beta
         _check_cells(self.lambdas, self.widths, self.a_mode, self.sgd, self.recipe)
 

@@ -8,7 +8,8 @@ rho with a sparse LU of I - dt * G instead of the symmetric banded form.
 The kernel references write the formulas of ``Activation.derivs``,
 ``model.evaluate`` and ``dynamics.sgd_step`` out, one fresh array per
 operation, in the order of operations that the library's in-place kernel
-must reproduce bit for bit.
+must reproduce bit for bit.  ``write_data_csv`` writes test data as
+``villanets gen`` writes its CSV.
 """
 
 import math
@@ -17,9 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from villanets import fpe, model
+from villanets import cli, fpe, model
 from villanets.activations import Activation
 from villanets.model import Dataset, LossSpec, Net
+
+
+def write_data_csv(ds: Dataset, path) -> None:
+    """``ds`` as a data CSV: columns x0, ..., x{d-1}, y."""
+    cli._write_csv(path, ",".join([*(f"x{j}" for j in range(ds.d)), "y"]), *ds.xs.T, ds.ys)
 
 
 def naive_sigma(kind: str, beta: float, z: float) -> float:
@@ -126,25 +132,47 @@ def random_spec(rng: np.random.Generator, act: Activation,
     return LossSpec(Net(a, w, act), Dataset(xs, ys), lam)
 
 
+def fd_hessian(spec: LossSpec, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """The (p*d, p*d) Hessian by central differences of ``model.evaluate``'s
+    gradient."""
+    def grad(v):
+        return model.evaluate(spec, v, ("grad",))[0].ravel()
+
+    steps = h * np.eye(w.size).reshape(w.size, *w.shape)
+    return np.array([(grad(w + e) - grad(w - e)) / (2 * h) for e in steps]).T
+
+
+def per_sample_grads(spec: LossSpec, w: np.ndarray) -> np.ndarray:
+    """(n, p*d): row i is the gradient of the one-row loss of sample i, ridge
+    term included, so the rows average to the full-batch gradient."""
+    xs, ys = spec.data.xs, spec.data.ys
+    return np.array([model.grad(LossSpec(spec.net, Dataset(xs[i:i + 1], ys[i:i + 1]), spec.lam),
+                                w).ravel() for i in range(spec.n)])
+
+
+def gd_descend(spec: LossSpec, w: np.ndarray, grad_tol: float = 1e-8,
+               max_iter: int = 60_000) -> np.ndarray:
+    """Plain full-batch GD from ``w`` at step 1 / smoothness bound, run to the
+    gradient-norm tolerance (or the iteration cap)."""
+    step = 1.0 / model.glip_bound(spec)
+    for _ in range(max_iter):
+        g = model.grad(spec, w)
+        if np.linalg.norm(g) <= grad_tol:
+            break
+        w = w - step * g
+    return w
+
+
 def multistart_gd_min(spec: LossSpec, restarts: int, seed: int,
                       grad_tol: float = 1e-8, max_iter: int = 60_000,
                       init_scale: float = 2.0) -> float:
-    """Global-minimum oracle: plain full-batch GD from many random starts.
-
-    Step size 1 / smoothness-bound; each start is run to the gradient-norm
-    tolerance (or the iteration cap); the minimum loss over starts wins.
-    """
+    """Global-minimum oracle: :func:`gd_descend` from many random starts; the
+    minimum loss over starts wins."""
     rng = np.random.default_rng(seed)
-    step = 1.0 / model.glip_bound(spec)
     best = math.inf
     for _ in range(restarts):
         w = init_scale * rng.standard_normal((spec.p, spec.d))
-        for _ in range(max_iter):
-            g = model.grad(spec, w)
-            if np.linalg.norm(g) <= grad_tol:
-                break
-            w = w - step * g
-        best = min(best, model.loss(spec, w))
+        best = min(best, model.loss(spec, gd_descend(spec, w, grad_tol, max_iter)))
     return best
 
 

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import oracles
 from villanets import activations, cli, datasets, dynamics, fpe, harness, model
 from villanets import configio
 from villanets.configio import load_spec
@@ -36,13 +37,13 @@ def _sde_lone_runs(workdir, seeds, t_max, log_every):
 @pytest.fixture
 def workdir(tmp_path):
     ds = datasets.gen_sine(2, 40, 0.2, seed=5)
-    datasets.save_csv(ds, tmp_path / "data.csv")
+    oracles.write_data_csv(ds, tmp_path / "data.csv")
     (tmp_path / "spec.json").write_text(json.dumps({
         "activation": "sigmoid", "beta": 1.0, "p": 2, "d": 2,
         "lambda": 0.2, "a_mode": "normalized", "data_path": "data.csv",
     }))
     ds1 = datasets.gen_sine(1, 30, 0.1, seed=6)
-    datasets.save_csv(ds1, tmp_path / "data1.csv")
+    oracles.write_data_csv(ds1, tmp_path / "data1.csv")
     (tmp_path / "spec1d.json").write_text(json.dumps({
         "activation": "sigmoid", "beta": 1.0, "p": 1, "d": 1,
         "lambda": 0.5, "a_mode": "normalized", "data_path": "data1.csv",
@@ -70,6 +71,13 @@ def test_constants_from_spec(workdir, capsys):
 def test_constants_requires_source(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["constants"])
+    assert exc.value.code == 2
+
+
+def test_constants_takes_one_source(workdir):
+    # --spec would win over --activation without a word
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--activation", "tanh", "--spec", str(workdir / "spec.json")])
     assert exc.value.code == 2
 
 
@@ -186,7 +194,10 @@ def test_gen_cli(workdir, capsys):
     ds = datasets.load_csv(out)
     assert ds.n == 25 and ds.d == 3
     meta = json.loads((workdir / "gen.meta.json").read_text())
+    assert list(meta) == ["recipe", "seed", "B_x", "B_y", "hash"]
     assert meta["hash"] == datasets.content_hash(ds)
+    assert meta["B_x"] == ds.x_bound
+    assert meta["recipe"]["kind"] == "sine"
 
 
 def test_sweep_cli(workdir):
@@ -416,6 +427,15 @@ def test_wrongly_typed_values_are_configuration_errors(workdir, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["constants", "sgd"])
+def test_a_config_path_that_is_a_folder_is_a_configuration_error(workdir, capsys, no_work,
+                                                                 command):
+    folder = workdir / "folder.json"
+    folder.mkdir()
+    err = _refused(workdir, capsys, command, folder)
+    assert str(folder) in err
+
+
 def test_a_json_syntax_error_names_the_file(workdir, capsys, no_work):
     path = workdir / "cut.json"
     path.write_text('{"steps": 10,')
@@ -543,7 +563,7 @@ def test_a_file_recipe_path_is_read_against_its_config_folder(workdir, monkeypat
     folder = workdir / "cfg"
     folder.mkdir()
     full = datasets.gen_sine(3, 40, 0.1, seed=7)
-    datasets.save_csv(full, folder / "full.csv")
+    oracles.write_data_csv(full, folder / "full.csv")
     _write(folder, "config.json", obj)
     monkeypatch.chdir(workdir)
     flag = "--recipe" if command == "gen" else "--config"

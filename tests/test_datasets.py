@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from villanets import activations, configio, datasets
 from villanets.datasets import DataRecipe
 
@@ -201,10 +202,10 @@ class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         ds = datasets.gen_sine(4, 50, 0.2, seed=31)
         path = tmp_path / "data.csv"
-        datasets.save_csv(ds, path)
+        oracles.write_data_csv(ds, path)
         back = datasets.load_csv(path)
-        np.testing.assert_allclose(back.xs, ds.xs, rtol=1e-15)
-        np.testing.assert_allclose(back.ys, ds.ys, rtol=1e-15)
+        np.testing.assert_array_equal(back.xs, ds.xs)
+        np.testing.assert_array_equal(back.ys, ds.ys)
 
     def test_csv_needs_a_feature_and_a_label(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -212,20 +213,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="at least one feature column and a label"):
             datasets.load_csv(path)
 
-    def test_metadata_sidecar(self, tmp_path):
-        recipe = DataRecipe("sine", 20, 10, seed=2, params={"d": 3, "noise_sd": 0.1})
-        train, _ = recipe.realize()
-        meta_path = tmp_path / "data.meta.json"
-        datasets.write_metadata(recipe, train, meta_path)
-        meta = json.loads(meta_path.read_text())
-        assert meta["B_x"] == train.x_bound
-        assert meta["hash"] == datasets.content_hash(train)
-        assert meta["recipe"]["kind"] == "sine"
-
     def test_file_recipe_split(self, tmp_path):
         ds = datasets.gen_sine(3, 30, 0.0, seed=17)
         path = tmp_path / "full.csv"
-        datasets.save_csv(ds, path)
+        oracles.write_data_csv(ds, path)
         recipe = DataRecipe("file", 20, 10, seed=0, params={"path": str(path)})
         train, test = recipe.realize()
         assert train.n == 20 and test.n == 10

@@ -217,6 +217,42 @@ class TestRunSgd:
         assert [type(integral.step_size), type(integral.batch_size)] == [float, int]
 
 
+def sine_1d_spec():
+    """1-D sigmoid spec: n = 16, x ~ U(-1, 1), y = sin 3x + 0.3 N(0, 1) (seed 5),
+    lam = 1.5 lambda_c = 0.1875."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, 16)
+    data = Dataset(x[:, None], np.sin(3 * x) + 0.3 * rng.standard_normal(16))
+    net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 1)), activations.sigmoid(1.0))
+    return LossSpec(net, data, 1.5 * model.lambda_c(net, data))
+
+
+def gibbs_moments(spec, s):
+    """Mean and variance of the Gibbs law exp(-2 U / s) on a 1-D grid, m = 2001."""
+    grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, s), 2001, s)
+    w, mass = grid.axis(), fpe.gibbs(grid).values * grid.h
+    mean = np.sum(w * mass)
+    return mean, np.sum((w - mean) ** 2 * mass)
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_minibatch_sgd_samples_the_sme_law_not_the_gibbs_law(batch_size):
+    # minibatch SGD follows the stochastic modified equation, noise covariance
+    # eta Sigma(W) / b: near the minimizer w* its stationary variance is
+    # eta Sigma(w*) / (2 b U''(w*)), far below the Gibbs variance at s = eta
+    spec, eta = sine_1d_spec(), 0.05
+    w_star = oracles.gd_descend(spec, np.zeros((1, 1)), grad_tol=1e-13, max_iter=100_000)
+    sigma = oracles.per_sample_grads(spec, w_star).var(axis=0)[0]
+    curvature = oracles.fd_hessian(spec, w_star)[0, 0]
+    predicted = eta * sigma / (2 * batch_size * curvature)
+    # 200 chains of 40,000 steps, sampled every 100 steps after step 10,000
+    config = SgdConfig(eta, batch_size, 40_000, log_every=100)
+    chains = dynamics.run_sgd_chains(spec, config, range(200), eval_fn=np.copy)
+    samples = np.stack([chain.eval_values[chain.steps >= 10_000, 0, 0] for chain in chains])
+    assert abs(samples.var() / predicted - 1) <= 0.1
+    assert samples.var() < 0.05 * gibbs_moments(spec, eta)[1]
+
+
 class TestInitSpec:
     def test_modes(self):
         rng = np.random.default_rng(0)
@@ -340,18 +376,9 @@ class TestRunSde:
 
     def test_sde_at_dt_equal_to_s_samples_the_gibbs_law(self):
         # the theorem's SGD, W <- W - s grad + s G, is run_sde at dt = s; its
-        # stationary law is the Gibbs law exp(-2 U / s), whose moments the
-        # FPE grid gives.  1-D sigmoid spec: x ~ U(-1, 1), y = sin 3x + noise.
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-1, 1, 16)
-        data = Dataset(x[:, None], np.sin(3 * x) + 0.3 * rng.standard_normal(16))
-        net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 1)), activations.sigmoid(1.0))
-        spec = LossSpec(net, data, 1.5 * model.lambda_c(net, data))
-        s = 0.05
-        grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, s), 2001, s)
-        w, mass = grid.axis(), fpe.gibbs(grid).values * grid.h
-        mean = np.sum(w * mass)
-        var = np.sum((w - mean) ** 2 * mass)
+        # stationary law is the Gibbs law exp(-2 U / s)
+        spec, s = sine_1d_spec(), 0.05
+        mean, var = gibbs_moments(spec, s)
         # 200 paths of 40,000 steps, sampled every 100 steps after step 10,000
         paths = dynamics.run_sde_paths(spec, s, s, 40_000 * s, range(200), log_every=100,
                                        eval_fn=np.copy)

@@ -113,6 +113,7 @@ class TestSweep:
         ({"act_beta": 0.0}, "beta must be positive"),
         ({"a_mode": "signed"}, "unknown a_mode"),
         ({"sgd": SgdConfig(0.05, 41, 10)}, r"batch_size must be in \[1, 40\]"),
+        ({"sgd": SgdConfig(0.05, 8, 10, seed=5)}, "sgd.seed is not read.*base_seed"),
     ])
     def test_every_cell_checked_at_construction(self, change, match):
         base = {"lambdas": (0.01, 0.1), "widths": (2, 3), "recipe": tiny_recipe(),

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from villanets import configio, datasets
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -35,7 +36,8 @@ LOADERS = (("data_path", configio.load_spec), ("lambdas", configio.load_sweep_co
 @pytest.mark.parametrize("block", _blocks("json"))
 def test_json_examples_load(tmp_path, block):
     obj = json.loads(block)
-    datasets.save_csv(datasets.gen_sine(obj.get("d", 2), 10, 0.0, seed=0), tmp_path / "data.csv")
+    oracles.write_data_csv(datasets.gen_sine(obj.get("d", 2), 10, 0.0, seed=0),
+                           tmp_path / "data.csv")
     path = tmp_path / "config.json"
     path.write_text(block)
     (load,) = [load for key, load in LOADERS if key in obj]
