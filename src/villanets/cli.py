@@ -2,6 +2,7 @@
 
 Subcommands: constants, villani-scan, train, sde, fpe, gen, sweep, ablate.
 Exit codes: 0 on success (sweeps count divergence sentinels as success),
+1 when stdout closes before all output is written (``... | head -1``),
 2 on configuration errors (a path that cannot be read or written among
 them), 3 when a ``train``, ``sde`` or ``ablate`` run diverges (``diverged
 at step k: ...`` on stderr; the diverged run writes no file, earlier
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -125,6 +127,8 @@ def heatmap_svg(result: harness.SweepResult) -> str:
 
 def _cmd_constants(args) -> int:
     if args.spec:
+        if args.beta is not None:
+            raise ValueError("--beta is read only with --activation; a spec gives its own beta")
         spec = load_spec(args.spec)
         payload = {
             "lambda_c": model.lambda_c(spec.net, spec.data),
@@ -136,7 +140,7 @@ def _cmd_constants(args) -> int:
             "a_norm": spec.net.a_norm,
         }
     else:
-        act = activations.make(args.activation, args.beta)
+        act = activations.make(args.activation, 1.0 if args.beta is None else args.beta)
         payload = act.table()
     print(json.dumps(payload, indent=2))
     return 0
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--activation", choices=activations.KINDS)
     which.add_argument("--spec", help="problem spec JSON (prints lambda_c, glip_bound, ...)")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, help="with --activation (default 1.0)")
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("villani-scan", help="certify divergence of the coercivity diagnostic")
@@ -322,7 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()           # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; stdout is pointed at devnull so that the
+        # interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

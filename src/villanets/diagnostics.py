@@ -82,7 +82,7 @@ def laplacian_upper_bound(spec: LossSpec, w=None) -> float:
     return _bounds(spec)[1](_norm(spec, w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VillaniReport:
     """Result of a divergence ray-scan.
 

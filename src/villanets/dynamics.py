@@ -70,7 +70,10 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class InitSpec:
     """Weight initialization: 'gaussian' (i.i.d. N(0, tau^2)), 'zero', or
-    'explicit' with a given matrix.
+    'explicit' with a given matrix.  ``w0`` is copied when the spec is
+    built, as the tuple of its float rows, so a later write to the caller's
+    array does not reach :meth:`sample`, and the spec compares and hashes by
+    value.
 
     In gaussian mode with ``tau=None`` the scale defaults to
     sqrt(s / (4 * lam)); that keeps the initial density inside the class of
@@ -82,7 +85,7 @@ class InitSpec:
 
     mode: str = "gaussian"
     tau: float | None = None
-    w0: np.ndarray | None = None
+    w0: tuple | None = None
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "zero", "explicit"):
@@ -94,20 +97,20 @@ class InitSpec:
         numbers_as_declared(self)
         if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
-        if self.mode == "explicit" and self.w0 is None:
-            raise ValueError("explicit init needs w0")
-        entries = [] if self.w0 is None else np.asarray(self.w0, dtype=object).ravel()
-        if not np.isfinite([as_number(v, "w0 entry") for v in entries]).all():
-            raise ValueError("w0 must be finite")
+        if self.mode == "explicit":
+            rows = [] if (arr := np.asarray(self.w0, dtype=object)).ndim != 2 else arr.tolist()
+            w0 = tuple(tuple(as_number(v, "w0 entry") for v in row) for row in rows)
+            if not (w0 and w0[0] and np.isfinite(w0).all()):
+                raise ValueError("explicit init needs w0, a non-empty matrix of finite numbers")
+            object.__setattr__(self, "w0", w0)
 
     def sample(self, rng: np.random.Generator, p: int, d: int, lam: float, s: float):
         if self.mode == "zero":
             return np.zeros((p, d))
         if self.mode == "explicit":
-            w0 = np.asarray(self.w0, dtype=np.float64)
-            if w0.shape != (p, d):
+            if (len(self.w0), len(self.w0[0])) != (p, d):
                 raise ValueError(f"w0 must have shape {(p, d)}")
-            return w0.copy()
+            return np.array(self.w0)
         tau = self.tau
         if tau is None:
             tau = math.sqrt(s / (4.0 * lam)) if lam > 0 else 1.0
@@ -135,7 +138,7 @@ class SgdConfig:
             raise ValueError("log_every must be at least 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Logged run: times, losses, gradient norms, and the final weights.
 

@@ -80,7 +80,7 @@ EIGSH_MAXITER = 10_000
 HALF_WIDTH_TAIL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpeGrid:
     """Node-centered tensor grid over the weight box [-R, R]^dim.
 
@@ -112,7 +112,7 @@ class FpeGrid:
         return float(np.sum(self.rho) * self.cell_volume)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsMeasure:
     """Grid discretization of exp(-2 U / s) / Z, with log Z."""
 
@@ -124,7 +124,7 @@ class GibbsMeasure:
             raise ValueError("Gibbs values must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayFit:
     """Fitted relaxation of the Gibbs-weighted L2 distance.
 
@@ -150,7 +150,8 @@ def tabulate_potential(spec: LossSpec, points: np.ndarray) -> np.ndarray:
 def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -> FpeGrid:
     """Tabulate the loss on the box and set the initial density.
 
-    Only weight spaces of total dimension p*d in {1, 2} are supported.
+    Only weight spaces of total dimension p*d in {1, 2} are supported, and
+    the loss must be finite on every node of the box.
     ``init`` is None (uniform) or an explicit finite, nonnegative array of
     the right size and positive sum (normalized here).
     """
@@ -162,7 +163,12 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -
     axis = np.linspace(-half_width, half_width, m)
     h = axis[1] - axis[0]
     points = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
-    potential = tabulate_potential(spec, points)
+    # w . w overflows on a wide enough box, and 0 * inf (lam = 0) is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        potential = tabulate_potential(spec, points)
+    if not np.isfinite(potential).all():
+        raise ValueError(f"the loss is not finite on the box of half-width {half_width:g}; "
+                         "shrink the box")
     size = m**dim
     if init is None:
         rho = np.full(size, 1.0)

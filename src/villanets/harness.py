@@ -78,7 +78,7 @@ def _check_cells(lambdas, widths, a_mode: str, sgd: SgdConfig, recipe: DataRecip
         raise ValueError(f"batch_size must be in [1, {recipe.n_train}]")
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
     lambdas: tuple
     widths: tuple
@@ -226,7 +226,7 @@ class AblationConfig:
         _check_cells((self.lam,), (self.width,), self.a_mode, self.sgd, self.recipe)
 
 
-@dataclass
+@dataclass(eq=False)
 class AblationCurves:
     steps: np.ndarray
     train_losses: np.ndarray

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import villanets
 from villanets import activations, cli, datasets, dynamics, fpe, harness, model
 from villanets import configio
 from villanets.configio import load_spec
@@ -66,6 +71,46 @@ def test_constants_from_spec(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["lambda_c"] == pytest.approx(0.125)
     assert payload["a_norm"] * payload["B_x"] == pytest.approx(1.0)
+
+
+def test_beta_is_read_only_with_an_activation(workdir, capsys):
+    # a spec gives its own beta, so --beta beside it would be dropped in silence
+    assert cli.main(["constants", "--spec", str(workdir / "spec.json"), "--beta", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "--beta is read only with --activation" in captured.err and not captured.out
+    assert cli.main(["constants", "--activation", "softplus"]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"] == 1.0
+
+
+def _villanets(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m villanets.cli`` with ``argv`` in a fresh interpreter that
+    finds this villanets; stderr (and stdout, unless redirected) captured."""
+    env = {**os.environ, "PYTHONPATH": str(Path(villanets.__file__).parents[1]), **(env or {})}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "villanets.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_module_entry_point_exits_with_the_command_code(workdir):
+    result = _villanets(["constants", "--activation", "sigmoid"])
+    assert result.returncode == 0 and json.loads(result.stdout)["d1_sup"] == 0.25
+    result = _villanets(["constants", "--spec", str(workdir / "missing.json")])
+    assert result.returncode == 2 and not result.stdout
+    assert result.stderr.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_without_a_message(workdir, unbuffered):
+    # the reader has gone before the first write, as in `villanets ... | true`;
+    # buffered, the write fails at the flush rather than in print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _villanets(["constants", "--spec", str(workdir / "spec.json")],
+                            env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
 
 
 def test_constants_requires_source(capsys):
@@ -749,3 +794,17 @@ def test_every_csv_reads_back_exactly(workdir, capsys):
         _assert_reads_back(workdir / "abl" / "lam0.05_p2" / f"ablation_f{fraction:.2f}.csv",
                            "step,train_loss,clean_test,noisy_test",
                            c.steps, c.train_losses, c.clean_test, c.noisy_test)
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["csv", "gap"])
+def test_fpe_refuses_a_box_where_the_loss_overflows(workdir, capsys, gap):
+    # at lambda = 0, w . w overflows to inf and 0 * inf is NaN
+    spec = json.loads((workdir / "spec1d.json").read_text())
+    spec0 = _write(workdir, "spec0.json", {**spec, "lambda": 0.0})
+    out = workdir / "fpe.csv"
+    argv = ["fpe", "--spec", str(spec0), "--s", "0.5", "--R", "1e200", "--m", "101",
+            "--tmax", "1", "--dt", "0.1", "--out", str(out)]
+    assert cli.main(argv + ["--gap"] * gap) == 2
+    captured = capsys.readouterr()
+    assert "not finite on the box of half-width 1e+200" in captured.err
+    assert not captured.out and not out.exists()

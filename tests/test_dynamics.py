@@ -272,6 +272,27 @@ class TestInitSpec:
         with pytest.raises(ValueError, match=r"w0 must have shape \(2, 3\)"):
             InitSpec("explicit", w0=[[1.0, 2.0]]).sample(rng, 2, 3, 0.1, 0.01)
 
+    def test_explicit_w0_is_copied_when_built(self):
+        w0 = np.arange(6.0).reshape(2, 3)
+        init = InitSpec("explicit", w0=w0)
+        w0[0, 0] = 99.0
+        sample = init.sample(np.random.default_rng(0), 2, 3, 0.1, 0.01)
+        np.testing.assert_array_equal(sample, np.arange(6.0).reshape(2, 3))
+        sample[0, 1] = 99.0   # each sample is the caller's own array
+        assert init.sample(None, 2, 3, 0.1, 0.01)[0, 1] == 1.0
+
+    def test_configs_with_equal_w0_compare_and_hash_by_value(self):
+        configs = [SgdConfig(0.1, 4, 10, init=InitSpec("explicit", w0=w0))
+                   for w0 in (np.ones((2, 2)), [[1, 1.0], [1.0, 1]])]
+        assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+        assert configs[0] != SgdConfig(0.1, 4, 10, init=InitSpec("explicit", w0=[[1.0]]))
+
+    @pytest.mark.parametrize("w0", [[], [[]], [1.0, 2.0], [[1.0], [2.0, 3.0]], 1.0],
+                             ids=["empty", "empty-row", "1-D", "ragged", "scalar"])
+    def test_w0_must_be_a_matrix(self, w0):
+        with pytest.raises(ValueError, match="explicit init needs w0, a non-empty matrix"):
+            InitSpec("explicit", w0=w0)
+
     def test_tau_is_a_number_as_given(self):
         for tau in (True, "0.5"):
             with pytest.raises(TypeError, match=f"tau must be a number, not {tau!r}"):

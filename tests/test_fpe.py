@@ -95,6 +95,14 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="init density must have 101 entries"):
             fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0, init=np.ones(100))
 
+    def test_refuses_a_box_where_the_loss_is_not_finite(self):
+        # at lam = 0, w . w overflows to inf and 0 * inf is NaN; the check
+        # reports it, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite on the box of half-width 1e"):
+                fpe.build_grid(ridge_only_spec(0.0), 1e200, 101, 1.0)
+
     def test_gibbs_measure_refuses_a_zero(self):
         with pytest.raises(ValueError, match="strictly positive"):
             fpe.GibbsMeasure(values=np.array([0.5, 0.0, 0.5]), log_z=0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from villanets import activations, model
+from villanets import activations, diagnostics, dynamics, fpe, harness, model
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
 
@@ -278,6 +278,23 @@ class TestIdentity:
         specs = [LossSpec(net, data, 0.1) for net in nets]
         assert len({specs[0], specs[1], specs[0], nets[0], data}) == 4
         assert specs[0] != specs[1] and hash(specs[0]) == hash(specs[0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: fpe.FpeGrid(1, 1.0, 8, 2 / 7, 0.5, np.zeros(8), np.full(8, 0.5)),
+        lambda: fpe.GibbsMeasure(np.full(2, 0.5), 0.0),
+        lambda: fpe.DecayFit(1.0, 1.0, np.zeros(2), np.ones(2), np.ones(2), False),
+        lambda: dynamics.Trajectory(*[np.zeros(2)] * 4, np.zeros((1, 1)), "digest"),
+        lambda: diagnostics.VillaniReport(0.1, 0.1, 0.05, 1, np.ones(2), np.ones((1, 2)),
+                                          0, 0, True),
+        lambda: harness.SweepResult((0.1,), (2,), "best_test_loss", np.zeros((1, 1)), []),
+        lambda: harness.AblationCurves(*[np.zeros(2)] * 4),
+    ], ids=["FpeGrid", "GibbsMeasure", "DecayFit", "Trajectory", "VillaniReport",
+            "SweepResult", "AblationCurves"])
+    def test_records_that_hold_arrays_compare_by_identity(self, build):
+        # a field-by-field == would ask numpy for the truth of an array
+        first, second = build(), build()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
 
 class TestDataset:
