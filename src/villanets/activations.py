@@ -152,7 +152,9 @@ def make(kind: str, beta: float = 1.0) -> Activation:
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown activation kind {kind!r}; expected one of {KINDS}")
-    if kind != "tanh" and not 0 < beta < math.inf:
+    if kind == "tanh" and beta != 1.0:   # NaN included
+        raise ValueError(f"tanh takes no beta: it must be 1, not {beta!r}")
+    if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
     if kind == "sigmoid":
         d2 = beta**2 / (6.0 * math.sqrt(3.0))

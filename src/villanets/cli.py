@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -207,8 +206,12 @@ def _cmd_fpe(args) -> int:
     # the gap first: it rejects an oversized operator before the decay run
     gap = fpe.spectral_gap(grid) if args.gap else None
     fit = fpe.decay_rate(grid, t_max=args.tmax, dt=args.dt)
+    if not fit.settled:
+        print(f"warning: the decay fit has not settled (its two half-windows disagree on the "
+              f"rate by more than {fpe.SETTLED_RTOL:.0%}); raise --tmax", file=sys.stderr)
     if args.gap:
-        payload = {"gap": gap, "decay_rate": fit.rate, "r_squared": fit.r_squared}
+        payload = {"gap": gap, "decay_rate": fit.rate, "r_squared": fit.r_squared,
+                   "settled": fit.settled}
         print(json.dumps(payload, indent=2))
         return 0
     _write_csv(args.out, "t,chi2,mass", fit.times, fit.chi2_series, fit.mass_series)
@@ -222,7 +225,7 @@ def _cmd_gen(args) -> int:
     _write_csv(args.out, ",".join([*(f"x{j}" for j in range(train.d)), "y"]),
                *train.xs.T, train.ys)
     sidecar = _write_json(Path(args.out).with_suffix(".meta.json"),
-                          {"recipe": asdict(recipe), "seed": recipe.seed, "B_x": train.x_bound,
+                          {"recipe": recipe.to_dict(), "seed": recipe.seed, "B_x": train.x_bound,
                            "B_y": train.y_bound, "hash": datasets.content_hash(train)})
     print(f"wrote {train.n} rows to {args.out} (metadata: {sidecar})")
     return 0

@@ -110,7 +110,7 @@ def _parse_recipe(obj: dict, folder: Path) -> DataRecipe:
     recipe = _build(DataRecipe, obj, "recipe")
     if recipe.kind != "file":
         return recipe
-    return dataclasses.replace(recipe, params={"path": str(folder / recipe.params["path"])})
+    return dataclasses.replace(recipe, params={"path": str(folder / recipe.param_map["path"])})
 
 
 def load_sweep_config(path) -> SweepConfig:

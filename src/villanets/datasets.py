@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -142,14 +143,19 @@ class DataRecipe:
         and an unknown one is refused.
     corruption: {'fraction': f in [0,1], 'scale': s}, numbers; applied to the
         training labels only.  Test draws always come from the clean recipe.
+
+    Both are given as mappings (or pairs) and kept as sorted tuples of
+    (key, value) pairs, so that a recipe, and every config that holds one,
+    hashes; :attr:`param_map` and :attr:`corruption_map` read them as
+    read-only mappings.
     """
 
     kind: str
     n_train: int
     n_test: int
     seed: int
-    params: dict = field(default_factory=dict)
-    corruption: dict = field(default_factory=lambda: {"fraction": 0.0, "scale": 0.0})
+    params: tuple = ()
+    corruption: tuple = (("fraction", 0.0), ("scale", 0.0))
 
     def __post_init__(self):
         if self.kind not in RECIPE_PARAMS:
@@ -158,17 +164,31 @@ class DataRecipe:
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be at least 1")
         defaults = RECIPE_PARAMS[self.kind]
-        check_keys(self.params, f"{self.kind} params", defaults,
+        params, corruption = (dict(pairs) if isinstance(pairs, tuple) else pairs
+                              for pairs in (self.params, self.corruption))
+        check_keys(params, f"{self.kind} params", defaults,
                    [key for key, value in defaults.items() if value is None])
-        check_keys(self.corruption, "corruption", ("fraction", "scale"))
+        check_keys(corruption, "corruption", ("fraction", "scale"))
         # a param with no default (a file's path) is no number
-        object.__setattr__(self, "params", {
-            key: value if defaults[key] is None else as_number(value, key, type(defaults[key]))
-            for key, value in self.params.items()})
-        object.__setattr__(self, "corruption", {
-            key: as_number(value, f"corruption {key}") for key, value in self.corruption.items()})
-        if not 0.0 <= self.corruption.get("fraction", 0.0) <= 1.0:
+        object.__setattr__(self, "params", tuple(sorted(
+            (key, value if defaults[key] is None else as_number(value, key, type(defaults[key])))
+            for key, value in params.items())))
+        object.__setattr__(self, "corruption", tuple(sorted(
+            (key, as_number(value, f"corruption {key}")) for key, value in corruption.items())))
+        if not 0.0 <= self.corruption_map.get("fraction", 0.0) <= 1.0:
             raise ValueError("corruption fraction must be in [0, 1]")
+
+    @property
+    def param_map(self) -> MappingProxyType:
+        return MappingProxyType(dict(self.params))
+
+    @property
+    def corruption_map(self) -> MappingProxyType:
+        return MappingProxyType(dict(self.corruption))
+
+    def to_dict(self) -> dict:
+        """The recipe as a recipe file spells it: params and corruption as objects."""
+        return {**asdict(self), "params": dict(self.params), "corruption": dict(self.corruption)}
 
     def streams(self):
         """Disjoint child generators: (shared, train, test, corruption).
@@ -182,7 +202,7 @@ class DataRecipe:
     def realize(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, test); corruption touches only train labels."""
         shared_rng, train_rng, test_rng, corrupt_rng = self.streams()
-        params = {**RECIPE_PARAMS[self.kind], **self.params}
+        params = {**RECIPE_PARAMS[self.kind], **self.param_map}
         if self.kind == "sine":
             train = gen_sine(params["d"], self.n_train, params["noise_sd"], train_rng)
             test = gen_sine(params["d"], self.n_test, params["noise_sd"], test_rng)
@@ -200,9 +220,9 @@ class DataRecipe:
                 full.xs[self.n_train : self.n_train + self.n_test],
                 full.ys[self.n_train : self.n_train + self.n_test],
             )
-        frac = self.corruption.get("fraction", 0.0)
+        frac = self.corruption_map.get("fraction", 0.0)
         if frac > 0.0:
-            train = corrupt_labels(train, frac, self.corruption.get("scale", 0.0), corrupt_rng)
+            train = corrupt_labels(train, frac, self.corruption_map.get("scale", 0.0), corrupt_rng)
         return train, test
 
 

@@ -23,7 +23,12 @@ cross-validate each other.
 Detailed balance makes the generator similar to a symmetric operator H,
 banded with half-bandwidth m^(dim-1) on the node grid.  One banded Cholesky
 factor of a shifted H serves every implicit step of :func:`decay_rate`, the
-one time-stepper.  :func:`spectral_gap` is one Lanczos run on the solve with
+one time-stepper.  It steps one by one through the first half of the
+horizon, the transient its fit discards, and reads the fit window's curve
+off one Lanczos run on the same step, grown in blocks of ``KRYLOV_BLOCK``
+vectors until the curve moves by at most ``KRYLOV_RTOL`` relative between
+blocks; where that would take as many solves as the steps left, it steps on
+one by one.  :func:`spectral_gap` is one Lanczos run on the solve with
 the banded Cholesky factor of sigma * I - H, started from a fixed-seed
 vector so reruns are bit-identical.  Grids, edges, band and solvers are
 written once for any dimension.  No solver path assembles the rho-form
@@ -72,6 +77,11 @@ optimize = _Deferred("scipy.optimize")
 special = _Deferred("scipy.special")
 
 CHI_FLOOR = 1e-12
+# the decay fit's halves agree on the rate within this, or it has not settled
+SETTLED_RTOL = 0.05
+# decay_rate's Lanczos tail: basis growth, and the stopping change in chi^2
+KRYLOV_BLOCK = 8
+KRYLOV_RTOL = 1e-12
 MAX_OPERATOR_SIZE = 40_000
 # exp(-x) beyond this nears the underflow range of float64
 MAX_GIBBS_EXPONENT = 700.0
@@ -131,7 +141,9 @@ class DecayFit:
     ``chi2_series`` holds the squared distance chi^2(t); the fit is of
     log chi(t) (amplitude decay) over the tail half of the horizon.
     ``early_converged`` flags trajectories that hit the round-off floor
-    before the fit window opened.
+    before the fit window opened.  ``settled`` holds when the log-chi slopes
+    over the two halves of the fitted points agree within ``SETTLED_RTOL``,
+    a sign that the fit is past the transient (see :func:`decay_rate`).
     """
 
     rate: float
@@ -140,6 +152,7 @@ class DecayFit:
     chi2_series: np.ndarray
     mass_series: np.ndarray
     early_converged: bool
+    settled: bool
 
 
 def tabulate_potential(spec: LossSpec, points: np.ndarray) -> np.ndarray:
@@ -302,30 +315,99 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     excluding points at the round-off floor.  A floor hit before the window
     opens sets ``early_converged``.
 
+    The loop steps through the first half, the transient the fit discards.
+    At the first step of the fit window it reads the rest of the
+    backward-Euler curve off one Lanczos run on the same step
+    (:func:`_krylov_tail`), whose basis grows in blocks of
+    ``KRYLOV_BLOCK`` until the window's chi^2 moves by at most
+    ``KRYLOV_RTOL`` relative between blocks.  A run that would need as
+    many solves as there are steps left is dropped, and the loop steps on,
+    as it does on a horizon too short for the tail to pay.
+
     The fit assumes that the second half of [0, t_max] is past the
     transient: the next decay rate lambda_2 must have died out against the
     gap by t_max / 2, which takes several times 1 / (lambda_2 - gap).
-    Where it still shows, the rate comes out high with an R^2 near 1, and
-    nothing flags it yet.  On README's 1-D grid (gap 0.2028, lambda_2
-    0.3956), t_max = 40 gives 0.2203 and t_max = 80 gives 0.2024.
+    Where it still shows, the rate comes out high with an R^2 near 1.
+    ``settled`` flags it: it holds when the log-chi slopes over the two
+    halves of the fitted points agree within ``SETTLED_RTOL``.  On
+    README's 1-D grid (gap 0.2028, lambda_2 0.3956), t_max = 40 gives
+    0.2203 and t_max = 80 gives 0.2024.
     """
     if not (0 < t_max < math.inf and 0 < dt < math.inf):
         raise ValueError("t_max and dt must be positive and finite")
     root = np.sqrt(gibbs(grid).values)
     solve = _band_solver(_symmetric_band(grid), 1.0, dt)
     n_steps = max(2, int(round(t_max / dt)))
+    times = np.arange(n_steps + 1) * dt
+    start = int(np.argmax(times >= t_max / 2.0))    # the fit window's first step
     q = grid.rho / root
-    times = np.empty(n_steps + 1)
     chi2 = np.empty(n_steps + 1)
     mass = np.empty(n_steps + 1)
     vol = grid.cell_volume
     for k in range(n_steps + 1):
-        times[k] = k * dt
+        if k == start:
+            tail = _krylov_tail(solve, q, root, n_steps - k, vol)
+            if tail is not None:
+                chi2[k:], mass[k:] = tail
+                break
         diff = q - root
         chi2[k] = (diff @ diff) * vol
         mass[k] = (q @ root) * vol
         if k < n_steps:
             q = solve(q)
+    return _fit_decay(times, chi2, mass, t_max)
+
+
+def _krylov_tail(solve, q: np.ndarray, root: np.ndarray, steps: int, vol: float):
+    """The chi^2 and mass series of ``steps`` more backward-Euler steps
+    ``solve`` from q, read off one Lanczos run; None when the run would need
+    as many solves as the steps.
+
+    q = c * sqrt(mu) + d with d orthogonal to sqrt(mu), which the step
+    keeps fixed.  The run starts from d and reorthogonalizes each vector
+    against the whole basis V.  From the eigenpairs (theta_i, u_i) of its
+    tridiagonal T, chi^2_j = ||d||^2 * sum_i u_i[0]^2 theta_i^(2j) * h^dim and
+    mass_j = (c * ||sqrt(mu)||^2 + ||d|| * (U theta^j U^T e_1) . (V sqrt(mu)))
+    * h^dim, so a leak of the basis onto sqrt(mu) shows in the mass.  The
+    basis grows by ``KRYLOV_BLOCK`` vectors until no chi^2_j above the fit's
+    floor moves by more than ``KRYLOV_RTOL`` relative between blocks.
+    """
+    norm2 = root @ root
+    c = (q @ root) / norm2
+    d = q - c * root
+    d_norm = math.sqrt(d @ d)
+    if d_norm == 0.0:
+        return None
+    powers = np.arange(steps + 1)
+    basis = np.empty((0, q.size))
+    alpha, beta = [], []
+    v = d / d_norm
+    last = None
+    while len(alpha) + KRYLOV_BLOCK < min(steps, q.size):
+        basis = np.concatenate([basis, np.empty((KRYLOV_BLOCK, q.size))])
+        for _ in range(KRYLOV_BLOCK):
+            k = len(alpha)
+            basis[k] = v
+            w = solve(v)
+            alpha.append(v @ w)
+            span = basis[: k + 1]
+            for _ in range(2):    # "twice is enough" (Kahan, Parlett)
+                w -= span.T @ (span @ w)
+            beta.append(math.sqrt(w @ w))
+            v = w / beta[-1]
+        # eigh reads T's lower triangle
+        theta, u = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        chi2 = d_norm**2 * vol * ((u[0] ** 2) @ np.power.outer(theta, 2 * powers))
+        if last is not None and np.all((np.abs(chi2 - last) <= KRYLOV_RTOL * chi2)
+                                       | (chi2 <= CHI_FLOOR**2)):
+            decay = u[0][:, None] * np.power.outer(theta, powers)
+            return chi2, (c * norm2 + d_norm * ((u.T @ (basis @ root)) @ decay)) * vol
+        last = chi2
+    return None
+
+
+def _fit_decay(times: np.ndarray, chi2: np.ndarray, mass: np.ndarray, t_max: float) -> DecayFit:
+    """The :class:`DecayFit` of a chi^2 series, as :func:`decay_rate` fits it."""
     chi = np.sqrt(chi2)
     window = times >= t_max / 2.0
     usable = chi > CHI_FLOOR
@@ -335,16 +417,26 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
         early = True
         mask = usable
     if mask.sum() < 3:
-        return DecayFit(math.inf, 1.0, times, chi2, mass, True)
+        return DecayFit(math.inf, 1.0, times, chi2, mass, True, False)
     t_fit = times[mask]
     y_fit = np.log(chi[mask])
-    design = np.column_stack([t_fit, np.ones_like(t_fit)])
-    coef, *_ = np.linalg.lstsq(design, y_fit, rcond=None)
+    rate, r_sq = _line_fit(t_fit, y_fit)
+    half = t_fit.size // 2
+    first, second = (_line_fit(t_fit[part], y_fit[part])[0]
+                     for part in (slice(None, half), slice(half, None)))
+    settled = half >= 2 and abs(first - second) <= SETTLED_RTOL * abs(second)
+    return DecayFit(rate, r_sq, times, chi2, mass, early, settled)
+
+
+def _line_fit(t: np.ndarray, y: np.ndarray) -> tuple:
+    """(-slope, R^2) of the least-squares line through (t, y)."""
+    design = np.column_stack([t, np.ones_like(t)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     pred = design @ coef
-    ss_res = float(np.sum((y_fit - pred) ** 2))
-    ss_tot = float(np.sum((y_fit - y_fit.mean()) ** 2))
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(-float(coef[0]), r_sq, times, chi2, mass, early)
+    return -float(coef[0]), r_sq
 
 
 def symmetrized_generator(grid: FpeGrid) -> sp.csr_matrix:

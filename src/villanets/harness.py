@@ -214,7 +214,7 @@ class AblationConfig:
 
     def __post_init__(self):
         numbers_as_declared(self)
-        if self.recipe.corruption.get("fraction", 0.0) > 0.0:
+        if self.recipe.corruption_map.get("fraction", 0.0) > 0.0:
             raise ValueError("the ablation recipe must be clean: corrupt it through "
                              "fractions and corruption_scale")
         if not math.isfinite(self.corruption_scale):

@@ -4,7 +4,9 @@ These deliberately avoid the library's own evaluation paths: the naive loss
 walks python loops over math functions, the derivative oracles are central
 finite differences of the loss, the global-minimum oracle is plain
 multi-start full-batch gradient descent, and the density-solver oracles step
-rho with a sparse LU of I - dt * G instead of the symmetric banded form.
+rho with a sparse LU of I - dt * G instead of the symmetric banded form, or
+step q = rho / sqrt(mu) through the whole horizon instead of reading the
+fit window off a Lanczos run.
 The kernel references write the formulas of ``Activation.derivs``,
 ``model.evaluate`` and ``dynamics.sgd_step`` out, one fresh array per
 operation, in the order of operations that the library's in-place kernel
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from villanets import cli, fpe, model
+from villanets import activations, cli, fpe, model
 from villanets.activations import Activation
 from villanets.model import Dataset, LossSpec, Net
 
@@ -34,6 +36,11 @@ def naive_sigma(kind: str, beta: float, z: float) -> float:
     if kind == "tanh":
         return math.tanh(z)
     return math.log1p(math.exp(beta * z)) / beta
+
+
+def make_activation(kind: str, beta: float) -> Activation:
+    """``activations.make(kind, beta)``, but tanh at beta = 1, the one beta it takes."""
+    return activations.make(kind, 1.0 if kind == "tanh" else beta)
 
 
 def derivs_reference(act: Activation, x: np.ndarray, order: int) -> tuple:
@@ -196,6 +203,23 @@ def decay_series_rho(grid: fpe.FpeGrid, t_max: float, dt: float):
         if k < n_steps:
             rho = lu.solve(rho)
     return np.array(chi2), np.array(mass)
+
+
+def decay_fit_loop(grid: fpe.FpeGrid, t_max: float, dt: float) -> fpe.DecayFit:
+    """``fpe.decay_rate`` with every step of the horizon a backward-Euler
+    solve of q = rho / sqrt(mu): the loop without its Lanczos tail."""
+    root = np.sqrt(fpe.gibbs(grid).values)
+    solve = fpe._band_solver(fpe._symmetric_band(grid), 1.0, dt)
+    n_steps = max(2, int(round(t_max / dt)))
+    q = grid.rho / root
+    chi2, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    for k in range(n_steps + 1):
+        diff = q - root
+        chi2[k] = (diff @ diff) * grid.cell_volume
+        mass[k] = (q @ root) * grid.cell_volume
+        if k < n_steps:
+            q = solve(q)
+    return fpe._fit_decay(np.arange(n_steps + 1) * dt, chi2, mass, t_max)
 
 
 def symmetrized_dense(grid: fpe.FpeGrid) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_lipschitz_on_sampled_pairs(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_derivs_equals_the_public_views(kind):
-    act = activations.make(kind, 1.5)
+    act = oracles.make_activation(kind, 1.5)
     x = np.random.default_rng(5).uniform(-30.0, 30.0, (3, 40))
     value, d1, d2 = act.derivs(x, 2)
     np.testing.assert_array_equal(value, act(x))
@@ -90,7 +90,7 @@ def test_derivs_equals_the_public_views(kind):
 def test_derivs_are_the_formulas_bit_for_bit(kind, beta):
     # the in-place kernel against the formulas written out; its input is
     # read-only, so a write to it raises
-    act = activations.make(kind, beta)
+    act = oracles.make_activation(kind, beta)
     rng = np.random.default_rng(23)
     for shape in ((7,), (5, 9), (3, 4, 6)):
         x = 20.0 * rng.standard_normal(shape)
@@ -159,7 +159,7 @@ def test_logistic_matches_expit(kind, beta):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_derivs_warn_nothing_at_extreme_preactivations(kind, beta):
-    act = activations.make(kind, beta)
+    act = oracles.make_activation(kind, beta)
     x = np.array([-800.0, 800.0]) / beta
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -182,3 +182,8 @@ def test_domain_and_parameter_errors():
                 activations.make(kind, beta)
     with pytest.raises(ValueError):
         activations.make("relu")
+    # tanh takes no beta but 1: another would be dropped in silence
+    for beta in (3.0, 0.5, float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"tanh takes no beta: it must be 1, not {beta!r}"):
+            activations.make("tanh", beta)
+    assert activations.make("tanh", 1) == activations.tanh()

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,18 @@ def test_constants_from_spec(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["lambda_c"] == pytest.approx(0.125)
     assert payload["a_norm"] * payload["B_x"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("beta", [3.0, math.nan])
+def test_tanh_beta_other_than_one_is_a_configuration_error(workdir, capsys, no_work, beta):
+    assert cli.main(["constants", "--activation", "tanh", "--beta", str(beta)]) == 2
+    captured = capsys.readouterr()
+    assert f"tanh takes no beta: it must be 1, not {beta!r}" in captured.err
+    assert not captured.out
+    spec = _write(workdir, "tanh.json", {**SPEC, "activation": "tanh", "beta": beta})
+    assert f"{spec}: tanh takes no beta" in _refused(workdir, capsys, "constants", spec)
+    sweep = _write(workdir, "w.json", {**SWEEP_REQUIRED, "activation": "tanh", "beta": beta})
+    assert f"{sweep}: tanh takes no beta" in _refused(workdir, capsys, "sweep", sweep)
 
 
 def test_beta_is_read_only_with_an_activation(workdir, capsys):
@@ -229,9 +241,27 @@ def test_fpe_cli_csv_and_gap(workdir, capsys):
     assert payload["gap"] > 0
 
 
+def test_fpe_flags_a_fit_that_has_not_settled(workdir, capsys):
+    # the gap is 0.516; at t_max = 2 the fit's half-windows read 3.24 and
+    # 2.25 (rate 2.73), at t_max = 40 both 0.5131
+    argv = ["fpe", "--spec", str(workdir / "spec1d.json"), "--s", "0.5", "--m", "201",
+            "--dt", "0.02"]
+    for tmax, settled in (("2", False), ("40", True)):
+        assert cli.main(argv + ["--tmax", tmax, "--gap"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["settled"] is settled
+        assert (captured.err == "") is settled
+        if settled:
+            assert payload["decay_rate"] == pytest.approx(payload["gap"], rel=0.01)
+    assert cli.main(argv + ["--tmax", "2", "--out", str(workdir / "fpe.csv")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: the decay fit has not settled") and err.count("\n") == 1
+
+
 def test_gen_cli(workdir, capsys):
     recipe = DataRecipe("sine", 25, 10, seed=4, params={"d": 3, "noise_sd": 0.1})
-    (workdir / "recipe.json").write_text(json.dumps(asdict(recipe)))
+    (workdir / "recipe.json").write_text(json.dumps(recipe.to_dict()))
     out = workdir / "gen.csv"
     code = cli.main(["gen", "--recipe", str(workdir / "recipe.json"),
                      "--out", str(out)])
@@ -352,10 +382,10 @@ def test_config_files_set_every_optional_key(workdir):
     sweep = {"lambdas": [0.1], "widths": [2], "recipe": RECIPE,
              "sgd": {key: value for key, value in sgd_file.items() if key != "seed"},
              "restarts_per_cell": 3, "metric": "final_train_loss", "base_seed": 5,
-             "activation": "tanh", "beta": 2.0, "a_mode": "ones"}
+             "activation": "softplus", "beta": 2.0, "a_mode": "ones"}
     assert configio.load_sweep_config(_write(workdir, "w.json", sweep)) == SweepConfig(
         (0.1,), (2,), DataRecipe(**RECIPE), replace(sgd, seed=0), restarts_per_cell=3,
-        metric="final_train_loss", base_seed=5, act_kind="tanh", act_beta=2.0, a_mode="ones")
+        metric="final_train_loss", base_seed=5, act_kind="softplus", act_beta=2.0, a_mode="ones")
     ablate = {"recipe": RECIPE, "fractions": [0.0],
               "settings": [{**SETTING_REQUIRED, "log_every": 9}], "base_seed": 6,
               "corruption_scale": 0.2, "init_tau": 0.7, "a_mode": "normalized_signed"}
@@ -649,7 +679,7 @@ def test_integer_fields_take_integral_floats(workdir):
     sweep = {**SWEEP_REQUIRED, "widths": [2.0, 3], "recipe": {**RECIPE, "params": {"d": 20.0}}}
     cfg = configio.load_sweep_config(_write(workdir, "w.json", sweep))
     assert cfg.widths == (2, 3) and all(type(width) is int for width in cfg.widths)
-    assert cfg.recipe.params == {"d": 20} and type(cfg.recipe.params["d"]) is int
+    assert cfg.recipe.param_map == {"d": 20} and type(cfg.recipe.param_map["d"]) is int
 
 
 @pytest.mark.parametrize("command, obj, message", [

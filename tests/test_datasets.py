@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +128,7 @@ class TestRecipe:
 
     def test_round_trip_dict(self):
         recipe = DataRecipe("sine", 10, 10, seed=1, params={"d": 2, "noise_sd": 0.5})
-        again = configio._parse_recipe(json.loads(json.dumps(asdict(recipe))), Path())
+        again = configio._parse_recipe(json.loads(json.dumps(recipe.to_dict())), Path())
         assert again == recipe
 
     def test_validation(self):
@@ -182,9 +181,9 @@ class TestRecipe:
     def test_params_and_corruption_take_the_types_of_their_defaults(self):
         recipe = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2.0, "noise_sd": 0},
                             corruption={"fraction": 1, "scale": 2})
-        assert recipe.params == {"d": 2, "noise_sd": 0.0}
-        assert [type(v) for v in recipe.params.values()] == [int, float]
-        assert [type(v) for v in recipe.corruption.values()] == [float, float]
+        assert recipe.param_map == {"d": 2, "noise_sd": 0.0}
+        assert [type(v) for v in recipe.param_map.values()] == [int, float]
+        assert [type(v) for v in recipe.corruption_map.values()] == [float, float]
         given = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2, "noise_sd": 0.0},
                            corruption={"fraction": 1.0, "scale": 2.0})
         for got, want in zip(recipe.realize(), given.realize()):

@@ -199,6 +199,8 @@ class TestDecayRate:
         grid = fpe.build_grid(ridge_only_spec(0.5), 6.0, 201, 1.0, init=fpe.gibbs(base).values)
         fit = fpe.decay_rate(grid, t_max=2.0, dt=0.01)
         assert fit.early_converged
+        # no point above the floor to fit, so no rate and no settled fit
+        assert fit.rate == math.inf and not fit.settled
 
     def test_refinement_consistency(self):
         rates = [fpe.decay_rate(ou_grid(m=m), t_max=10.0, dt=0.01).rate
@@ -206,6 +208,112 @@ class TestDecayRate:
         change1 = abs(rates[1] - rates[0])
         change2 = abs(rates[2] - rates[1])
         assert change2 < 5 * max(change1, 1e-12)
+
+
+@pytest.fixture
+def tails(monkeypatch):
+    """(served, solves) of each ``fpe._krylov_tail`` call: whether it
+    returned the window's series, and how many steps it solved."""
+    runs, real = [], fpe._krylov_tail
+
+    def spy(solve, *args):
+        count = []
+
+        def counted(v):
+            count.append(1)
+            return solve(v)
+
+        tail = real(counted, *args)
+        runs.append((tail is not None, len(count)))
+        return tail
+
+    monkeypatch.setattr(fpe, "_krylov_tail", spy)
+    return runs
+
+
+class TestKrylovTail:
+    """decay_rate's Lanczos tail against the loop that steps the whole horizon.
+
+    The loop's q - sqrt(mu) cancels: each step leaves an error of a few eps
+    in q, whose norm is ~1 in h^dim units, so the loop's chi is good to
+    ~1e-14 absolute (a late chi of 1e-6 to ~1e-8 relative).  The tail reads
+    the deviation from sqrt(mu) directly, so the comparison is chi within
+    1e-10 relative or 1e-13 absolute, and the rate within 1e-10, or 1e-9
+    where the whole window lies below chi ~ 1e-4.
+    """
+
+    @pytest.mark.parametrize("grid, t_max, rate_rtol", [
+        (lambda: sigmoid_grid(1, 201), 4.0, 1e-10),
+        (lambda: sigmoid_grid(2, 41), 4.0, 1e-10),
+        (lambda: sigmoid_grid(2, 41), 20.0, 1e-10),
+        # criterion 08c's grid: chi falls from 2.4e5 to 8e-7, late chi^2
+        # differ by up to 1.8e-8 relative and the rates by 7.5e-10; stepping
+        # the deviation d instead of q agrees with the tail's rate to 3e-14
+        (lambda: fpe.build_grid(sigmoid_1d_spec(1.5), fpe.suggest_half_width(
+            sigmoid_1d_spec(1.5), 0.2), 501, 0.2), 60.0, 1e-9),
+    ], ids=["1d-m201", "2d-m41", "2d-m41-t20", "08c"])
+    def test_the_tail_is_the_loop(self, tails, grid, t_max, rate_rtol):
+        grid = grid()
+        fit = fpe.decay_rate(grid, t_max, 0.02)
+        ref = oracles.decay_fit_loop(grid, t_max, 0.02)
+        ((served, solves),) = tails
+        assert served and solves < round(t_max / 0.02) / 2
+        np.testing.assert_allclose(np.sqrt(fit.chi2_series), np.sqrt(ref.chi2_series),
+                                   rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(fit.mass_series, ref.mass_series, rtol=0, atol=1e-12)
+        assert fit.rate == pytest.approx(ref.rate, rel=rate_rtol)
+        assert fit.r_squared == pytest.approx(ref.r_squared, rel=1e-10)
+        assert (fit.early_converged, fit.settled) == (ref.early_converged, ref.settled)
+
+    @pytest.mark.parametrize("t_max, rtol", [(0.2, None), (4.0, -1.0)],
+                             ids=["short-horizon", "run-not-settled"])
+    def test_a_tail_that_does_not_pay_leaves_the_loop_bit_for_bit(self, tails, monkeypatch,
+                                                                 t_max, rtol):
+        # 5 steps left are fewer than two blocks; at a tolerance that no
+        # change meets, the run is dropped before it needs 100 solves
+        if rtol is not None:
+            monkeypatch.setattr(fpe, "KRYLOV_RTOL", rtol)
+        grid = sigmoid_grid(2, 41)
+        fit = fpe.decay_rate(grid, t_max, 0.02)
+        ref = oracles.decay_fit_loop(grid, t_max, 0.02)
+        assert tails == [(False, 0 if rtol is None else 96)]
+        for got, want in ((fit.chi2_series, ref.chi2_series), (fit.mass_series, ref.mass_series)):
+            np.testing.assert_array_equal(got, want)
+        assert (fit.rate, fit.r_squared) == (ref.rate, ref.r_squared)
+
+    def test_reruns_are_bit_identical_and_chi_falls(self):
+        grid = sigmoid_grid(2, 41)
+        fits = [fpe.decay_rate(grid, 20.0, 0.02) for _ in range(2)]
+        for name in ("times", "chi2_series", "mass_series"):
+            np.testing.assert_array_equal(getattr(fits[0], name), getattr(fits[1], name))
+        assert fits[0].rate == fits[1].rate
+        assert np.all(np.diff(fits[0].chi2_series) < 0)
+
+    def test_underflow_in_the_tail_warns_nothing(self, tails):
+        # at t_max = 60 chi starts the window at ~1.6e-12 and ends far below
+        # CHI_FLOOR, and the fast Ritz values' powers underflow to zero:
+        # numpy's default leaves that silent, and the suite makes any
+        # RuntimeWarning an error
+        grid = ou_grid(m=201)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            fpe.decay_rate(grid, 60.0, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fpe.decay_rate(grid, 60.0, 0.05)
+        assert tails[-1][0]
+        assert np.sqrt(fit.chi2_series[-1]) < 1e-6 * fpe.CHI_FLOOR
+        assert np.all(np.diff(fit.chi2_series) < 0)
+        assert fit.rate == pytest.approx(1.0, rel=0.05)
+
+
+def test_settled_compares_the_half_windows():
+    # criterion 08c's grid: the halves read 0.24335 and 0.24333
+    spec = sigmoid_1d_spec(1.5)
+    grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, 0.2), 501, 0.2)
+    assert fpe.decay_rate(grid, 60.0, 0.02).settled
+    # the halves read 0.729 and 0.535 (rate 0.609) against a gap of 0.490;
+    # tests/test_cli.py checks both ends on a 1-D spec through the CLI
+    assert not fpe.decay_rate(sigmoid_grid(2, 41), 20.0, 0.02).settled
 
 
 class TestSpectralGap:

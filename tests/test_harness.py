@@ -262,3 +262,23 @@ class TestAblation:
         assert len(paths) == 2
         header = paths[0].read_text().splitlines()[0]
         assert header == "step,train_loss,clean_test,noisy_test"
+
+
+def test_equal_recipes_and_configs_hash_alike():
+    # params and corruption are kept as sorted pairs, so neither key order
+    # nor the spelling of a number changes a recipe, its hash or a config's
+    recipes = (DataRecipe("teacher", 40, 40, seed=3, params={"noise_sd": 0, "d": 4.0},
+                          corruption={"scale": 0, "fraction": 0}),
+               DataRecipe("teacher", 40.0, 40, seed=3, params={"d": 4, "noise_sd": 0.0}))
+    assert recipes[0] == recipes[1] and hash(recipes[0]) == hash(recipes[1])
+    assert len({DataRecipe("sine", 5, 5, 0), DataRecipe("sine", 5, 5, 1)}) == 2
+    sweeps = [replace(tiny_sweep(), recipe=recipe) for recipe in recipes]
+    ablations = [AblationConfig(recipe, 0.05, 2, 0.05, 8, 100) for recipe in recipes]
+    train, test = recipes[0].realize()
+    tasks = [harness._CellTask(0, 1, train, test, sweep) for sweep in sweeps]
+    for first, second in (sweeps, ablations, tasks):
+        assert first == second and hash(first) == hash(second)
+    with pytest.raises(TypeError):
+        recipes[0].param_map["d"] = 5    # the mapping is a read-only view
+    assert recipes[0].param_map == {"d": 4, "noise_sd": 0.0}
+    assert recipes[0].to_dict()["corruption"] == {"fraction": 0.0, "scale": 0.0}

@@ -170,7 +170,7 @@ class TestEvaluate:
         rng = np.random.default_rng(47)
         named = [names for k in (1, 2, 3) for names in itertools.permutations(self.OUTPUTS, k)]
         for _ in range(3):
-            spec = oracles.random_spec(rng, activations.make(kind, beta))
+            spec = oracles.random_spec(rng, oracles.make_activation(kind, beta))
             p, d, n = spec.p, spec.d, spec.n
             for w, batch in ((rng.standard_normal((p, d)), None),
                              (rng.standard_normal((p, d)), rng.integers(0, n, 3)),
@@ -282,7 +282,7 @@ class TestIdentity:
     @pytest.mark.parametrize("build", [
         lambda: fpe.FpeGrid(1, 1.0, 8, 2 / 7, 0.5, np.zeros(8), np.full(8, 0.5)),
         lambda: fpe.GibbsMeasure(np.full(2, 0.5), 0.0),
-        lambda: fpe.DecayFit(1.0, 1.0, np.zeros(2), np.ones(2), np.ones(2), False),
+        lambda: fpe.DecayFit(1.0, 1.0, np.zeros(2), np.ones(2), np.ones(2), False, True),
         lambda: dynamics.Trajectory(*[np.zeros(2)] * 4, np.zeros((1, 1)), "digest"),
         lambda: diagnostics.VillaniReport(0.1, 0.1, 0.05, 1, np.ones(2), np.ones((1, 2)),
                                           0, 0, True),
