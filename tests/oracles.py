@@ -6,7 +6,8 @@ finite differences of the loss, the global-minimum oracle is plain
 multi-start full-batch gradient descent, and the density-solver oracles step
 rho with a sparse LU of I - dt * G instead of the symmetric banded form, or
 step q = rho / sqrt(mu) through the whole horizon instead of reading the
-fit window off a Lanczos run.
+fit window off a Lanczos run, and take the 1-D gap mode from a tridiagonal
+eigensolver on G.
 The kernel references write the formulas of ``Activation.derivs``,
 ``model.evaluate`` and ``dynamics.sgd_step`` out, one fresh array per
 operation, in the order of operations that the library's in-place kernel
@@ -19,6 +20,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from villanets import activations, cli, fpe, model
 from villanets.activations import Activation
@@ -228,3 +230,14 @@ def symmetrized_dense(grid: fpe.FpeGrid) -> np.ndarray:
     root = np.sqrt(fpe.gibbs(grid).values)
     h_mat = fpe.generator(grid).toarray() / root[:, None] * root[None, :]
     return (h_mat + h_mat.T) / 2.0
+
+
+def gap_mode_1d(grid: fpe.FpeGrid) -> tuple:
+    """(gap, v_1) of a 1-D grid from a tridiagonal eigensolver, v_1 the
+    unit eigenvector of the symmetrized generator H at -gap.  H has G's
+    diagonal, and detailed balance makes its off-diagonal
+    sqrt(G[i, i+1] * G[i+1, i])."""
+    g_mat = fpe.generator(grid)
+    vals, vecs = eigh_tridiagonal(g_mat.diagonal(), np.sqrt(g_mat.diagonal(1) * g_mat.diagonal(-1)),
+                                  select="i", select_range=(grid.size - 2, grid.size - 2))
+    return -float(vals[0]), vecs[:, 0]
