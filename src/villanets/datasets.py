@@ -227,9 +227,19 @@ class DataRecipe:
 
 
 def load_csv(path) -> Dataset:
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if table.shape[1] < 2:
-        raise ValueError("dataset CSV needs at least one feature column and a label")
+    """A header line naming the columns, then one row per sample: its
+    features, then its label."""
+    with open(path) as f:
+        columns = len(f.readline().split(","))
+        rows = [line for line in f if line.strip()]
+    if columns < 2:
+        raise ValueError(f"dataset CSV {path} needs at least one feature column and a label")
+    if not rows:
+        raise ValueError(f"dataset CSV {path} has a header but no data rows")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    if table.shape[1] != columns:
+        raise ValueError(f"dataset CSV {path} has rows of {table.shape[1]} values "
+                         f"under a header of {columns} columns")
     return Dataset(table[:, :-1], table[:, -1])
 
 

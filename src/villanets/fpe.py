@@ -27,13 +27,12 @@ one time-stepper.  It steps one by one through the first half of the
 horizon, the transient its fit discards, and reads the fit window's curve
 off one Lanczos run on the same step, grown in blocks of ``KRYLOV_BLOCK``
 vectors until the curve moves by at most ``KRYLOV_RTOL`` relative between
-blocks; where that would take as many solves as the steps left, it steps on
-one by one.  :func:`spectral_gap` runs the same Lanczos code on the solve
-with the banded factor of sigma * I - H until the Ritz residual certifies
-the gap, from a fixed-seed start.  Grids, edges, band and solvers are
-written once for any dimension.  No solver path assembles the rho-form
-generator G (:func:`generator`); it stays as the independent reference that
-H is checked against.
+blocks or the basis makes it exact.  :func:`spectral_gap` runs the same
+Lanczos code on the solve with the banded factor of sigma * I - H until the
+Ritz residual certifies the gap, from a fixed-seed start.  Grids, edges,
+band and solvers are written once for any dimension.  No solver path
+assembles the rho-form generator G (:func:`generator`); it stays as the
+independent reference that H is checked against.
 
 Importing this module loads no scipy module, so ``import villanets`` costs
 numpy only.  Each scipy module is imported the first time a function reads
@@ -314,13 +313,11 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     opens sets ``early_converged``.
 
     The loop steps through the first half, the transient the fit discards.
-    At the first step of the fit window it reads the rest of the
-    backward-Euler curve off one Lanczos run on the same step
-    (:func:`_krylov_tail`), whose basis grows in blocks of
+    The fit window's backward-Euler curve is read off one Lanczos run on
+    the same step (:func:`_krylov_tail`), whose basis grows in blocks of
     ``KRYLOV_BLOCK`` until the window's chi^2 moves by at most
-    ``KRYLOV_RTOL`` relative between blocks.  A run that would need as
-    many solves as there are steps left is dropped, and the loop steps on,
-    as it does on a horizon too short for the tail to pay.
+    ``KRYLOV_RTOL`` relative between blocks, or until it holds more
+    vectors than the window has steps, where the curve is exact.
 
     The fit assumes that the second half of [0, t_max] is past the
     transient: the next decay rate lambda_2 must have died out against the
@@ -342,30 +339,26 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     chi2 = np.empty(n_steps + 1)
     mass = np.empty(n_steps + 1)
     vol = grid.cell_volume
-    for k in range(n_steps + 1):
-        if k == start:
-            tail = _krylov_tail(solve, q, root, n_steps - k, vol)
-            if tail is not None:
-                chi2[k:], mass[k:] = tail
-                break
+    for k in range(start):
         diff = q - root
         chi2[k] = (diff @ diff) * vol
         mass[k] = (q @ root) * vol
-        if k < n_steps:
-            q = solve(q)
+        q = solve(q)
+    chi2[start:], mass[start:] = _krylov_tail(solve, q, root, n_steps - start, vol)
     return _fit_decay(times, chi2, mass, t_max)
 
 
-def _lanczos(solve, v: np.ndarray, limit: float):
+def _lanczos(solve, v: np.ndarray):
     """Lanczos on the symmetric ``solve`` from the unit vector v, each vector
     reorthogonalized against the basis V.  After each block of ``KRYLOV_BLOCK``
-    vectors, short of ``limit``, yields T's eigenpairs (theta, u), V and the
-    last beta: theta_i lies within beta * |u[-1, i]| of an eigenvalue (Parlett
-    1998, sec. 13.2).  A V that spans the space is invariant: there beta = 0."""
+    vectors yields T's eigenpairs (theta, u), V and the last beta: theta_i
+    lies within beta * |u[-1, i]| of an eigenvalue (Parlett 1998, sec. 13.2).
+    The caller stops the run; it ends by itself on a V that spans the space,
+    which is invariant: there beta = 0."""
     size = v.size
     basis = np.empty((0, size))
     alpha, beta = [], []
-    while len(alpha) < size and len(alpha) + KRYLOV_BLOCK < limit:
+    while len(alpha) < size:
         basis = np.concatenate([basis, np.empty((min(KRYLOV_BLOCK, size - len(alpha)), size))])
         for k in range(len(alpha), len(basis)):
             basis[k] = v
@@ -383,8 +376,7 @@ def _lanczos(solve, v: np.ndarray, limit: float):
 
 def _krylov_tail(solve, q: np.ndarray, root: np.ndarray, steps: int, vol: float):
     """The chi^2 and mass series of ``steps`` more backward-Euler steps
-    ``solve`` from q, read off one Lanczos run (:func:`_lanczos`); None when
-    the run would need as many solves as the steps.
+    ``solve`` from q, read off one Lanczos run (:func:`_lanczos`).
 
     q = c * sqrt(mu) + d with d orthogonal to sqrt(mu), which the step
     keeps fixed.  The run starts from d.  From the eigenpairs (theta_i, u_i)
@@ -392,24 +384,28 @@ def _krylov_tail(solve, q: np.ndarray, root: np.ndarray, steps: int, vol: float)
     and mass_j = (c * ||sqrt(mu)||^2 + ||d|| * (U theta^j U^T e_1) . (V sqrt(mu)))
     * h^dim, so a leak of the basis V onto sqrt(mu) shows in the mass.  The
     basis grows until no chi^2_j above the fit's floor moves by more than
-    ``KRYLOV_RTOL`` relative between blocks.
+    ``KRYLOV_RTOL`` relative between blocks, or until the series is exact:
+    a basis of k vectors holds solve^j d for j < k, and its Gauss quadrature
+    is exact to polynomial degree 2k - 1 (Golub & Meurant 2010), so k > steps
+    suffices, as does a basis that spans the grid.  A q with d = 0 is
+    stationary.
     """
     norm2 = root @ root
     c = (q @ root) / norm2
     d = q - c * root
     d_norm = math.sqrt(d @ d)
     if d_norm == 0.0:
-        return None
+        return np.zeros(steps + 1), np.full(steps + 1, c * norm2 * vol)
     powers = np.arange(steps + 1)
     last = None
-    for theta, u, basis, _ in _lanczos(solve, d / d_norm, min(steps, q.size)):
+    for theta, u, basis, beta in _lanczos(solve, d / d_norm):
         chi2 = d_norm**2 * vol * ((u[0] ** 2) @ np.power.outer(theta, 2 * powers))
-        if last is not None and np.all((np.abs(chi2 - last) <= KRYLOV_RTOL * chi2)
-                                       | (chi2 <= CHI_FLOOR**2)):
+        converged = last is not None and np.all((np.abs(chi2 - last) <= KRYLOV_RTOL * chi2)
+                                                | (chi2 <= CHI_FLOOR**2))
+        if converged or len(basis) > steps or beta == 0.0:
             decay = u[0][:, None] * np.power.outer(theta, powers)
             return chi2, (c * norm2 + d_norm * ((u.T @ (basis @ root)) @ decay)) * vol
         last = chi2
-    return None
 
 
 def _fit_decay(times: np.ndarray, chi2: np.ndarray, mass: np.ndarray, t_max: float) -> DecayFit:
@@ -478,7 +474,7 @@ def spectral_gap(grid: FpeGrid) -> float:
     sigma = 1e-4 * float(np.max(np.abs(band[-1])))
     solve = _band_solver(band, sigma, 1.0)
     start = np.random.default_rng(0).standard_normal(grid.size)
-    for theta, u, _, beta in _lanczos(solve, start / np.linalg.norm(start), math.inf):
+    for theta, u, _, beta in _lanczos(solve, start / np.linalg.norm(start)):
         if np.all(beta * np.abs(u[-1, -2:]) <= KRYLOV_RTOL * theta[-2:]):
             return float(1.0 / theta[-2] - sigma)
     raise RuntimeError("eigenvalue iteration did not converge")

@@ -212,6 +212,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="at least one feature column and a label"):
             datasets.load_csv(path)
 
+    def test_csv_needs_a_data_row(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x0,y\n")
+        with pytest.raises(ValueError, match="header but no data rows"):
+            datasets.load_csv(path)
+
+    def test_csv_rows_match_the_header(self, tmp_path):
+        # a third value would otherwise read as a second feature
+        path = tmp_path / "wide.csv"
+        path.write_text("x0,y\n1,2,3\n")
+        with pytest.raises(ValueError, match="rows of 3 values under a header of 2 columns"):
+            datasets.load_csv(path)
+
     def test_file_recipe_split(self, tmp_path):
         ds = datasets.gen_sine(3, 30, 0.0, seed=17)
         path = tmp_path / "full.csv"
