@@ -203,15 +203,13 @@ def _cmd_fpe(args) -> int:
     spec = load_spec(args.spec)
     half_width = args.R if args.R is not None else fpe.suggest_half_width(spec, args.s)
     grid = fpe.build_grid(spec, half_width, args.m, args.s)
-    # the gap first: it rejects an oversized operator before the decay run
-    gap = fpe.spectral_gap(grid) if args.gap else None
     fit = fpe.decay_rate(grid, t_max=args.tmax, dt=args.dt)
     if not fit.settled:
         print(f"warning: the decay fit has not settled (its two half-windows disagree on the "
               f"rate by more than {fpe.SETTLED_RTOL:.0%}); raise --tmax", file=sys.stderr)
     if args.gap:
-        payload = {"gap": gap, "decay_rate": fit.rate, "r_squared": fit.r_squared,
-                   "settled": fit.settled}
+        payload = {"gap": fpe.spectral_gap(grid), "decay_rate": fit.rate,
+                   "r_squared": fit.r_squared, "settled": fit.settled}
         print(json.dumps(payload, indent=2))
         return 0
     _write_csv(args.out, "t,chi2,mass", fit.times, fit.chi2_series, fit.mass_series)

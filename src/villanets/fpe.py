@@ -29,17 +29,25 @@ off one Lanczos run on the same step, grown in blocks of ``KRYLOV_BLOCK``
 vectors until the curve moves by at most ``KRYLOV_RTOL`` relative between
 blocks or the basis makes it exact.  :func:`spectral_gap` runs the same
 Lanczos code on the solve with the banded factor of sigma * I - H until the
-Ritz residual certifies the gap, from a fixed-seed start.  Grids, edges,
-band and solvers are written once for any dimension.  No solver path
-assembles the rho-form generator G (:func:`generator`); it stays as the
-independent reference that H is checked against.
+Ritz residual certifies the gap, from a fixed-seed start; sigma is the
+slowest nonzero rate of free diffusion on the box, so it does not grow as
+the grid is refined.  Grids, edges, band and solvers are written once for
+any dimension.  No solver path assembles the rho-form generator G
+(:func:`generator`); it stays as the independent reference that H is
+checked against.
+
+One size rule serves every operator: :func:`build_grid` refuses a grid of
+more than ``MAX_OPERATOR_SIZE`` nodes before it tabulates a point, so
+:func:`decay_rate`, :func:`spectral_gap` and :func:`symmetrized_generator`
+accept the same grids.
 
 Importing this module loads no scipy module, so ``import villanets`` costs
 numpy only.  Each scipy module is imported the first time a function reads
 from it: ``scipy.linalg`` by :func:`decay_rate` and :func:`spectral_gap`
 (banded Cholesky and its solve), ``scipy.sparse`` by :func:`generator`
-and :func:`symmetrized_generator`, and ``scipy.optimize`` and
-``scipy.special`` by :func:`suggest_half_width`.  :func:`build_grid`,
+and :func:`symmetrized_generator`, and ``scipy.optimize`` by
+:func:`suggest_half_width`, which takes its Gaussian quantile from the
+standard library's ``statistics``.  :func:`build_grid`,
 :func:`tabulate_potential` and :func:`gibbs` use numpy only.
 """
 
@@ -72,7 +80,6 @@ sp = _Deferred("scipy.sparse")
 spla = _Deferred("scipy.sparse.linalg")    # no solver reads it; kept for the benchmark's tracer
 linalg = _Deferred("scipy.linalg")
 optimize = _Deferred("scipy.optimize")
-special = _Deferred("scipy.special")
 
 CHI_FLOOR = 1e-12
 # the decay fit's halves agree on the rate within this, or it has not settled
@@ -80,6 +87,7 @@ SETTLED_RTOL = 0.05
 # Lanczos basis growth; the tail's stopping change in chi^2, the gap's Ritz residual
 KRYLOV_BLOCK = 8
 KRYLOV_RTOL = 1e-12
+# the most nodes a grid may have, checked by build_grid
 MAX_OPERATOR_SIZE = 40_000
 # exp(-x) beyond this nears the underflow range of float64
 MAX_GIBBS_EXPONENT = 700.0
@@ -160,8 +168,9 @@ def tabulate_potential(spec: LossSpec, points: np.ndarray) -> np.ndarray:
 def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -> FpeGrid:
     """Tabulate the loss on the box and set the initial density.
 
-    Only weight spaces of total dimension p*d in {1, 2} are supported, and
-    the loss must be finite on every node of the box.
+    Only weight spaces of total dimension p*d in {1, 2} are supported, the
+    grid has at most ``MAX_OPERATOR_SIZE`` nodes (checked before any is
+    tabulated), and the loss must be finite on every node of the box.
     ``init`` is None (uniform) or an explicit finite, nonnegative array of
     the right size and positive sum (normalized here).
     """
@@ -170,6 +179,9 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -
         raise ValueError(f"density solver supports p*d in {{1, 2}}, got {dim}")
     if not (0 < half_width < math.inf and m >= 8 and 0 < s < math.inf):
         raise ValueError("need finite half_width > 0, m >= 8, finite s > 0")
+    size = m**dim
+    if size > MAX_OPERATOR_SIZE:
+        raise ValueError(f"operator size {size} exceeds {MAX_OPERATOR_SIZE}")
     axis = np.linspace(-half_width, half_width, m)
     h = axis[1] - axis[0]
     points = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
@@ -179,7 +191,6 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -
     if not np.isfinite(potential).all():
         raise ValueError(f"the loss is not finite on the box of half-width {half_width:g}; "
                          "shrink the box")
-    size = m**dim
     if init is None:
         rho = np.full(size, 1.0)
     else:
@@ -459,19 +470,27 @@ def spectral_gap(grid: FpeGrid) -> float:
     """Second-smallest eigenvalue magnitude of the generator.
 
     The spectrum is {0 = -lam_0 > -lam_1 > ...}; the returned gap is lam_1,
-    the slowest relaxation rate of any density perturbation.  For a small
-    sigma > 0, (sigma * I - H)^-1 has eigenvalues theta = 1 / (sigma + lam),
-    so lam_0 and lam_1 are its two largest.  A :func:`_lanczos` run on the
-    banded Cholesky solve with sigma * I - H stops once both Ritz residuals
-    are at most ``KRYLOV_RTOL`` times their values, and the gap is
+    the slowest relaxation rate of any density perturbation.  For sigma > 0,
+    (sigma * I - H)^-1 has eigenvalues theta = 1 / (sigma + lam), so lam_0
+    and lam_1 are its two largest.  A :func:`_lanczos` run on the banded
+    Cholesky solve with sigma * I - H stops once both Ritz residuals are at
+    most ``KRYLOV_RTOL`` times their values, and the gap is
     1 / theta_2 - sigma.  The run starts from a fixed-seed random vector
     (not all ones, which is orthogonal to the odd gap mode of a symmetric
     potential), so a rerun on one grid returns the same float.
+
+    The run separates theta_1 from theta_2 in few vectors when sigma sits
+    at the scale of the wanted end of the spectrum (Ericsson & Ruhe, Math.
+    Comp. 35, 1980).  sigma is (s/2) * (pi / (2 R))^2, the slowest nonzero
+    rate of free diffusion on the box [-R, R].  It does not depend on the
+    mesh width h, where the largest |H| grows like 1 / h^2, and on a box
+    fitted to the Gibbs density it is a fixed share of the gap: ~0.05 lam
+    on a quadratic well with :func:`suggest_half_width`'s box.  In a
+    metastable potential, whose gap falls far below sigma, the run needs
+    more vectors; the certificate still holds, so the gap stays correct.
     """
-    if grid.size > MAX_OPERATOR_SIZE:
-        raise ValueError(f"operator size {grid.size} exceeds {MAX_OPERATOR_SIZE}")
     band = _symmetric_band(grid)
-    sigma = 1e-4 * float(np.max(np.abs(band[-1])))
+    sigma = grid.s / 2.0 * (math.pi / (2.0 * grid.half_width)) ** 2
     solve = _band_solver(band, sigma, 1.0)
     start = np.random.default_rng(0).standard_normal(grid.size)
     for theta, u, _, beta in _lanczos(solve, start / np.linalg.norm(start)):
@@ -487,6 +506,10 @@ def suggest_half_width(spec: LossSpec, s: float) -> float:
     a centered Gaussian of per-axis variance s / (2 lam); the box covers that
     Gaussian's quantile plus the offset of the loss minimizer.
     """
+    from statistics import NormalDist    # imported here: it pulls in decimal and fractions
+
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
     if spec.lam <= 0:
         raise ValueError("half-width rule needs lam > 0 (coercive tail)")
     dim = spec.p * spec.d
@@ -498,5 +521,5 @@ def suggest_half_width(spec: LossSpec, s: float) -> float:
 
     res = optimize.minimize(fun_and_grad, np.zeros(dim), jac=True, method="L-BFGS-B")
     center = float(np.max(np.abs(res.x)))
-    quantile = -float(special.ndtri(HALF_WIDTH_TAIL / (2.0 * dim)))
+    quantile = -NormalDist().inv_cdf(HALF_WIDTH_TAIL / (2.0 * dim))
     return center + sigma * (quantile + 1.0)

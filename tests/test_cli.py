@@ -726,15 +726,35 @@ def test_a_key_error_inside_a_command_is_no_configuration_error(workdir, monkeyp
 
 
 def test_fpe_gap_checks_the_operator_size_before_the_decay_run(workdir, capsys, monkeypatch):
-    def no_decay_run(*args, **kwargs):
-        raise AssertionError("ran the decay before checking the operator size")
+    # build_grid holds the one size rule, so both forms of fpe refuse the
+    # grid before either solver runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ran a solver before checking the operator size")
 
-    monkeypatch.setattr(fpe, "decay_rate", no_decay_run)
-    spec = _write(workdir, "spec2d.json", {**SPEC, "p": 1})
-    code = cli.main(["fpe", "--spec", str(spec), "--s", "0.5", "--m", "201",
-                     "--tmax", "10", "--dt", "0.01", "--gap"])
+    monkeypatch.setattr(fpe, "decay_rate", no_solve)
+    monkeypatch.setattr(fpe, "spectral_gap", no_solve)
+    spec2d = _write(workdir, "spec2d.json", {**SPEC, "p": 1})
+    out = workdir / "fpe.csv"
+    for spec, m, size in ((spec2d, "201", 40401), (workdir / "spec1d.json", "40001", 40001)):
+        argv = ["fpe", "--spec", str(spec), "--s", "0.5", "--m", m, "--tmax", "10",
+                "--dt", "0.01"]
+        for form in (["--gap"], ["--out", str(out)]):
+            assert cli.main(argv + form) == 2
+            captured = capsys.readouterr()
+            assert f"operator size {size} exceeds {fpe.MAX_OPERATOR_SIZE}" in captured.err
+            assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_fpe_names_a_noise_scale_that_is_not_positive(workdir, capsys, value):
+    # the half-width rule takes sqrt(s / (2 lam)), which fails on s < 0 with
+    # "math domain error" unless s is checked first
+    code = cli.main(["fpe", "--spec", str(workdir / "spec1d.json"), "--s", value,
+                     "--m", "51", "--tmax", "1", "--dt", "0.1", "--gap"])
     assert code == 2
-    assert f"operator size 40401 exceeds {fpe.MAX_OPERATOR_SIZE}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "s must be positive and finite" in captured.err
+    assert not captured.out
 
 
 @pytest.mark.parametrize("sgd_file", [

@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 import oracles
 import villanets
-from villanets import activations, dynamics, fpe, model
+from villanets import activations, datasets, dynamics, fpe, model
 from villanets.dynamics import InitSpec
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
@@ -37,6 +37,14 @@ def two_dim_spec():
     data = Dataset(np.array([[1.0, -0.5]]), np.array([0.4]))
     net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 2)), act)
     return LossSpec(net, data, 0.5)
+
+
+def mixing_spec():
+    """The 2-D spec of the benchmark's fpe_mixing workload at seed 0, whose
+    data seed is SeedSequence([0, *b"fpe_mixing"]).generate_state(1)[0]."""
+    data = datasets.gen_sine(d=2, n=16, noise_sd=0.1, seed=2971682510)
+    net = Net(normalized_outer(1, data.x_bound), np.zeros((1, 2)), activations.sigmoid(1.0))
+    return LossSpec(net, data, 1.5 * model.lambda_c(net, data))
 
 
 def ou_grid(lam=0.5, s=1.0, m=401, r=6.0):
@@ -82,6 +90,20 @@ class TestBuildGrid:
         spec = LossSpec(Net(np.zeros(1), np.zeros((1, 3)), act), data, 0.5)
         with pytest.raises(ValueError):
             fpe.build_grid(spec, 4.0, 32, 1.0)
+
+    @pytest.mark.parametrize("dim, m", [(2, 201), (1, 40_001)])
+    def test_refuses_more_nodes_than_the_operator_size(self, dim, m):
+        with pytest.raises(ValueError, match=f"operator size {m**dim} exceeds 40000"):
+            fpe.build_grid(ridge_only_spec(0.5, dim=dim), 4.0, m, 1.0)
+
+    def test_checks_the_operator_size_before_tabulating(self, monkeypatch):
+        def no_tabulation(*args):
+            raise AssertionError("tabulated the potential before checking the operator size")
+
+        monkeypatch.setattr(fpe, "MAX_OPERATOR_SIZE", 100)
+        monkeypatch.setattr(fpe, "tabulate_potential", no_tabulation)
+        with pytest.raises(ValueError, match="operator size 121 exceeds 100"):
+            fpe.build_grid(two_dim_spec(), 4.0, 11, 1.0)
 
     def test_explicit_init_normalized(self):
         grid = fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0,
@@ -233,25 +255,24 @@ def tails(monkeypatch):
 class TestKrylovTail:
     """decay_rate's Lanczos tail against the loop that steps the whole horizon.
 
-    The loop's q - sqrt(mu) cancels: each step leaves an error of a few eps
-    in q, whose norm is ~1 in h^dim units, so the loop's chi is good to
-    ~1e-14 absolute (a late chi of 1e-6 to ~1e-8 relative).  The tail reads
-    the deviation from sqrt(mu) directly, so the comparison is chi within
-    1e-10 relative or 1e-13 absolute, and the rate within 1e-10, or 1e-9
-    where the whole window lies below chi ~ 1e-4.
+    decay_rate steps q through the first half, where q - sqrt(mu) cancels:
+    each step leaves an error of a few eps in q, whose norm is ~1 in h^dim
+    units, so chi there is good to ~1e-14 absolute.  The tail and the loop
+    (:func:`oracles.decay_fit_loop`) both read the deviation from sqrt(mu)
+    directly, so the comparison is chi within 1e-10 relative or 1e-13
+    absolute, and the rate within 1e-10.  Over boxes one to three ulp
+    either side of each grid's half-width, the rates agree to 1.2e-12.
     """
 
-    @pytest.mark.parametrize("grid, t_max, rate_rtol", [
-        (lambda: sigmoid_grid(1, 201), 4.0, 1e-10),
-        (lambda: sigmoid_grid(2, 41), 4.0, 1e-10),
-        (lambda: sigmoid_grid(2, 41), 20.0, 1e-10),
-        # criterion 08c's grid: chi falls from 2.4e5 to 8e-7, late chi^2
-        # differ by up to 1.8e-8 relative and the rates by 7.5e-10; stepping
-        # the deviation d instead of q agrees with the tail's rate to 3e-14
+    @pytest.mark.parametrize("grid, t_max", [
+        (lambda: sigmoid_grid(1, 201), 4.0),
+        (lambda: sigmoid_grid(2, 41), 4.0),
+        (lambda: sigmoid_grid(2, 41), 20.0),
+        # criterion 08c's grid: chi falls from 2.4e5 to 8e-7
         (lambda: fpe.build_grid(sigmoid_1d_spec(1.5), fpe.suggest_half_width(
-            sigmoid_1d_spec(1.5), 0.2), 501, 0.2), 60.0, 1e-9),
+            sigmoid_1d_spec(1.5), 0.2), 501, 0.2), 60.0),
     ], ids=["1d-m201", "2d-m41", "2d-m41-t20", "08c"])
-    def test_the_tail_is_the_loop(self, tails, grid, t_max, rate_rtol):
+    def test_the_tail_is_the_loop(self, tails, grid, t_max):
         grid = grid()
         fit = fpe.decay_rate(grid, t_max, 0.02)
         ref = oracles.decay_fit_loop(grid, t_max, 0.02)
@@ -260,7 +281,7 @@ class TestKrylovTail:
         np.testing.assert_allclose(np.sqrt(fit.chi2_series), np.sqrt(ref.chi2_series),
                                    rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(fit.mass_series, ref.mass_series, rtol=0, atol=1e-12)
-        assert fit.rate == pytest.approx(ref.rate, rel=rate_rtol)
+        assert fit.rate == pytest.approx(ref.rate, rel=1e-10)
         assert fit.r_squared == pytest.approx(ref.r_squared, rel=1e-10)
         assert (fit.early_converged, fit.settled) == (ref.early_converged, ref.settled)
 
@@ -381,6 +402,43 @@ class TestSpectralGap:
             assert errors[-1] <= 0.5 * s
         assert errors[1] < errors[0]
 
+    def test_small_noise_gap_error_in_two_dimensions_shrinks_like_h_squared(self):
+        # fpe_mixing's seed-0 spec: lambda_min 0.190065.  At s = 0.01 the
+        # box scales with the Gibbs width, so 1 - gap / lambda_min levels off
+        # at the grid error: 0.01791, 0.00717 and 0.00332 at m = 51, 81 and
+        # 121, which shrinks by 0.401 and 0.185 against h^2 ratios of 0.391
+        # and 0.174
+        spec, s = mixing_spec(), 0.01
+        w_star = oracles.gd_descend(spec, np.zeros((1, 2)))
+        lam_min = np.linalg.eigvalsh(oracles.fd_hessian(spec, w_star))[0]
+        r = fpe.suggest_half_width(spec, s)
+        errors = {m: 1.0 - fpe.spectral_gap(fpe.build_grid(spec, r, m, s)) / lam_min
+                  for m in (51, 81, 121)}
+        for m in (81, 121):
+            h2_ratio = ((51 - 1) / (m - 1)) ** 2
+            assert errors[m] / errors[51] == pytest.approx(h2_ratio, rel=0.5)
+
+    @pytest.mark.parametrize("s", [0.02, 0.3])
+    def test_a_fine_grid_gap_takes_few_vectors(self, monkeypatch, s):
+        # the shift is the box's free-diffusion rate, free of h: criterion
+        # 08c's spec at m = 40,000 takes 16 (s = 0.02) and 24 (s = 0.3)
+        # vectors, where a shift of 1e-4 max |diag H|, which grows like
+        # 1 / h^2, took 224 and 304
+        sizes = []
+        lanczos = fpe._lanczos
+
+        def spy(solve, v):
+            for item in lanczos(solve, v):
+                sizes.append(len(item[2]))
+                yield item
+
+        monkeypatch.setattr(fpe, "_lanczos", spy)
+        spec = sigmoid_1d_spec(1.5)
+        grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, s), 40_000, s)
+        gap = fpe.spectral_gap(grid)
+        assert sizes[-1] <= 24
+        assert gap == pytest.approx(oracles.gap_mode_1d(grid)[0], rel=1e-8)
+
     def test_two_dimensional_gap(self):
         # product of two independent quadratic wells: gap = min(lam) = lam
         act = activations.sigmoid(1.0)
@@ -411,14 +469,6 @@ class TestSpectralGap:
         monkeypatch.setattr(fpe, "KRYLOV_RTOL", -1.0)
         with pytest.raises(RuntimeError, match="eigenvalue iteration did not converge"):
             fpe.spectral_gap(ou_grid(m=101))
-
-    def test_size_guard(self):
-        grid = ou_grid(m=401)
-        big = fpe.FpeGrid(dim=2, half_width=6.0, m=250, h=0.05, s=1.0,
-                          potential=np.zeros(62500), rho=np.full(62500, 1.0))
-        with pytest.raises(ValueError):
-            fpe.spectral_gap(big)
-        assert fpe.spectral_gap(grid) > 0
 
 
 @pytest.mark.parametrize("dt, log_every", [(0.01, 25), (0.2, 1)], ids=["dt-0.01", "dt-s"])
@@ -503,6 +553,18 @@ class TestHalfWidthRule:
         with pytest.raises(ValueError):
             fpe.suggest_half_width(ridge_only_spec(0.0), 1.0)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_positive_finite_noise(self, s):
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            fpe.suggest_half_width(ridge_only_spec(0.5), s)
+
+    def test_quantile_of_a_centered_well(self):
+        # the minimizer is 0, so the half-width is sigma * (quantile + 1)
+        lam, s = 0.5, 1.0
+        r = fpe.suggest_half_width(ridge_only_spec(lam), s)
+        quantile = norm.isf(fpe.HALF_WIDTH_TAIL / 2.0)
+        assert r == pytest.approx(math.sqrt(s / (2 * lam)) * (quantile + 1.0), rel=1e-14)
+
 
 def _run_fresh(code: str) -> str:
     """Run ``code`` in a fresh interpreter that finds this villanets; its stdout."""
@@ -514,15 +576,15 @@ def _run_fresh(code: str) -> str:
 
 
 def test_import_loads_no_scipy():
-    # fpe imports each scipy module the first time a function needs it, and
-    # the harness the process pool only for a sweep on more than one job, so
-    # commands that need neither pay for numpy only
+    # fpe imports each scipy module, and statistics, the first time a
+    # function needs it, and the harness the process pool only for a sweep
+    # on more than one job, so commands that need neither pay for numpy only
+    packages = ("scipy", "statistics", "multiprocessing", "concurrent")
     for module in ("villanets", "villanets.cli"):
-        for packages in (("scipy",), ("multiprocessing", "concurrent")):
-            _run_fresh(f"import sys, {module}\n"
-                       "loaded = sorted(m for m in sys.modules\n"
-                       f"                if m.split('.')[0] in {packages!r})\n"
-                       "assert not loaded, loaded")
+        _run_fresh(f"import sys, {module}\n"
+                   "loaded = sorted(m for m in sys.modules\n"
+                   f"                if m.split('.')[0] in {packages!r})\n"
+                   "assert not loaded, loaded")
 
 
 def test_deferred_scipy_imports_resolve_in_a_fresh_process():
