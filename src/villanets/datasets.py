@@ -177,6 +177,14 @@ class DataRecipe:
             (key, as_number(value, f"corruption {key}")) for key, value in corruption.items())))
         if not 0.0 <= self.corruption_map.get("fraction", 0.0) <= 1.0:
             raise ValueError("corruption fraction must be in [0, 1]")
+        # the generators draw noise only for noise_sd > 0, so a negative or
+        # NaN one would give noise-free labels in silence
+        noise_sd = self.param_map.get("noise_sd", 0.0)
+        scale = self.corruption_map.get("scale", 0.0)
+        if not 0.0 <= noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be finite and at least 0, not {noise_sd!r}")
+        if not math.isfinite(scale):
+            raise ValueError(f"corruption scale must be finite, not {scale!r}")
 
     @property
     def param_map(self) -> MappingProxyType:

@@ -324,10 +324,13 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     the stack; the others go on.  ``eval_fn`` is called with one path's
     (p, d) weights at each log point, as in :func:`run_sgd_chains`, so
     ``eval_fn=np.copy`` records the weights and ensemble moments read off
-    ``eval_values``.
+    ``eval_values``.  Every path takes the round(t_max / dt) steps
+    that :func:`run_sde` states, or none is run.
     """
-    if not (0 <= s < math.inf and 0 < dt < math.inf and 0 < t_max < math.inf):
-        raise ValueError("need finite s >= 0, dt > 0, t_max > 0")
+    if not (0 <= s < math.inf and 0 < dt and 0 < t_max / dt < math.inf
+            and (n_steps := int(round(t_max / dt))) >= 1):
+        raise ValueError(f"need finite s >= 0, dt > 0 and t_max / dt finite, rounding to at least "
+                         f"1 step; got s = {s}, t_max = {t_max}, dt = {dt}")
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
     dt_op, noise_scale = np.array(float(dt)), np.array(math.sqrt(s * dt))
@@ -340,9 +343,8 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
         w += noise
         return w
 
-    return _integrate(spec, seeds, init or InitSpec(), s if s > 0 else dt,
-                      max(1, int(round(t_max / dt))), dt, log_every, step, draw,
-                      (spec.p, spec.d), eval_fn=eval_fn)
+    return _integrate(spec, seeds, init or InitSpec(), s if s > 0 else dt, n_steps, dt,
+                      log_every, step, draw, (spec.p, spec.d), eval_fn=eval_fn)
 
 
 def run_sde(
@@ -358,7 +360,10 @@ def run_sde(
     """Euler-Maruyama for dW = -grad(W) dt + sqrt(s) dB.
 
     Each step: W <- W - dt * grad + sqrt(s * dt) * G with i.i.d. standard
-    normal G.  ``s = 0`` reduces to explicit-Euler gradient flow.  Raises
+    normal G.  ``s = 0`` reduces to explicit-Euler gradient flow.  The run
+    takes round(t_max / dt) steps, so it ends at the nearest multiple of dt
+    to ``t_max``; a ``t_max / dt`` that is not finite or rounds to no step
+    at all is a ``ValueError`` naming both values.  Raises
     :class:`DivergenceError` as :func:`run_sgd` does.
     """
     return _one(run_sde_paths(spec, s, dt, t_max, [seed], init, log_every, eval_fn))

@@ -314,14 +314,18 @@ def _band_solver(band: np.ndarray, shift: float, scale: float):
 
 
 def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
-    """Evolve to ``t_max`` (implicit steps) and fit the tail decay of chi(t).
+    """Take n = round(t_max / dt) implicit steps of dt and fit the tail decay
+    of chi(t).
 
+    n must be at least 2, one step for each half of the fit; a ``t_max /
+    dt`` that is not finite or rounds to fewer steps is a ``ValueError``
+    naming both values, so the horizon is never stretched past ``t_max``.
     The steps evolve q = rho / sqrt(mu) under the symmetric form H, so the
     squared Gibbs-weighted distance sum (rho - mu)^2 / mu * h^dim is
     ||q - sqrt(mu)||^2 * h^dim and the mass is (q . sqrt(mu)) * h^dim.
-    The fit is least-squares on log chi over the second half of the horizon,
-    excluding points at the round-off floor.  A floor hit before the window
-    opens sets ``early_converged``.
+    The fit is least-squares on log chi over the second half of the steps
+    taken, steps (n + 1) // 2 to n, excluding points at the round-off floor.
+    A floor hit before the window opens sets ``early_converged``.
 
     The loop steps through the first half, the transient the fit discards.
     The fit window's backward-Euler curve is read off one Lanczos run on
@@ -339,13 +343,13 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     README's 1-D grid (gap 0.2028, lambda_2 0.3956), t_max = 40 gives
     0.2203 and t_max = 80 gives 0.2024.
     """
-    if not (0 < t_max < math.inf and 0 < dt < math.inf):
-        raise ValueError("t_max and dt must be positive and finite")
+    if not (0 < dt and 0 < t_max / dt < math.inf and (n_steps := int(round(t_max / dt))) >= 2):
+        raise ValueError(f"need dt > 0 and t_max / dt finite, rounding to at least 2 steps (one "
+                         f"per half of the fit); got t_max = {t_max}, dt = {dt}")
     root = np.sqrt(gibbs(grid).values)
     solve = _band_solver(_symmetric_band(grid), 1.0, dt)
-    n_steps = max(2, int(round(t_max / dt)))
     times = np.arange(n_steps + 1) * dt
-    start = int(np.argmax(times >= t_max / 2.0))    # the fit window's first step
+    start = (n_steps + 1) // 2    # the fit window's first step
     q = grid.rho / root
     chi2 = np.empty(n_steps + 1)
     mass = np.empty(n_steps + 1)
@@ -356,7 +360,7 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
         mass[k] = (q @ root) * vol
         q = solve(q)
     chi2[start:], mass[start:] = _krylov_tail(solve, q, root, n_steps - start, vol)
-    return _fit_decay(times, chi2, mass, t_max)
+    return _fit_decay(times, chi2, mass)
 
 
 def _lanczos(solve, v: np.ndarray):
@@ -419,10 +423,11 @@ def _krylov_tail(solve, q: np.ndarray, root: np.ndarray, steps: int, vol: float)
         last = chi2
 
 
-def _fit_decay(times: np.ndarray, chi2: np.ndarray, mass: np.ndarray, t_max: float) -> DecayFit:
-    """The :class:`DecayFit` of a chi^2 series, as :func:`decay_rate` fits it."""
+def _fit_decay(times: np.ndarray, chi2: np.ndarray, mass: np.ndarray) -> DecayFit:
+    """The :class:`DecayFit` of a chi^2 series, as :func:`decay_rate` fits it:
+    of n steps, the window is steps (n + 1) // 2 to n."""
     chi = np.sqrt(chi2)
-    window = times >= t_max / 2.0
+    window = np.arange(times.size) >= times.size // 2
     usable = chi > CHI_FLOOR
     early = bool(np.any(~usable & ~window))
     mask = window & usable

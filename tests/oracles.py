@@ -6,8 +6,8 @@ finite differences of the loss, the global-minimum oracle is plain
 multi-start full-batch gradient descent, and the density-solver oracles step
 rho with a sparse LU of I - dt * G instead of the symmetric banded form, or
 step q = rho / sqrt(mu) through the whole horizon instead of reading the
-fit window off a Lanczos run, and take the 1-D gap mode from a tridiagonal
-eigensolver on G.
+fit window off a Lanczos run, and take the gap mode from ARPACK on the
+sparse symmetrized generator, or in 1-D from a tridiagonal eigensolver on G.
 The kernel references write the formulas of ``Activation.derivs``,
 ``model.evaluate`` and ``dynamics.sgd_step`` out, one fresh array per
 operation, in the order of operations that the library's in-place kernel
@@ -196,7 +196,7 @@ def decay_series_rho(grid: fpe.FpeGrid, t_max: float, dt: float):
     of rho with G, chi^2 = sum (rho - mu)^2 / mu * h^dim."""
     mu = fpe.gibbs(grid).values
     lu = implicit_step_rho(grid, dt)
-    n_steps = max(2, int(round(t_max / dt)))
+    n_steps = round(t_max / dt)
     rho = grid.rho.copy()
     chi2, mass = [], []
     for k in range(n_steps + 1):
@@ -217,7 +217,7 @@ def decay_fit_loop(grid: fpe.FpeGrid, t_max: float, dt: float) -> fpe.DecayFit:
     moves a fitted rate by up to ~1e-9 when the box moves by one ulp."""
     root = np.sqrt(fpe.gibbs(grid).values)
     solve = fpe._band_solver(fpe._symmetric_band(grid), 1.0, dt)
-    n_steps = max(2, int(round(t_max / dt)))
+    n_steps = round(t_max / dt)
     norm2 = root @ root
     q = grid.rho / root
     c = (q @ root) / norm2
@@ -229,7 +229,7 @@ def decay_fit_loop(grid: fpe.FpeGrid, t_max: float, dt: float) -> fpe.DecayFit:
         if k < n_steps:
             d = solve(d)
     mass = np.full(n_steps + 1, c * norm2 * grid.cell_volume)
-    return fpe._fit_decay(np.arange(n_steps + 1) * dt, chi2, mass, t_max)
+    return fpe._fit_decay(np.arange(n_steps + 1) * dt, chi2, mass)
 
 
 def symmetrized_dense(grid: fpe.FpeGrid) -> np.ndarray:
@@ -238,6 +238,18 @@ def symmetrized_dense(grid: fpe.FpeGrid) -> np.ndarray:
     root = np.sqrt(fpe.gibbs(grid).values)
     h_mat = fpe.generator(grid).toarray() / root[:, None] * root[None, :]
     return (h_mat + h_mat.T) / 2.0
+
+
+def gap_mode(grid: fpe.FpeGrid) -> tuple:
+    """(gap, v_1) of a grid of any dimension from ARPACK's shift-invert
+    Lanczos on the sparse symmetrized generator H: the two eigenvalues
+    nearest a small positive shift are 0 and -gap, and v_1 is the unit
+    eigenvector at -gap.  The start is random, as a constant one is
+    orthogonal to an odd gap mode."""
+    start = np.random.default_rng(0).standard_normal(grid.size)
+    vals, vecs = spla.eigsh(fpe.symmetrized_generator(grid).tocsc(), k=2, sigma=1e-3, v0=start)
+    i = int(np.argmin(vals))
+    return -float(vals[i]), vecs[:, i]
 
 
 def gap_mode_1d(grid: fpe.FpeGrid) -> tuple:

@@ -259,6 +259,28 @@ def test_fpe_flags_a_fit_that_has_not_settled(workdir, capsys):
     assert err.startswith("warning: the decay fit has not settled") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, tmax, dt", [
+    ("fpe", "1e300", "1e-300"), ("fpe", "5", "10"),
+    ("sde", "1e300", "1e-300"), ("sde", "0.001", "1"),
+])
+def test_a_horizon_the_run_cannot_hold_is_a_configuration_error(workdir, capsys, command,
+                                                                tmax, dt):
+    # a t_max / dt that overflows, or rounds to fewer steps than the run
+    # needs, is named before any step and no file is written
+    out = workdir / "bad.csv"
+    argv = [command, "--s", "0.5", "--tmax", tmax, "--dt", dt]
+    if command == "fpe":
+        argv += ["--spec", str(workdir / "spec1d.json"), "--m", "51"]
+        forms = (["--gap"], ["--out", str(out)])
+    else:
+        forms = (["--spec", str(workdir / "spec.json"), "--out", str(out)],)
+    for form in forms:
+        assert cli.main(argv + form) == 2
+        captured = capsys.readouterr()
+        assert f"t_max = {float(tmax)}, dt = {float(dt)}" in captured.err
+        assert not captured.out and not out.exists()
+
+
 def test_gen_cli(workdir, capsys):
     recipe = DataRecipe("sine", 25, 10, seed=4, params={"d": 3, "noise_sd": 0.1})
     (workdir / "recipe.json").write_text(json.dumps(recipe.to_dict()))
@@ -550,6 +572,23 @@ def test_ablate_cli_checks_every_setting_before_training_any(workdir, capsys, no
     settings = [SETTING_REQUIRED, {**SETTING_REQUIRED, "lambda": 0.13, **change}]
     ablate = {"recipe": RECIPE, "fractions": [0.0, 0.5], "settings": settings}
     assert message in _refused(workdir, capsys, "ablate", _write(workdir, "a.json", ablate))
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep", "ablate"])
+@pytest.mark.parametrize("recipe, message", [
+    ({**RECIPE, "params": {"d": 3, "noise_sd": -1.0}}, "noise_sd must be finite and at least 0"),
+    ({**RECIPE, "params": {"d": 3, "noise_sd": math.nan}},
+     "noise_sd must be finite and at least 0"),
+    ({**RECIPE, "corruption": {"fraction": 0.5, "scale": math.nan}},
+     "corruption scale must be finite"),
+], ids=["noise-negative", "noise-nan", "scale-nan"])
+def test_a_recipe_number_out_of_range_names_the_file(workdir, capsys, no_work, command, recipe,
+                                                     message):
+    obj = {"gen": recipe, "sweep": {**SWEEP_REQUIRED, "recipe": recipe},
+           "ablate": {"recipe": recipe, "fractions": [0.0], "settings": [SETTING_REQUIRED]}}
+    path = _write(workdir, "noise.json", obj[command])
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: {message}")
 
 
 def test_ablate_cli_refuses_a_corrupted_recipe(workdir, capsys, no_work):

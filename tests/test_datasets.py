@@ -167,6 +167,19 @@ class TestRecipe:
         with pytest.raises(error, match=message):
             DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, **kwargs})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"params": {"noise_sd": -1.0}}, "noise_sd must be finite and at least 0, not -1.0"),
+        ({"kind": "teacher", "params": {"noise_sd": math.nan}},
+         "noise_sd must be finite and at least 0, not nan"),
+        ({"corruption": {"fraction": 0.5, "scale": math.nan}},
+         "corruption scale must be finite, not nan"),
+    ], ids=["noise-negative", "noise-nan", "scale-nan"])
+    def test_noise_and_corruption_scale_are_refused_out_of_range(self, kwargs, message):
+        # the generators draw noise only for noise_sd > 0, so these would
+        # give noise-free labels in silence; a NaN scale reaches the Dataset
+        with pytest.raises(ValueError, match=message):
+            DataRecipe(**{"kind": "sine", "n_train": 50, "n_test": 10, "seed": 0, **kwargs})
+
     @pytest.mark.parametrize("field, value, error", [
         ("n_train", True, TypeError), ("n_test", 5.5, ValueError),
         ("seed", 1.5, ValueError), ("seed", "1", TypeError),

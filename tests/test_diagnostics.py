@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ class TestVillaniScan:
                                           r_max=100.0)
         points = report.v_values.size
         assert report.grad_bound_violations == report.laplacian_bound_violations == points
+
+    def test_radii_whose_v_s_overflows_read_as_diverging(self):
+        # from r ~ 1e154 on, ||g||^2 overflows to inf and v_s with it; the
+        # tail compares neighbours, inf >= inf, since their difference
+        # inf - inf is NaN and would read as not diverging
+        spec = small_spec("sigmoid", p=1, d=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = diagnostics.villani_scan(spec, s=0.1, ray_count=8, r_max=1e200)
+        assert np.all(np.isinf(report.v_values[:, -3:]))
+        assert report.diverging
+        assert report.grad_bound_violations == report.laplacian_bound_violations == 0
 
     def test_seeded_determinism(self):
         spec = small_spec("sigmoid")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -443,6 +444,22 @@ class TestRunSde:
             dynamics.run_sde(spec, s=0.1, dt=0.1, t_max=1.0, log_every=0)
         with pytest.raises(ValueError, match="log_every"):
             dynamics.run_sde_paths(spec, 0.1, 0.1, 1.0, seeds=[0, 1], log_every=-1)
+
+    # inf, NaN and an overflowing ratio; 0.001 / 1 and exactly 0.5 round to
+    # no step (Python rounds 0.5 to even), and a negative horizon or step to none
+    @pytest.mark.parametrize("t_max, dt", [
+        (math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (math.inf, math.inf),
+        (1e300, 1e-300), (0.001, 1.0), (0.5, 1.0), (1.0, 0.0), (-1.0, 0.1), (-1.0, -0.1),
+    ])
+    def test_refuses_a_horizon_it_cannot_hold(self, t_max, dt):
+        with pytest.raises(ValueError, match=re.escape(f"t_max = {t_max}, dt = {dt}")):
+            dynamics.run_sde_paths(small_spec(), 0.1, dt, t_max, seeds=[0, 1])
+
+    # the least ratio that rounds to a step, and a half that rounds to even
+    @pytest.mark.parametrize("t_max, steps", [(0.6, 1), (2.5, 2)])
+    def test_takes_the_rounded_count_of_steps(self, t_max, steps):
+        traj = dynamics.run_sde(small_spec(), s=0.1, dt=1.0, t_max=t_max)
+        np.testing.assert_array_equal(traj.times, np.arange(steps + 1) * 1.0)
 
 
 def _outcome(entry):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg.blas import dsbmv
 from scipy.stats import norm
 
@@ -230,6 +232,46 @@ class TestDecayRate:
         change1 = abs(rates[1] - rates[0])
         change2 = abs(rates[2] - rates[1])
         assert change2 < 5 * max(change1, 1e-12)
+
+    # inf, NaN and an overflowing ratio; 5 / 10 and 1.4 round to 1 step,
+    # and a negative horizon or step to none
+    @pytest.mark.parametrize("t_max, dt", [
+        (math.inf, 0.02), (math.nan, 0.02), (1.0, math.nan), (math.inf, math.inf),
+        (1e300, 1e-300), (5.0, 10.0), (1.4, 1.0), (1.0, 0.0), (-2.0, 0.5), (-2.0, -0.5),
+    ])
+    def test_refuses_a_horizon_it_cannot_hold(self, t_max, dt):
+        with pytest.raises(ValueError, match=re.escape(f"got t_max = {t_max}, dt = {dt}")):
+            fpe.decay_rate(ou_grid(m=51), t_max, dt)
+
+    def test_takes_the_rounded_count_of_steps(self, monkeypatch):
+        # 1.5 rounds to 2 steps, one per half; 3 steps read steps 2-3 off
+        # the tail, whose 2 points are too few to fit, so the fit takes all 4
+        tail_steps, real = [], fpe._krylov_tail
+
+        def spy(solve, q, root, steps, vol):
+            tail_steps.append(steps)
+            return real(solve, q, root, steps, vol)
+
+        monkeypatch.setattr(fpe, "_krylov_tail", spy)
+        grid = ou_grid(m=51)
+        fit = fpe.decay_rate(grid, 1.5, 1.0)
+        np.testing.assert_array_equal(fit.times, [0.0, 1.0, 2.0])
+        fit = fpe.decay_rate(grid, 0.3, 0.1)
+        np.testing.assert_array_equal(fit.times, np.arange(4) * 0.1)
+        assert tail_steps == [1, 1]
+        assert fit.early_converged and fit.rate > 0
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_fits_the_second_half_of_the_steps_taken(self, n):
+        # steps of 0.5; log chi falls by 1 a step up to step 3, then by 2:
+        # only a window of steps (n + 1) // 2 = 3 to n reads the rate 4
+        # with R^2 = 1
+        times = np.arange(n + 1) * 0.5
+        log_chi = -np.minimum(np.arange(n + 1), 3) - 2 * np.maximum(np.arange(n + 1) - 3, 0)
+        fit = fpe._fit_decay(times, np.exp(2 * log_chi), np.ones(n + 1))
+        assert fit.rate == pytest.approx(4.0, rel=1e-12)
+        assert fit.r_squared == pytest.approx(1.0, rel=1e-12)
+        assert not fit.early_converged
 
 
 @pytest.fixture
@@ -488,21 +530,51 @@ def test_sde_ensemble_relaxes_at_the_gap(dt, log_every):
                                    init=InitSpec("explicit", w0=np.array([[2.5]])),
                                    log_every=log_every,
                                    eval_fn=lambda w: np.interp(w[0, 0], axis, psi))
-    values = np.stack([path.eval_values[:, 0] for path in paths])
-    times = paths[0].times
-    mean = values.mean(axis=0) / values[0, 0]
-    stderr = values.std(axis=0, ddof=1) / math.sqrt(len(paths)) / abs(values[0, 0])
-    fit = (times >= 1.0) & (mean > 4 * stderr)
-    # log mean = -rate * t through the exact value 1 at t = 0, each point
-    # weighted by its squared signal-to-noise ratio.  Over ten disjoint sets
-    # of 4,000 seeds rate / gap read 0.997 +- 0.013 (mean +- sd) at
-    # dt = 0.01; this set reads 0.996.  At dt = s five disjoint sets read
-    # 0.984-1.001 of the prediction, and this set 0.989
-    t, y, weight = times[fit], np.log(mean[fit]), (mean[fit] / stderr[fit]) ** 2
-    rate = -np.sum(weight * t * y) / np.sum(weight * t * t)
+    # over ten disjoint sets of 4,000 seeds rate / gap read 0.997 +- 0.013
+    # (mean +- sd) at dt = 0.01; this set reads 0.996.  At dt = s five
+    # disjoint sets read 0.984-1.001 of the prediction, and this set 0.989
+    rate = _ensemble_rate(paths[0].times, np.stack([path.eval_values[:, 0] for path in paths]))
     expected = gap if dt < s else -math.log(1.0 - dt * gap) / dt
-    assert fit.sum() >= 30
     assert abs(rate / expected - 1.0) <= 0.03
+
+
+def test_sde_ensemble_relaxes_at_the_gap_in_two_dimensions():
+    # the same law in 2-D, on the benchmark's fpe_mixing seed-0 spec (p = 1,
+    # d = 2, lam = 1.5 lambda_c) at s = 0.3: 3,000 paths at dt = 0.01 from
+    # the node where |psi_1| is largest among those with Gibbs density at
+    # least 1e-3 of its peak.  psi_1 is interpolated bilinearly at the
+    # recorded weights, all at once.  Over ten disjoint sets of 3,000 seeds
+    # rate / gap read 1.004 +- 0.006 (mean +- sd), 0.993-1.014; this set
+    # reads 1.002, so the 3% tolerance is five Monte Carlo sd
+    spec, s = mixing_spec(), 0.3
+    grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, s), 101, s)
+    gap, v1 = oracles.gap_mode(grid)
+    mu = fpe.gibbs(grid).values
+    psi = v1 / np.sqrt(mu)
+    start = np.argmax(np.abs(psi) * (mu >= 1e-3 * mu.max()))
+    axis = grid.axis()
+    w0 = axis[list(np.unravel_index(start, (grid.m, grid.m)))]
+    paths = dynamics.run_sde_paths(spec, s, 0.01, 10.0, range(3000),
+                                   init=InitSpec("explicit", w0=w0[None, :]), log_every=25,
+                                   eval_fn=np.copy)
+    weights = np.stack([path.eval_values for path in paths])    # (paths, log points, 1, 2)
+    psi_at = RegularGridInterpolator((axis, axis), psi.reshape(grid.m, grid.m))
+    values = psi_at(weights.reshape(-1, 2)).reshape(weights.shape[:2])
+    assert values[0, 0] == pytest.approx(psi[start], rel=1e-12)
+    assert abs(_ensemble_rate(paths[0].times, values) / gap - 1.0) <= 0.03
+
+
+def _ensemble_rate(times: np.ndarray, values: np.ndarray) -> float:
+    """The decay rate of the mean over paths (rows) of ``values``: log mean
+    = -rate * t through the exact value 1 at t = 0, fitted on t >= 1 where
+    the mean stands above 4 standard errors, each point weighted by its
+    squared signal-to-noise ratio."""
+    mean = values.mean(axis=0) / values[0, 0]
+    stderr = values.std(axis=0, ddof=1) / math.sqrt(len(values)) / abs(values[0, 0])
+    fit = (times >= 1.0) & (mean > 4 * stderr)
+    t, y, weight = times[fit], np.log(mean[fit]), (mean[fit] / stderr[fit]) ** 2
+    assert fit.sum() >= 30
+    return float(-np.sum(weight * t * y) / np.sum(weight * t * t))
 
 
 class TestSymmetricForm:
