@@ -3,14 +3,14 @@
 Subcommands: constants, villani-scan, train, sde, fpe, gen, sweep, ablate.
 Exit codes: 0 on success (sweeps count divergence sentinels as success),
 1 when stdout closes before all output is written (``... | head -1``),
-2 on configuration errors (a path that cannot be read or written among
-them), 3 when a ``train``, ``sde`` or ``ablate`` run diverges (``diverged
-at step k: ...`` on stderr; the diverged run writes no file, earlier
-``ablate`` settings keep theirs).  This module writes every
-file; the library reads its inputs and computes.  Every CSV, ``gen``'s data
-included, is a header plus plain decimals that ``np.loadtxt(path,
-delimiter=",", skiprows=1)`` reads back exactly; every JSON file is
-``json.dumps(payload, indent=2)``.
+2 on configuration errors (among them a path that cannot be read or
+written, and a horizon too long to allocate), 3 when a ``train``, ``sde``
+or ``ablate`` run diverges (``diverged at step k: ...`` on stderr; the
+diverged run writes no file, earlier ``ablate`` settings keep theirs).
+This module writes every file; the library reads its inputs and
+computes.  Every CSV, ``gen``'s data included, is a header plus plain
+decimals that ``np.loadtxt(path, delimiter=",", skiprows=1)`` reads back
+exactly; every JSON file is ``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         # interpreter's own flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except dynamics.DivergenceError as exc:

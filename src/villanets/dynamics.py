@@ -142,10 +142,10 @@ class SgdConfig:
 class Trajectory:
     """Logged run: times, losses, gradient norms, and the final weights.
 
-    ``eval_values`` holds what the run's ``eval_fn`` returned, one row per
-    log point (a scalar gets a single column; ``eval_fn=np.copy`` gives the
-    (p, d) weights), and is None without one.  The rng digest fingerprints
-    the terminal generator state for reproducibility checks.
+    ``eval_values`` holds the chain's row of ``eval_fn`` at each log point (a
+    scalar is one column; ``eval_fn=np.copy`` gives the (p, d) weights), or
+    None without one.  No array is shared with another trajectory.  The rng
+    digest fingerprints the terminal generator state for reproducibility.
     """
 
     times: np.ndarray
@@ -183,25 +183,6 @@ def _all_finite(w: np.ndarray) -> bool:
     return math.isfinite(np.vdot(w, w)) or bool(np.isfinite(w).all())
 
 
-class _Chain:
-    """One chain of a stack: its own generator and its log."""
-
-    def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
-        self.steps, self.losses, self.gnorms, self.evals = [], [], [], []
-
-    def trajectory(self, final_w: np.ndarray, dt: float) -> Trajectory:
-        return Trajectory(
-            times=np.array(self.steps) * dt,
-            steps=np.array(self.steps),
-            losses=np.array(self.losses),
-            grad_norms=np.array(self.gnorms),
-            final_w=final_w,
-            rng_state_digest=_digest(self.rng),
-            eval_values=np.array(self.evals) if self.evals else None,
-        )
-
-
 def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: int,
                dt: float, log_every: int, step, draw=None, draw_shape=(),
                eval_fn=None) -> list:
@@ -213,21 +194,28 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     draws its random numbers for the next K steps in one call, which
     consumes the generator exactly as K per-step draws would.
     ``step(w, drawn)`` maps the stack and the chains' draws for this step
-    (None without ``draw``) to the next stack.  Loss, gradient norm and
-    ``eval_fn(w)``, with one chain's (p, d) weights, are logged at step 0,
-    every ``log_every`` steps and at the last step.  Returns, per seed, the
+    (None without ``draw``) to the next stack.  At step 0, every
+    ``log_every`` steps and at the last step the whole stack is logged: its
+    losses, gradient norms and ``eval_fn(w)`` of the (k, p, d) weights of
+    the k live chains, one row per chain (a scalar is a one-column row),
+    into per-chain arrays sized before the first step, so a log that cannot
+    be held is a ``MemoryError`` before any step.  Returns, per seed, the
     chain's :class:`Trajectory` or the :class:`DivergenceError` a lone run
     of it raises: at the first step whose weights are not finite, or at the
     first log point whose loss exceeds ``DIVERGENCE_LIMIT``.  A diverged
     chain leaves the stack; the others go on.  Overflow on the way to a
     divergence is not warned about, since the check above reports it.
     """
-    chains = [_Chain(seed) for seed in seeds]
-    out = [None] * len(chains)
-    if not chains:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    out = [None] * len(rngs)
+    if not rngs:
         return out
-    live = list(range(len(chains)))                  # the chain of each stack row
-    w = w_prev = np.stack([init.sample(c.rng, spec.p, spec.d, spec.lam, init_s) for c in chains])
+    logged = np.append(np.arange(0, n_steps, log_every), n_steps)    # the log points' steps
+    losses, gnorms = np.empty((2, len(rngs), len(logged)))
+    evals = None                  # (R, log points, *row), sized by eval_fn's first rows
+    live = np.arange(len(rngs))                      # the chain of each stack row
+    rows, t = slice(None), 0     # the live chains' log rows (all until one leaves), log column
+    w = w_prev = np.stack([init.sample(rng, spec.p, spec.d, spec.lam, init_s) for rng in rngs])
     block = n_steps if draw is None else max(1, BLOCK_NUMBERS // math.prod(draw_shape))
     drawn, j, size = None, 0, 0      # drawn: (R, size, *draw_shape); drawn[:, j] is next
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,41 +224,47 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
             if k and not _all_finite(w):
                 diverged = dict.fromkeys(np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist(),
                                          "weights")
-            if k % log_every == 0 or k == n_steps:
+            at_log = k % log_every == 0 or k == n_steps
+            if at_log:
                 values, grads = model.evaluate(spec, w, ("loss", "grad"))
+                losses[rows, t] = values         # a diverging chain's entries are not read
+                flat = grads.reshape(len(live), 1, -1)
+                gnorms[rows, t] = np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
                 for i, value in enumerate(values.tolist()):
-                    if i in diverged:
-                        continue
                     if not value <= DIVERGENCE_LIMIT:  # also true for NaN
-                        diverged[i] = f"loss ({value!r})"
-                        continue
-                    c = chains[live[i]]
-                    c.steps.append(k)
-                    c.losses.append(value)
-                    c.gnorms.append(float(np.linalg.norm(grads[i])))
-                    if eval_fn is not None:
-                        c.evals.append(np.atleast_1d(np.asarray(eval_fn(w[i]), dtype=np.float64)))
+                        diverged.setdefault(i, f"loss ({value!r})")
             if diverged:
                 for i, what in diverged.items():
                     out[live[i]] = DivergenceError(f"{what} left the finite regime at step {k}",
                                                    last_w=w_prev[i].copy(), step=k)
                 keep = [i not in diverged for i in range(len(live))]
-                live = [c for c, kept in zip(live, keep) if kept]
-                if not live:
-                    break
+                rows = live = live[keep]
                 w = w[keep]
+                if not len(live):
+                    break
                 if drawn is not None:
                     drawn = drawn[keep]
+            if at_log and eval_fn is not None:
+                got = np.asarray(eval_fn(w), dtype=np.float64)
+                if got.shape[:1] != live.shape:
+                    raise ValueError(f"eval_fn must return one row per chain, {len(live)} rows, "
+                                     f"not an array of shape {got.shape}")
+                if evals is None:
+                    evals = np.empty((len(rngs), len(logged), *(got.shape[1:] or (1,))))
+                evals[rows, t] = got if got.ndim > 1 else got[:, None]
+            t += at_log
             if k == n_steps:
                 break
             if j == size:
                 size, j = min(n_steps - k, block), 0
                 if draw is not None:
-                    drawn = np.stack([draw(chains[c].rng, (size, *draw_shape)) for c in live])
+                    drawn = np.stack([draw(rngs[c], (size, *draw_shape)) for c in live])
             w_prev, w = w, step(w, None if drawn is None else drawn[:, j])
             j += 1
-    for i, c in enumerate(live):
-        out[c] = chains[c].trajectory(w[i].copy(), dt)
+    for i, c in enumerate(live.tolist()):
+        out[c] = Trajectory(logged * dt, logged.copy(), losses[c].copy(), gnorms[c].copy(),
+                            w[i].copy(), _digest(rngs[c]),
+                            None if evals is None else evals[c].copy())
     return out
 
 
@@ -281,8 +275,8 @@ def run_sgd_chains(spec: LossSpec, config: SgdConfig, seeds, eval_fn=None) -> li
     Returns one entry per seed: the :class:`Trajectory` of
     ``run_sgd(spec, replace(config, seed=seed), eval_fn)``, bit for bit, or
     the :class:`DivergenceError` that run raises.  A chain that diverges
-    leaves the stack; the others go on.  ``eval_fn`` is called with one
-    chain's (p, d) weights at a time.
+    leaves the stack; the others go on.  At each log point ``eval_fn`` gets
+    the (k, p, d) weights of the k live chains and returns one row each.
     """
     if config.batch_size > spec.n:
         raise ValueError(f"batch_size must be in [1, {spec.n}]")
@@ -305,7 +299,8 @@ def run_sgd(spec: LossSpec, config: SgdConfig, eval_fn=None) -> Trajectory:
     replacement, one draw per step.  ``batch_size == n`` uses the full
     dataset deterministically, so that setting is exact gradient descent
     (and inherits its descent guarantee for steps below the inverse
-    smoothness bound).  Deterministic given ``config.seed``.
+    smoothness bound).  Deterministic given ``config.seed``.  ``eval_fn``
+    gets a (1, p, d) stack, as in :func:`run_sgd_chains`.
 
     Raises :class:`DivergenceError` at the first step whose weights are not
     finite, or at the first log point whose loss exceeds
@@ -321,8 +316,8 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     Returns one entry per seed: the :class:`Trajectory` of ``run_sde`` with
     that seed and the same arguments, bit for bit, or the
     :class:`DivergenceError` that run raises.  A path that diverges leaves
-    the stack; the others go on.  ``eval_fn`` is called with one path's
-    (p, d) weights at each log point, as in :func:`run_sgd_chains`, so
+    the stack; the others go on.  ``eval_fn`` gets the stack of live paths
+    at each log point, as in :func:`run_sgd_chains`, so
     ``eval_fn=np.copy`` records the weights and ensemble moments read off
     ``eval_values``.  Every path takes the round(t_max / dt) steps
     that :func:`run_sde` states, or none is run.
@@ -364,7 +359,8 @@ def run_sde(
     takes round(t_max / dt) steps, so it ends at the nearest multiple of dt
     to ``t_max``; a ``t_max / dt`` that is not finite or rounds to no step
     at all is a ``ValueError`` naming both values.  Raises
-    :class:`DivergenceError` as :func:`run_sgd` does.
+    :class:`DivergenceError`, and calls ``eval_fn`` with a (1, p, d) stack,
+    as :func:`run_sgd` does.
     """
     return _one(run_sde_paths(spec, s, dt, t_max, [seed], init, log_every, eval_fn))
 

@@ -93,11 +93,12 @@ def cell_seed(base_seed: int, i_lam: int, i_width: int, restart: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def test_mse(spec: LossSpec, test: Dataset, w: np.ndarray) -> float:
-    """Unregularized held-out mean squared error."""
+def test_mse(spec: LossSpec, test: Dataset, w: np.ndarray):
+    """Unregularized held-out mean squared error: a float at one (p, d)
+    matrix ``w``, and a (k,) array, one per row, at a (k, p, d) stack."""
     r = model.predict(spec, test.xs, w)
     r -= test.ys
-    return float(np.mean(r * r))
+    return np.mean(r * r, axis=-1)
 
 
 def build_cell_spec(train: Dataset, width: int, lam: float, act,
@@ -259,8 +260,8 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
         traj = run_sgd(
             spec,
             cfg.sgd,
-            eval_fn=lambda w: (test_mse(spec, clean_test, w),
-                               test_mse(spec, noisy_test, w)),
+            eval_fn=lambda w: np.stack([test_mse(spec, clean_test, w),
+                                        test_mse(spec, noisy_test, w)], axis=-1),
         )
         out[fraction] = AblationCurves(
             steps=traj.steps,

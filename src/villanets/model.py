@@ -201,14 +201,15 @@ class LossSpec:
         return self.data.n
 
 
-def weights(spec: LossSpec, w=None) -> np.ndarray:
-    """The net's own weights, or a caller-supplied (p, d) override checked
-    for shape and finiteness."""
+def weights(spec: LossSpec, w=None, stacked=False) -> np.ndarray:
+    """The net's own weights, or a caller-supplied (p, d) override (with
+    ``stacked``, a (k, p, d) stack too) checked for shape and finiteness."""
     if w is None:
         return spec.net.w
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (spec.p, spec.d):
-        raise ValueError(f"weight override must have shape {(spec.p, spec.d)}")
+    if w.shape[-2:] != (spec.p, spec.d) or w.ndim > 2 + stacked:
+        raise ValueError(f"weight override must have shape {(spec.p, spec.d)}"
+                         + (" or (k, p, d)" if stacked else ""))
     if not np.isfinite(w).all():
         raise ValueError("weight override must be finite")
     return w
@@ -297,12 +298,13 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
 
 
 def predict(spec: LossSpec, xs: np.ndarray, w=None) -> np.ndarray:
-    """Net outputs for a batch of inputs (rows of xs)."""
+    """Net outputs for a batch of inputs (rows of xs): (n,) at one (p, d)
+    matrix ``w``, (k, n) at a (k, p, d) stack, row i bit for bit that of w[i]."""
     xs = np.asarray(xs, dtype=np.float64)
     if not np.isfinite(xs).all():
         raise ValueError("inputs must be finite")
     net = spec.net
-    return net.a @ net.act.derivs(weights(spec, w) @ xs.T, 0)[0]
+    return net.a @ net.act.derivs(weights(spec, w, stacked=True) @ xs.T, 0)[0]
 
 
 def loss(spec: LossSpec, w=None) -> float:

@@ -262,11 +262,14 @@ def test_fpe_flags_a_fit_that_has_not_settled(workdir, capsys):
 @pytest.mark.parametrize("command, tmax, dt", [
     ("fpe", "1e300", "1e-300"), ("fpe", "5", "10"),
     ("sde", "1e300", "1e-300"), ("sde", "0.001", "1"),
+    ("fpe", "1e12", "1e-3"), ("sde", "1e12", "1e-3"),
 ])
 def test_a_horizon_the_run_cannot_hold_is_a_configuration_error(workdir, capsys, command,
                                                                 tmax, dt):
     # a t_max / dt that overflows, or rounds to fewer steps than the run
-    # needs, is named before any step and no file is written
+    # needs, is named before any step; 1e15 steps, whose series (fpe) or log
+    # (sde) cannot be allocated, fail at the allocation, before any step.
+    # Either way one configuration-error line and no file
     out = workdir / "bad.csv"
     argv = [command, "--s", "0.5", "--tmax", tmax, "--dt", dt]
     if command == "fpe":
@@ -275,10 +278,17 @@ def test_a_horizon_the_run_cannot_hold_is_a_configuration_error(workdir, capsys,
     else:
         forms = (["--spec", str(workdir / "spec.json"), "--out", str(out)],)
     for form in forms:
-        assert cli.main(argv + form) == 2
-        captured = capsys.readouterr()
-        assert f"t_max = {float(tmax)}, dt = {float(dt)}" in captured.err
-        assert not captured.out and not out.exists()
+        if tmax == "1e12":
+            # in a process with a timeout, so that a run that starts
+            # stepping fails the test instead of hanging the suite
+            result = _villanets(argv + form, timeout=60)
+            code, stdout, stderr = result.returncode, result.stdout, result.stderr
+        else:
+            code = cli.main(argv + form)
+            stdout, stderr = capsys.readouterr()
+            assert f"t_max = {float(tmax)}, dt = {float(dt)}" in stderr
+        assert code == 2 and not stdout and not out.exists()
+        assert stderr.startswith("configuration error:") and stderr.count("\n") == 1
 
 
 def test_gen_cli(workdir, capsys):

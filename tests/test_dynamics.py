@@ -187,7 +187,7 @@ class TestRunSgd:
     def test_vector_eval_fn_logged_per_checkpoint(self):
         spec = small_spec()
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=100, seed=3, log_every=25)
-        traj = dynamics.run_sgd(spec, cfg, eval_fn=lambda w: (1.0, 2.0))
+        traj = dynamics.run_sgd(spec, cfg, eval_fn=lambda w: np.tile([1.0, 2.0], (len(w), 1)))
         assert traj.eval_values.shape == (len(traj.steps), 2)
 
     def test_config_validation(self):
@@ -543,7 +543,8 @@ class TestEnsembles:
         seeds = [3, 1, 4, 1, 5]
 
         def eval_fn(w):
-            return (float(np.sum(w)), model.loss(spec, w))
+            return np.stack([np.sum(w, axis=(1, 2)), model.evaluate(spec, w, ("loss",))[0]],
+                            axis=-1)
 
         stacked = dynamics.run_sgd_chains(spec, cfg, seeds, eval_fn=eval_fn)
         assert len(stacked) == len(seeds)
@@ -602,6 +603,11 @@ class TestEnsembles:
         for seed, entry in zip(seeds, stacked, strict=True):
             assert _outcome(entry) == _lone(dynamics.run_sde, spec, 0.01, dt, t_max, seed=seed,
                                     init=init, log_every=log_every, eval_fn=np.copy)
+
+    def test_eval_fn_returns_one_row_per_chain(self):
+        cfg = SgdConfig(step_size=0.05, batch_size=4, steps=10)
+        with pytest.raises(ValueError, match="eval_fn must return one row per chain, 3 rows"):
+            dynamics.run_sgd_chains(small_spec(), cfg, [0, 1, 2], eval_fn=lambda w: (1.0, 2.0))
 
     def test_no_seeds_no_runs(self):
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=10)

@@ -529,7 +529,7 @@ def test_sde_ensemble_relaxes_at_the_gap(dt, log_every):
     paths = dynamics.run_sde_paths(spec, s, dt, 12.0, range(4000),
                                    init=InitSpec("explicit", w0=np.array([[2.5]])),
                                    log_every=log_every,
-                                   eval_fn=lambda w: np.interp(w[0, 0], axis, psi))
+                                   eval_fn=lambda w: np.interp(w[:, 0, 0], axis, psi))
     # over ten disjoint sets of 4,000 seeds rate / gap read 0.997 +- 0.013
     # (mean +- sd) at dt = 0.01; this set reads 0.996.  At dt = s five
     # disjoint sets read 0.984-1.001 of the prediction, and this set 0.989
@@ -538,14 +538,19 @@ def test_sde_ensemble_relaxes_at_the_gap(dt, log_every):
     assert abs(rate / expected - 1.0) <= 0.03
 
 
-def test_sde_ensemble_relaxes_at_the_gap_in_two_dimensions():
+@pytest.mark.parametrize("dt, log_every", [(0.01, 25), (0.3, 1)], ids=["dt-0.01", "dt-s"])
+def test_sde_ensemble_relaxes_at_the_gap_in_two_dimensions(dt, log_every):
     # the same law in 2-D, on the benchmark's fpe_mixing seed-0 spec (p = 1,
-    # d = 2, lam = 1.5 lambda_c) at s = 0.3: 3,000 paths at dt = 0.01 from
-    # the node where |psi_1| is largest among those with Gibbs density at
-    # least 1e-3 of its peak.  psi_1 is interpolated bilinearly at the
-    # recorded weights, all at once.  Over ten disjoint sets of 3,000 seeds
-    # rate / gap read 1.004 +- 0.006 (mean +- sd), 0.993-1.014; this set
-    # reads 1.002, so the 3% tolerance is five Monte Carlo sd
+    # d = 2, lam = 1.5 lambda_c) at s = 0.3: 3,000 paths from the node where
+    # |psi_1| is largest among those with Gibbs density at least 1e-3 of its
+    # peak.  psi_1 is interpolated bilinearly at the recorded weights, all at
+    # once.  At dt = 0.01, over ten disjoint sets of 3,000 seeds rate / gap
+    # read 1.004 +- 0.006 (mean +- sd), 0.993-1.014; this set reads 1.002, so
+    # the 3% tolerance is five Monte Carlo sd.  At dt = s, logging every step,
+    # the rate is compared with the Euler-Maruyama prediction
+    # -log(1 - dt * gap) / dt = 1.029 gap: over ten disjoint sets of 3,000
+    # seeds rate / prediction read 1.004 +- 0.009, 0.991-1.019, and this set
+    # 0.998, so the tolerance is three Monte Carlo sd
     spec, s = mixing_spec(), 0.3
     grid = fpe.build_grid(spec, fpe.suggest_half_width(spec, s), 101, s)
     gap, v1 = oracles.gap_mode(grid)
@@ -554,14 +559,15 @@ def test_sde_ensemble_relaxes_at_the_gap_in_two_dimensions():
     start = np.argmax(np.abs(psi) * (mu >= 1e-3 * mu.max()))
     axis = grid.axis()
     w0 = axis[list(np.unravel_index(start, (grid.m, grid.m)))]
-    paths = dynamics.run_sde_paths(spec, s, 0.01, 10.0, range(3000),
-                                   init=InitSpec("explicit", w0=w0[None, :]), log_every=25,
-                                   eval_fn=np.copy)
+    paths = dynamics.run_sde_paths(spec, s, dt, 10.0, range(3000),
+                                   init=InitSpec("explicit", w0=w0[None, :]),
+                                   log_every=log_every, eval_fn=np.copy)
     weights = np.stack([path.eval_values for path in paths])    # (paths, log points, 1, 2)
     psi_at = RegularGridInterpolator((axis, axis), psi.reshape(grid.m, grid.m))
     values = psi_at(weights.reshape(-1, 2)).reshape(weights.shape[:2])
     assert values[0, 0] == pytest.approx(psi[start], rel=1e-12)
-    assert abs(_ensemble_rate(paths[0].times, values) / gap - 1.0) <= 0.03
+    expected = gap if dt < s else -math.log(1.0 - dt * gap) / dt
+    assert abs(_ensemble_rate(paths[0].times, values) / expected - 1.0) <= 0.03
 
 
 def _ensemble_rate(times: np.ndarray, values: np.ndarray) -> float:

@@ -186,8 +186,8 @@ class TestAblation:
         train, test = cfg.recipe.realize()
         spec = harness.build_cell_spec(train, cfg.width, cfg.lam, activations.sigmoid(1.0),
                                        cfg.a_mode)
-        traj = harness.run_sgd(spec, cfg.sgd, eval_fn=lambda w: (harness.test_mse(spec, test, w),
-                                                                 harness.test_mse(spec, test, w)))
+        traj = harness.run_sgd(spec, cfg.sgd, eval_fn=lambda w: np.stack(
+            [harness.test_mse(spec, test, w), harness.test_mse(spec, test, w)], axis=-1))
         for got, want in ((curves.steps, traj.steps), (curves.train_losses, traj.losses),
                           (curves.clean_test, traj.eval_values[:, 0]),
                           (curves.noisy_test, traj.eval_values[:, 1])):

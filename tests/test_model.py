@@ -45,6 +45,17 @@ class TestForward:
         with pytest.raises(ValueError):
             one_row(net, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softplus"])
+    def test_a_stack_gives_each_matrix_its_own_prediction_bit_for_bit(self, kind):
+        rng = np.random.default_rng(31)
+        spec = oracles.random_spec(rng, activations.make(kind, 1.0))
+        ws = rng.standard_normal((5, spec.p, spec.d))
+        xs = rng.standard_normal((7, spec.d))
+        stacked = model.predict(spec, xs, ws)
+        assert stacked.shape == (5, 7)
+        for w, row in zip(ws, stacked, strict=True):
+            assert row.tobytes() == model.predict(spec, xs, w).tobytes()
+
 
 class TestLoss:
     def test_tanh_zero_weights_unit_residual(self):
@@ -202,6 +213,10 @@ class TestEvaluate:
                 fn(spec, np.zeros((2, 1)))
         with pytest.raises(ValueError):
             model.predict(spec, np.array([[np.inf]]))
+        # predict takes a (k, p, d) stack too, checked as the single matrix is
+        for w in (np.zeros((3, 2, 1)), np.zeros((2, 3, 1, 1)), np.array([[[0.0]], [[np.nan]]])):
+            with pytest.raises(ValueError):
+                model.predict(spec, spec.data.xs, w)
 
 
 class TestConstants:
