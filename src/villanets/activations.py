@@ -1,9 +1,7 @@
 """Smooth scalar activations with exact derivatives and certified constants.
 
-Each activation carries the constants every bound downstream needs:
-the sup of |sigma|, the Lipschitz constant of sigma, the sups of the first
-and second derivatives, and sigma(0).  The sup of |sigma''| is also the
-Lipschitz constant of sigma'.  Every formula is written once, in
+Each activation derives, from its kind and beta, the constants every bound
+downstream needs (see :class:`Activation`).  Every formula is written once, in
 :meth:`Activation.derivs`, in place where a workload runs it.  The logistic
 function of sigmoid and softplus is 1 / (1 + exp(-z)) on numpy's ``exp``,
 with the exponent capped at 709 so no pre-activation overflows or warns:
@@ -38,9 +36,17 @@ def _check_finite(x):
 class Activation:
     """An elementwise nonlinearity plus its certified derivative constants.
 
+    Built from ``kind`` and ``beta`` alone, which it checks (``ValueError``):
+    every other field is derived from them, as :class:`~villanets.model.Dataset`
+    derives its bounds, so ``dataclasses.replace`` re-derives them too.
+    Closed forms, each Lipschitz constant being sup|sigma'|:
+      sigmoid:  sup|sigma| = 1,   sup|sigma'| = beta/4, sup|sigma''| = beta^2/(6 sqrt 3)
+      tanh:     sup|sigma| = 1,   sup|sigma'| = 1,      sup|sigma''| = 4/(3 sqrt 3)
+      softplus: sup|sigma| = inf, sup|sigma'| = 1,      sup|sigma''| = beta/4
+
     Attributes:
         kind: one of 'sigmoid', 'tanh', 'softplus'.
-        beta: shape parameter (> 0); ignored for tanh.
+        beta: shape parameter, positive and finite; tanh takes only 1.
         sup_value: sup |sigma(x)| over the reals (inf for softplus).
         lipschitz: Lipschitz constant of sigma.
         d1_sup: sup |sigma'(x)|.
@@ -48,23 +54,36 @@ class Activation:
             sigma'.
         at_zero: sigma(0). The constant offset vector for a width-p layer
             is sigma(0) * ones(p), with 2-norm sqrt(p) * |sigma(0)|.
-        beta_op: beta as a 0-d array operand for :meth:`derivs`, derived at
-            construction; None where beta == 1 (and for tanh), whose
-            multiplies and divides by beta are skipped.
+        beta_op: beta as a 0-d array operand for :meth:`derivs`; None where
+            beta == 1, whose multiplies and divides by beta are skipped.
     """
 
     kind: str
     beta: float
-    sup_value: float
-    lipschitz: float
-    d1_sup: float
-    d2_sup: float
-    at_zero: float
+    sup_value: float = field(init=False)
+    lipschitz: float = field(init=False)
+    d1_sup: float = field(init=False)
+    d2_sup: float = field(init=False)
+    at_zero: float = field(init=False)
     beta_op: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        unit = self.kind == "tanh" or self.beta == 1.0
-        object.__setattr__(self, "beta_op", None if unit else np.array(float(self.beta)))
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown activation kind {self.kind!r}; expected one of {KINDS}")
+        if self.kind == "tanh" and self.beta != 1.0:   # NaN included
+            raise ValueError(f"tanh takes no beta: it must be 1, not {self.beta!r}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        beta = float(self.beta)
+        if self.kind == "sigmoid":
+            derived = (1.0, beta / 4.0, beta / 4.0, beta**2 / (6.0 * math.sqrt(3.0)), 0.5)
+        elif self.kind == "tanh":
+            derived = (1.0, 1.0, 1.0, 4.0 / (3.0 * math.sqrt(3.0)), 0.0)
+        else:
+            derived = (math.inf, 1.0, 1.0, beta / 4.0, math.log(2.0) / beta)
+        values = (beta, *derived, None if beta == 1.0 else np.array(beta))
+        for f, value in zip(fields(self)[1:], values, strict=True):  # every field after kind
+            object.__setattr__(self, f.name, value)
 
     @property
     def bounded(self) -> bool:
@@ -137,32 +156,13 @@ class Activation:
         return self._view(x, 2)
 
     def table(self) -> dict:
-        """Constant table for reporting (JSON-friendly)."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        """Kind, beta and the derived constants, for reporting (JSON-friendly)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def make(kind: str, beta: float = 1.0) -> Activation:
-    """Build an activation with all constant fields filled in.
-
-    Closed forms for the derivative sups:
-      sigmoid: sup|sigma'| = beta/4, sup|sigma''| = beta^2/(6*sqrt(3))
-      tanh:    sup|sigma'| = 1,      sup|sigma''| = 4/(3*sqrt(3))
-      softplus:sup|sigma'| = 1,      sup|sigma''| = beta/4
-    """
-    kind = kind.lower()
-    if kind not in KINDS:
-        raise ValueError(f"unknown activation kind {kind!r}; expected one of {KINDS}")
-    if kind == "tanh" and beta != 1.0:   # NaN included
-        raise ValueError(f"tanh takes no beta: it must be 1, not {beta!r}")
-    if not 0 < beta < math.inf:
-        raise ValueError("beta must be positive and finite")
-    if kind == "sigmoid":
-        d2 = beta**2 / (6.0 * math.sqrt(3.0))
-        return Activation("sigmoid", beta, 1.0, beta / 4.0, beta / 4.0, d2, 0.5)
-    if kind == "tanh":
-        d2 = 4.0 / (3.0 * math.sqrt(3.0))
-        return Activation("tanh", 1.0, 1.0, 1.0, 1.0, d2, 0.0)
-    return Activation("softplus", beta, math.inf, 1.0, 1.0, beta / 4.0, math.log(2.0) / beta)
+    """The activation ``kind`` (any case) with shape parameter ``beta``."""
+    return Activation(kind.lower(), beta)
 
 
 def sigmoid(beta: float = 1.0) -> Activation:

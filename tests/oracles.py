@@ -45,6 +45,18 @@ def make_activation(kind: str, beta: float) -> Activation:
     return activations.make(kind, 1.0 if kind == "tanh" else beta)
 
 
+def constant_table(kind: str, beta: float) -> dict:
+    """The constant table of ``make(kind, beta)``, keys in order, each
+    constant written out in closed form as an independent expression."""
+    closed = {
+        "sigmoid": (1.0, beta / 4.0, beta / 4.0, beta**2 / (6.0 * math.sqrt(3.0)), 0.5),
+        "tanh": (1.0, 1.0, 1.0, 4.0 / (3.0 * math.sqrt(3.0)), 0.0),
+        "softplus": (math.inf, 1.0, 1.0, beta / 4.0, math.log(2.0) / beta),
+    }[kind]
+    names = ("sup_value", "lipschitz", "d1_sup", "d2_sup", "at_zero")
+    return {"kind": kind, "beta": beta, **dict(zip(names, closed, strict=True))}
+
+
 def derivs_reference(act: Activation, x: np.ndarray, order: int) -> tuple:
     """(sigma, sigma', sigma'')[: order + 1] at ``x``; at beta = 1 each
     multiply and divide by beta is exact, so one formula serves every beta."""

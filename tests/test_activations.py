@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from scipy.special import expit
 
 import oracles
-from villanets import activations
+from villanets import activations, model
+from villanets.activations import Activation
 
 ALL_KINDS = ["sigmoid", "tanh", "softplus"]
 
@@ -36,6 +39,51 @@ def test_constant_table():
     assert sp.lipschitz == sp.d1_sup == 1.0
     assert sp.d2_sup == 0.5
     assert sp.at_zero == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
+    # every derived constant is the closed form's double, keys in table order
+    for kind, beta in [("sigmoid", 1.0), ("sigmoid", 2.5), ("softplus", 1.0),
+                       ("softplus", 2.5), ("tanh", 1.0)]:
+        table = activations.make(kind, beta).table()
+        want = oracles.constant_table(kind, beta)
+        assert list(table) == list(want) and table == want
+
+
+def test_only_kind_and_beta_are_settable():
+    assert [f.name for f in dataclasses.fields(Activation) if f.init] == ["kind", "beta"]
+
+
+def test_replace_rederives_the_constants():
+    act = dataclasses.replace(activations.sigmoid(1.0), beta=2.0)
+    assert act.d1_sup == act.lipschitz == 0.5 == act.d1(0.0)
+    assert act.table() == oracles.constant_table("sigmoid", 2.0)
+    assert act.beta_op == 2.0
+    data = model.Dataset(np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([0.5, 0.2]))
+    net = model.Net(np.array([0.5, -1.0, 0.25]), np.zeros((3, 2)), act)
+    want = 2.0 * 0.5 * 0.5 * data.x_bound**2 * net.a_norm**2
+    assert model.lambda_c(net, data) == want == pytest.approx(2.625)  # 4x that of beta = 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Activation("relu", 1.0),
+    lambda: Activation("sigmoid", -1.0),
+    lambda: Activation("sigmoid", math.nan),
+    lambda: dataclasses.replace(activations.tanh(), beta=3.0),
+], ids=["unknown-kind", "negative-beta", "nan-beta", "tanh-beta-3"])
+def test_constructor_refuses_what_make_refuses(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("kind,beta", [("sigmoid", 1.0), ("sigmoid", 2.5), ("tanh", 1.0),
+                                       ("softplus", 1.0), ("softplus", 2.5)])
+def test_constructor_make_and_pickle_agree(kind, beta):
+    # a sweep with --jobs sends its activation to the workers pickled
+    act = Activation(kind, beta)
+    made = activations.make(kind.upper(), beta)
+    assert act == made and hash(act) == hash(made)
+    back = pickle.loads(pickle.dumps(act))
+    assert back == act and hash(back) == hash(act)
+    assert back.table() == act.table() == oracles.constant_table(kind, beta)
+    assert (back.beta_op is None) is (beta == 1.0) and back.beta_op == act.beta_op
 
 
 @pytest.mark.parametrize("kind,beta", [("sigmoid", 1.0), ("sigmoid", 2.5), ("tanh", 1.0),

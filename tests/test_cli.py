@@ -64,6 +64,13 @@ def test_constants_activation_table(capsys):
     assert cli.main(["constants", "--activation", "sigmoid", "--beta", "1.0"]) == 0
     table = json.loads(capsys.readouterr().out)
     assert table["d1_sup"] == 0.25
+    # the printed text is the closed forms' table, keys in order, every digit
+    for kind, beta in [("sigmoid", None), ("sigmoid", 2.5), ("tanh", None),
+                       ("softplus", None), ("softplus", 2.5)]:
+        argv = ["constants", "--activation", kind, *(["--beta", str(beta)] if beta else [])]
+        assert cli.main(argv) == 0
+        want = oracles.constant_table(kind, beta or 1.0)
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def test_constants_from_spec(workdir, capsys):
