@@ -1,7 +1,7 @@
 """Ridge-regularized depth-2 nets: coercivity diagnostics, minibatch SGD, and
 the theorem's SGD (Euler-Maruyama at dt = s) with its Fokker-Planck mixing."""
 
-from . import activations, datasets, diagnostics, dynamics, fpe, harness, model
+from . import activations, datasets, diagnostics, dynamics, fpe, harness, model, rules
 from .activations import Activation, make as make_activation
 from .datasets import DataRecipe, corrupt_labels, gen_sine
 from .diagnostics import VillaniReport, v_s, villani_scan

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import rules
+
 KINDS = ("sigmoid", "tanh", "softplus")
 
 # The formulas' constants as 0-d arrays: numpy converts a Python float operand
@@ -36,9 +38,11 @@ def _check_finite(x):
 class Activation:
     """An elementwise nonlinearity plus its certified derivative constants.
 
-    Built from ``kind`` and ``beta`` alone, which it checks (``ValueError``):
-    every other field is derived from them, as :class:`~villanets.model.Dataset`
-    derives its bounds, so ``dataclasses.replace`` re-derives them too.
+    Built from ``kind`` and ``beta`` alone, which it checks: ``beta`` must
+    be a number by :func:`~villanets.rules.as_number` (``TypeError``), the
+    rest is a ``ValueError``.  Every other field is derived from them, as
+    :class:`~villanets.model.Dataset` derives its bounds, so
+    ``dataclasses.replace`` re-derives them too.
     Closed forms, each Lipschitz constant being sup|sigma'|:
       sigmoid:  sup|sigma| = 1,   sup|sigma'| = beta/4, sup|sigma''| = beta^2/(6 sqrt 3)
       tanh:     sup|sigma| = 1,   sup|sigma'| = 1,      sup|sigma''| = 4/(3 sqrt 3)
@@ -70,11 +74,10 @@ class Activation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "tanh" and self.beta != 1.0:   # NaN included
-            raise ValueError(f"tanh takes no beta: it must be 1, not {self.beta!r}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
-        beta = float(self.beta)
+        beta = rules.as_number(self.beta, "beta")
+        if self.kind == "tanh" and beta != 1.0:   # NaN included
+            raise ValueError(f"tanh takes no beta: it must be 1, not {beta!r}")
+        rules.positive(beta, "beta")
         if self.kind == "sigmoid":
             derived = (1.0, beta / 4.0, beta / 4.0, beta**2 / (6.0 * math.sqrt(3.0)), 0.5)
         elif self.kind == "tanh":

@@ -16,9 +16,10 @@ setting (``lam`` spelt ``lambda``; the recipe and the shared fields sit at
 the file's top level).  An unknown key and a missing required key are
 refused, and an optional key left out takes the dataclass default.  Every
 number (a field, a ``lambdas``, ``widths``, ``fractions`` or ``w0`` entry, a
-recipe param or corruption entry) passes ``datasets.as_number``: no bool,
-no string, and for an int no fraction (``1e4`` is one).  The dataclasses
-apply that rule to their own fields, so library code is held to it too.  A
+recipe param or corruption entry, a spec's ``beta``) passes
+``rules.as_number``: no bool, no string, and for an int no fraction
+(``1e4`` is one).  The dataclasses, ``Activation`` included, apply that
+rule to their own fields, so library code is held to it too.  A
 ``file`` recipe's relative ``path``, like a spec's ``data_path``, is read
 against the folder of the config file that holds it.  Each failure, a JSON
 syntax error and a value of the wrong JSON type (a string for an array)
@@ -32,9 +33,10 @@ import json
 from pathlib import Path
 
 from . import activations, datasets
-from .datasets import DataRecipe, as_number, check_keys
+from .datasets import DataRecipe
 from .dynamics import InitSpec, SgdConfig
 from .harness import AblationConfig, SweepConfig, build_cell_spec
+from .rules import as_number, check_keys
 
 
 def _load(path, parse):
@@ -82,7 +84,7 @@ def _parse_spec(obj: dict, folder: Path):
     """The spec file's vocabulary is not a dataclass, so it is read here."""
     check_keys(obj, "spec", ("activation", "beta", "p", "d", "lambda", "a_mode", "data_path"),
                ("activation", "p", "d", "lambda", "data_path"))
-    act = activations.make(obj["activation"], as_number(obj.get("beta", 1.0), "beta"))
+    act = activations.make(obj["activation"], obj.get("beta", 1.0))
     p, d = as_number(obj["p"], "p", int), as_number(obj["d"], "d", int)
     data_path = folder / obj["data_path"]
     data = datasets.load_csv(data_path)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from . import activations
 from .model import Dataset
+from .rules import as_number, check_keys, numbers_as_declared
 
 
 def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
@@ -85,45 +85,6 @@ def _teacher_split(a, w, n: int, noise_sd: float, rng: np.random.Generator) -> D
     if noise_sd > 0:
         ys = ys + noise_sd * rng.standard_normal(n)
     return Dataset(xs, ys)
-
-
-def check_keys(obj: dict, what: str, known, required=()) -> None:
-    """Refuse a key of ``obj`` outside ``known``, which would otherwise be
-    ignored and its setting silently take the default, and a ``required``
-    key that ``obj`` leaves out; a non-dict ``obj`` is a TypeError."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{what} must be a JSON object, not {obj!r}")
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; known keys: {sorted(known)}")
-    missing = sorted(key for key in required if key not in obj)
-    if missing:
-        raise ValueError(f"missing {what} keys {missing}")
-
-
-def as_number(value, key: str, kind=float):
-    """``value`` as a ``kind``, ``float`` or ``int``: a bool, a string or any
-    other non-number is a TypeError, and a fraction for ``int`` (not ``1e4``)
-    a ValueError, so no value is read as 1, parsed or truncated in silence."""
-    noun = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{key} must be {noun}, not {value!r}")
-    if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return kind(value)
-
-
-def numbers_as_declared(obj) -> None:
-    """Pass each field of the dataclass ``obj`` that is declared ``int`` or
-    ``float`` through :func:`as_number`, in place; a ``float | None``
-    field whose default is None also takes None."""
-    for f in fields(obj):
-        kind = {"int": int, "float": float}.get(f.type.removesuffix(" | None"))
-        if kind is None:
-            continue
-        value = getattr(obj, f.name)
-        if value is not None or f.default is not None:
-            object.__setattr__(obj, f.name, as_number(value, f.name, kind))
 
 
 # Each recipe kind's params and their defaults: the one place that names

@@ -16,14 +16,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import model
+from . import model, rules
 from .model import LossSpec
 
 
 def v_s(spec: LossSpec, s: float, w=None) -> float:
     """||grad||_F^2 / s - laplacian, the divergence diagnostic."""
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+    rules.positive(s, "s")
     g, lap = model.evaluate(spec, model.weights(spec, w), ("grad", "laplacian"))
     return float(np.sum(g * g) / s - lap)
 
@@ -133,8 +132,7 @@ def villani_scan(
     sphere), drawn from a seeded generator for reproducibility.  Every
     evaluation point also checks the two pointwise bounds.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+    rules.positive(s, "s")
     if ray_count < 8:
         raise ValueError("ray_count must be at least 8")
     radii = scan_radii(r_max)

@@ -1,7 +1,9 @@
 """Constant-step minibatch SGD, and Euler-Maruyama for dW = -grad dt + sqrt(s) dB.
 
 Both integrators log loss / gradient-norm trajectories of a
-:class:`~villanets.model.LossSpec`.  The theorem's SGD, W <- W - s grad + s G
+:class:`~villanets.model.LossSpec`; a full-batch step at a log point
+descends along the gradient logged there, the same bits as its own
+evaluation would give.  The theorem's SGD, W <- W - s grad + s G
 (G standard normal), is :func:`run_sde` at dt = s, whose law the FPE density,
 the gap and the Villani scan describe.  Minibatch SGD (i.i.d. uniform draws
 with replacement) follows the stochastic modified equation, noise covariance
@@ -44,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
-from .datasets import as_number, numbers_as_declared
+from . import model, rules
 from .model import LossSpec
+from .rules import as_number, numbers_as_declared
 
 DIVERGENCE_LIMIT = 1e12
 # Random numbers one chain draws per call: the integrators draw a chain's
@@ -95,8 +97,8 @@ class InitSpec:
             if getattr(self, name) is not None and self.mode != mode:
                 raise ValueError(f"{name} is read only in {mode} mode, not in {self.mode} mode")
         numbers_as_declared(self)
-        if self.tau is not None and not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
+        if self.tau is not None:
+            rules.positive(self.tau, "tau")
         if self.mode == "explicit":
             rows = [] if (arr := np.asarray(self.w0, dtype=object)).ndim != 2 else arr.tolist()
             w0 = tuple(tuple(as_number(v, "w0 entry") for v in row) for row in rows)
@@ -128,8 +130,7 @@ class SgdConfig:
 
     def __post_init__(self):
         numbers_as_declared(self)
-        if not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be positive and finite")
+        rules.positive(self.step_size, "step_size")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.steps < 1:
@@ -171,7 +172,11 @@ def sgd_step(spec: LossSpec, w: np.ndarray, batch_indices, s) -> np.ndarray:
         batch_indices = np.asarray(batch_indices)
         if batch_indices.size == 0:
             raise ValueError("batch must be non-empty")
-    g = model.evaluate(spec, w, ("grad",), batch_indices)[0]
+    return _descend(w, model.evaluate(spec, w, ("grad",), batch_indices)[0], s)
+
+
+def _descend(w: np.ndarray, g: np.ndarray, s) -> np.ndarray:
+    """w - s g, written into ``g``."""
     g *= s
     return np.subtract(w, g, out=g)
 
@@ -193,13 +198,16 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     ``np.random.default_rng(seeds[r])``, then ``draw(rng, (K, *draw_shape))``
     draws its random numbers for the next K steps in one call, which
     consumes the generator exactly as K per-step draws would.
-    ``step(w, drawn)`` maps the stack and the chains' draws for this step
-    (None without ``draw``) to the next stack.  At step 0, every
-    ``log_every`` steps and at the last step the whole stack is logged: its
-    losses, gradient norms and ``eval_fn(w)`` of the (k, p, d) weights of
-    the k live chains, one row per chain (a scalar is a one-column row),
-    into per-chain arrays sized before the first step, so a log that cannot
-    be held is a ``MemoryError`` before any step.  Returns, per seed, the
+    ``step(w, drawn, grads)`` maps the stack, the chains' draws for this
+    step (None without ``draw``) and the logged full-batch gradients of the
+    stack (None off a log point), which it may write, to the next stack.
+    At step 0, every ``log_every`` steps and at the last step the whole
+    stack is logged: its losses, gradient norms and ``eval_fn(w)`` of the
+    (k, p, d) weights of the k live chains, one row per chain (a scalar is
+    a one-column row), into per-chain arrays sized before the first step,
+    so a log that cannot be held is a ``MemoryError`` before any step.
+    ``eval_fn`` runs between the gradients and the step that reads them, so
+    it must not write the stack it is handed.  Returns, per seed, the
     chain's :class:`Trajectory` or the :class:`DivergenceError` a lone run
     of it raises: at the first step whose weights are not finite, or at the
     first log point whose loss exceeds ``DIVERGENCE_LIMIT``.  A diverged
@@ -225,6 +233,7 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
                 diverged = dict.fromkeys(np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist(),
                                          "weights")
             at_log = k % log_every == 0 or k == n_steps
+            grads = None
             if at_log:
                 values, grads = model.evaluate(spec, w, ("loss", "grad"))
                 losses[rows, t] = values         # a diverging chain's entries are not read
@@ -244,6 +253,8 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
                     break
                 if drawn is not None:
                     drawn = drawn[keep]
+                if grads is not None:
+                    grads = grads[keep]
             if at_log and eval_fn is not None:
                 got = np.asarray(eval_fn(w), dtype=np.float64)
                 if got.shape[:1] != live.shape:
@@ -259,7 +270,7 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
                 size, j = min(n_steps - k, block), 0
                 if draw is not None:
                     drawn = np.stack([draw(rngs[c], (size, *draw_shape)) for c in live])
-            w_prev, w = w, step(w, None if drawn is None else drawn[:, j])
+            w_prev, w = w, step(w, None if drawn is None else drawn[:, j], grads)
             j += 1
     for i, c in enumerate(live.tolist()):
         out[c] = Trajectory(logged * dt, logged.copy(), losses[c].copy(), gnorms[c].copy(),
@@ -286,7 +297,9 @@ def run_sgd_chains(spec: LossSpec, config: SgdConfig, seeds, eval_fn=None) -> li
     def draw(rng, size):
         return rng.integers(0, spec.n, size=size)
 
-    def step(w, batch):
+    def step(w, batch, grads):
+        if batch is None and grads is not None:    # a full-batch step at a log point
+            return _descend(w, grads, s_op)
         return sgd_step(spec, w, batch, s_op)
 
     return _integrate(spec, seeds, config.init, s, config.steps, s, config.log_every, step,
@@ -322,10 +335,9 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     ``eval_values``.  Every path takes the round(t_max / dt) steps
     that :func:`run_sde` states, or none is run.
     """
-    if not (0 <= s < math.inf and 0 < dt and 0 < t_max / dt < math.inf
-            and (n_steps := int(round(t_max / dt))) >= 1):
-        raise ValueError(f"need finite s >= 0, dt > 0 and t_max / dt finite, rounding to at least "
-                         f"1 step; got s = {s}, t_max = {t_max}, dt = {dt}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be finite and at least 0, not {s!r}")
+    n_steps = rules.steps(t_max, dt, 1)
     if log_every < 1:
         raise ValueError("log_every must be at least 1")
     dt_op, noise_scale = np.array(float(dt)), np.array(math.sqrt(s * dt))
@@ -333,8 +345,8 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     def draw(rng, size):
         return noise_scale * rng.standard_normal(size)
 
-    def step(w, noise):
-        w = sgd_step(spec, w, None, dt_op)
+    def step(w, noise, grads):
+        w = sgd_step(spec, w, None, dt_op) if grads is None else _descend(w, grads, dt_op)
         w += noise
         return w
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import model, rules
 from .model import LossSpec
 
 
@@ -177,8 +177,10 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -
     dim = spec.p * spec.d
     if dim not in (1, 2):
         raise ValueError(f"density solver supports p*d in {{1, 2}}, got {dim}")
-    if not (0 < half_width < math.inf and m >= 8 and 0 < s < math.inf):
-        raise ValueError("need finite half_width > 0, m >= 8, finite s > 0")
+    rules.positive(half_width, "half_width")
+    rules.positive(s, "s")
+    if m < 8:
+        raise ValueError(f"m must be at least 8, not {m}")
     size = m**dim
     if size > MAX_OPERATOR_SIZE:
         raise ValueError(f"operator size {size} exceeds {MAX_OPERATOR_SIZE}")
@@ -281,12 +283,13 @@ def _symmetric_band(grid: FpeGrid) -> np.ndarray:
 
     symmetric in w by construction, so H is built without the Gibbs
     density and is exactly symmetric.  Its diagonal is G's.  H <= 0, with
-    null vector sqrt(mu).
+    null vector sqrt(mu).  The band is in Fortran order, the layout that
+    LAPACK factors in place (:func:`_band_solver`).
     """
     d_coef = grid.s / 2.0
     scale = d_coef / grid.h**2
     kd = grid.m ** (grid.dim - 1)
-    band = np.zeros((kd + 1, grid.size))
+    band = np.zeros((kd + 1, grid.size), order="F")
     for left, right in _edges(grid):
         w = (grid.potential[right] - grid.potential[left]) / d_coef
         b_plus, b_minus = _bernoulli(w), _bernoulli(-w)
@@ -301,11 +304,13 @@ def _band_solver(band: np.ndarray, shift: float, scale: float):
 
     ``band`` is H in upper-band storage (:func:`_symmetric_band`); H <= 0,
     so the matrix is SPD for shift, scale > 0.  A backward-Euler step is
-    (shift, scale) = (1, dt); the gap's sigma * I - H is (sigma, 1).
+    (shift, scale) = (1, dt); the gap's sigma * I - H is (sigma, 1).  The
+    factor is written over ``band``, so a factor holds one band and the
+    caller must not read ``band`` again.
     """
-    ab = -scale * band
-    ab[-1] += shift
-    factor = linalg.cholesky_banded(ab, check_finite=False)
+    band *= -scale
+    band[-1] += shift
+    factor = linalg.cholesky_banded(band, overwrite_ab=True, check_finite=False)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         return linalg.lapack.dpbtrs(factor, rhs)[0]
@@ -343,9 +348,7 @@ def decay_rate(grid: FpeGrid, t_max: float, dt: float) -> DecayFit:
     README's 1-D grid (gap 0.2028, lambda_2 0.3956), t_max = 40 gives
     0.2203 and t_max = 80 gives 0.2024.
     """
-    if not (0 < dt and 0 < t_max / dt < math.inf and (n_steps := int(round(t_max / dt))) >= 2):
-        raise ValueError(f"need dt > 0 and t_max / dt finite, rounding to at least 2 steps (one "
-                         f"per half of the fit); got t_max = {t_max}, dt = {dt}")
+    n_steps = rules.steps(t_max, dt, 2)
     root = np.sqrt(gibbs(grid).values)
     solve = _band_solver(_symmetric_band(grid), 1.0, dt)
     times = np.arange(n_steps + 1) * dt
@@ -513,8 +516,7 @@ def suggest_half_width(spec: LossSpec, s: float) -> float:
     """
     from statistics import NormalDist    # imported here: it pulls in decimal and fractions
 
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+    rules.positive(s, "s")
     if spec.lam <= 0:
         raise ValueError("half-width rule needs lam > 0 (coercive tail)")
     dim = spec.p * spec.d

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import activations, model
-from .datasets import DataRecipe, as_number, corrupt_labels, numbers_as_declared
+from .datasets import DataRecipe, corrupt_labels
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, outer_weights
+from .rules import as_number, numbers_as_declared
 
 METRICS = ("best_test_loss", "final_train_loss")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -71,6 +72,28 @@ def test_replace_rederives_the_constants():
 def test_constructor_refuses_what_make_refuses(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: Activation("sigmoid", True), True),
+    (lambda: activations.make("sigmoid", "2"), "2"),
+    (lambda: dataclasses.replace(activations.sigmoid(), beta=True), True),
+    (lambda: activations.make("tanh", True), True),
+], ids=["bool", "string", "replace-bool", "tanh-bool"])
+def test_beta_is_held_to_the_number_rule(build, value):
+    # the rule that a spec file's "beta" meets: True is not read as 1
+    with pytest.raises(TypeError, match=re.escape(f"beta must be a number, not {value!r}")):
+        build()
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "softplus"])
+@pytest.mark.parametrize("beta", [2, np.int64(3), np.float64(0.7)])
+def test_number_betas_give_the_float_constants(kind, beta):
+    act, want = Activation(kind, beta), Activation(kind, float(beta))
+    assert type(act.beta) is float and act == want and hash(act) == hash(want)
+    for name, value in act.table().items():
+        assert value == want.table()[name] and type(value) is type(want.table()[name]), name
+    assert act.beta_op == want.beta_op
 
 
 @pytest.mark.parametrize("kind,beta", [("sigmoid", 1.0), ("sigmoid", 2.5), ("tanh", 1.0),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from villanets import activations, dynamics, fpe, model
+from villanets import activations, dynamics, fpe, model, rules
 from villanets.dynamics import DivergenceError, InitSpec, SgdConfig
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
@@ -446,14 +446,20 @@ class TestRunSde:
             dynamics.run_sde_paths(spec, 0.1, 0.1, 1.0, seeds=[0, 1], log_every=-1)
 
     # inf, NaN and an overflowing ratio; 0.001 / 1 and exactly 0.5 round to
-    # no step (Python rounds 0.5 to even), and a negative horizon or step to none
+    # no step (Python rounds 0.5 to even), and a negative horizon or step, or
+    # an infinite step, to none.  The message is the horizon rule's, at
+    # least 1 step
     @pytest.mark.parametrize("t_max, dt", [
         (math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (math.inf, math.inf),
         (1e300, 1e-300), (0.001, 1.0), (0.5, 1.0), (1.0, 0.0), (-1.0, 0.1), (-1.0, -0.1),
+        (1.0, math.inf), (1.0, -0.0),
     ])
     def test_refuses_a_horizon_it_cannot_hold(self, t_max, dt):
-        with pytest.raises(ValueError, match=re.escape(f"t_max = {t_max}, dt = {dt}")):
+        with pytest.raises(ValueError, match=re.escape(f"t_max = {t_max}, dt = {dt}")) as got:
             dynamics.run_sde_paths(small_spec(), 0.1, dt, t_max, seeds=[0, 1])
+        with pytest.raises(ValueError) as rule:
+            rules.steps(t_max, dt, 1)
+        assert str(got.value) == str(rule.value)
 
     # the least ratio that rounds to a step, and a half that rounds to even
     @pytest.mark.parametrize("t_max, steps", [(0.6, 1), (2.5, 2)])
@@ -612,6 +618,83 @@ class TestEnsembles:
     def test_no_seeds_no_runs(self):
         cfg = SgdConfig(step_size=0.05, batch_size=4, steps=10)
         assert dynamics.run_sgd_chains(small_spec(), cfg, []) == []
+
+
+class TestLogPointGradient:
+    """A full-batch step at a log point descends along the gradient logged
+    there, so logging evaluates the stack once, and changes no step."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        calls, real = [], model.evaluate
+
+        def evaluate(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics.model, "evaluate", evaluate)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_a_logged_step_evaluates_the_stack_once(self, monkeypatch, n):
+        spec, calls = small_spec(), self._spy(monkeypatch)
+        dynamics.run_sde_paths(spec, 0.1, 0.01, n * 0.01, seeds=[0, 1, 2], log_every=1)
+        assert calls == [("loss", "grad")] * (n + 1)
+        calls.clear()
+        full = SgdConfig(step_size=0.05, batch_size=spec.n, steps=n, log_every=1)
+        dynamics.run_sgd_chains(spec, full, [0, 1])
+        assert calls == [("loss", "grad")] * (n + 1)
+        # a minibatch step evaluates its own batch
+        calls.clear()
+        dynamics.run_sgd_chains(spec, dataclasses.replace(full, batch_size=4), [0, 1])
+        assert len(calls) == 2 * n + 1
+
+    @pytest.mark.parametrize("run", ["sde", "sgd"])
+    def test_logging_changes_no_step(self, run):
+        spec, n = small_spec(), 300
+        init = InitSpec("gaussian", tau=1.0)
+        if run == "sde":
+            def trajectory(log_every):
+                return dynamics.run_sde(spec, 0.05, 0.01, n * 0.01, seed=4, init=init,
+                                        log_every=log_every)
+        else:
+            def trajectory(log_every):
+                cfg = SgdConfig(step_size=0.05, batch_size=spec.n, steps=n, seed=4, init=init,
+                                log_every=log_every)
+                return dynamics.run_sgd(spec, cfg)
+        every, ends = trajectory(1), trajectory(n)
+        np.testing.assert_array_equal(ends.steps, [0, n])
+        for name in ("times", "losses", "grad_norms"):
+            np.testing.assert_array_equal(getattr(every, name)[[0, n]], getattr(ends, name))
+        np.testing.assert_array_equal(every.final_w, ends.final_w)
+        assert every.rng_state_digest == ends.rng_state_digest
+        # the per-step loop, each step on a gradient-only evaluation
+        rng = np.random.default_rng(4)
+        w = init.sample(rng, spec.p, spec.d, spec.lam, 0.05)
+        for _ in range(n):
+            if run == "sde":
+                w = w - 0.01 * model.grad(spec, w) + math.sqrt(0.05 * 0.01) * rng.standard_normal(
+                    (spec.p, spec.d))
+            else:
+                w = dynamics.sgd_step(spec, w, None, 0.05)
+        np.testing.assert_array_equal(every.final_w, w)
+
+    def test_full_batch_chains_that_leave_at_a_log_point(self):
+        # s * lam = 2.25: the loss of some chains passes the limit at a log
+        # point, whose gradients the others then step on
+        spec = small_spec()
+        cfg = SgdConfig(step_size=12.0, batch_size=spec.n, steps=64, seed=0,
+                        init=InitSpec("gaussian", tau=1.0), log_every=1)
+        seeds = list(range(12))
+        stacked = dynamics.run_sgd_chains(spec, cfg, seeds)
+        ends = dynamics.run_sgd_chains(spec, dataclasses.replace(cfg, log_every=64), seeds)
+        diverged = [isinstance(e, DivergenceError) for e in stacked]
+        assert 0 < sum(diverged) < len(seeds)
+        for seed, entry, end, left in zip(seeds, stacked, ends, diverged, strict=True):
+            assert _outcome(entry) == _lone(dynamics.run_sgd, spec,
+                                            dataclasses.replace(cfg, seed=seed))
+            if not left:
+                np.testing.assert_array_equal(entry.final_w, end.final_w)
 
 
 class TestAllFinite:

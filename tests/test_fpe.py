@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import dsbmv
 from scipy.stats import norm
 
 import oracles
 import villanets
-from villanets import activations, datasets, dynamics, fpe, model
+from villanets import activations, datasets, dynamics, fpe, model, rules
 from villanets.dynamics import InitSpec
 from villanets.model import Dataset, LossSpec, Net, normalized_outer
 
@@ -106,6 +107,16 @@ class TestBuildGrid:
         monkeypatch.setattr(fpe, "tabulate_potential", no_tabulation)
         with pytest.raises(ValueError, match="operator size 121 exceeds 100"):
             fpe.build_grid(two_dim_spec(), 4.0, 11, 1.0)
+
+    @pytest.mark.parametrize("half_width, m, message", [
+        (0.0, 51, "half_width must be positive and finite"),
+        (math.inf, 51, "half_width must be positive and finite"),
+        (math.nan, 51, "half_width must be positive and finite"),
+        (4.0, 7, "m must be at least 8, not 7"),
+    ])
+    def test_refuses_a_box_it_cannot_grid(self, half_width, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fpe.build_grid(ridge_only_spec(0.5), half_width, m, 1.0)
 
     def test_explicit_init_normalized(self):
         grid = fpe.build_grid(ridge_only_spec(0.5), 4.0, 101, 1.0,
@@ -201,6 +212,29 @@ class TestFixedPoint:
         np.testing.assert_allclose(dsbmv(kd, 1.0, band, x), h_mat @ x,
                                    rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("dim, m", [(1, 51), (2, 12)])
+    def test_the_factor_is_written_over_the_band(self, monkeypatch, dim, m):
+        # a factor holds one band: LAPACK factors the Fortran-ordered band in
+        # place, to the bits of the factor of a copy shifted out of place
+        band = fpe._symmetric_band(sigmoid_grid(dim, m))
+        assert band.flags.f_contiguous
+        shifted = -0.1 * band
+        shifted[-1] += 1.0
+        want = cholesky_banded(shifted)
+        factors, real = [], fpe.linalg.cholesky_banded
+
+        def spy(*args, **kwargs):
+            factors.append(real(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(fpe.linalg, "cholesky_banded", spy)
+        solve = fpe._band_solver(band, 1.0, 0.1)
+        (factor,) = factors
+        assert np.shares_memory(factor, band)
+        np.testing.assert_array_equal(factor, want)
+        x = np.random.default_rng(2).standard_normal(band.shape[1])
+        np.testing.assert_array_equal(solve(x), cho_solve_banded((want, False), x))
+
 
 class TestDecayRate:
     def test_ou_rate_from_symmetric_start(self):
@@ -233,15 +267,20 @@ class TestDecayRate:
         change2 = abs(rates[2] - rates[1])
         assert change2 < 5 * max(change1, 1e-12)
 
-    # inf, NaN and an overflowing ratio; 5 / 10 and 1.4 round to 1 step,
-    # and a negative horizon or step to none
+    # inf, NaN and an overflowing ratio; 5 / 10, 1.4 and a horizon of one
+    # step round to 1 step, and a negative horizon or step, or an infinite
+    # step, to none.  The message is the horizon rule's, at least 2 steps
     @pytest.mark.parametrize("t_max, dt", [
         (math.inf, 0.02), (math.nan, 0.02), (1.0, math.nan), (math.inf, math.inf),
         (1e300, 1e-300), (5.0, 10.0), (1.4, 1.0), (1.0, 0.0), (-2.0, 0.5), (-2.0, -0.5),
+        (0.02, 0.02), (1.0, math.inf), (1.0, -0.0),
     ])
     def test_refuses_a_horizon_it_cannot_hold(self, t_max, dt):
-        with pytest.raises(ValueError, match=re.escape(f"got t_max = {t_max}, dt = {dt}")):
+        with pytest.raises(ValueError, match=re.escape(f"got t_max = {t_max}, dt = {dt}")) as got:
             fpe.decay_rate(ou_grid(m=51), t_max, dt)
+        with pytest.raises(ValueError) as rule:
+            rules.steps(t_max, dt, 2)
+        assert str(got.value) == str(rule.value)
 
     def test_takes_the_rounded_count_of_steps(self, monkeypatch):
         # 1.5 rounds to 2 steps, one per half; 3 steps read steps 2-3 off
@@ -633,7 +672,7 @@ class TestHalfWidthRule:
 
     @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
     def test_requires_positive_finite_noise(self, s):
-        with pytest.raises(ValueError, match="s must be positive and finite"):
+        with pytest.raises(ValueError, match="^s must be positive and finite$"):
             fpe.suggest_half_width(ridge_only_spec(0.5), s)
 
     def test_quantile_of_a_centered_well(self):
