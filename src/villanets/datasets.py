@@ -19,13 +19,14 @@ import numpy as np
 
 from . import activations
 from .model import Dataset
-from .rules import as_number, check_keys, numbers_as_declared
+from .rules import as_number, check_keys, nonnegative, numbers_as_declared
 
 
 def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
     """x ~ Uniform[0,1)^d, y = sin(pi * ||x||^2 / d) + N(0, noise_sd^2)."""
     if d < 1:
         raise ValueError("d must be at least 1")
+    nonnegative(noise_sd, "noise_sd")
     rng = np.random.default_rng(seed)   # a Generator is returned as is
     xs = rng.random((n, d))
     ys = np.sin(np.pi * np.sum(xs * xs, axis=1) / d)
@@ -102,13 +103,13 @@ class DataRecipe:
     params: generator arguments, the ``RECIPE_PARAMS`` of the kind, each a
         number of its default's type; one left out takes its default there,
         and an unknown one is refused.
-    corruption: {'fraction': f in [0,1], 'scale': s}, numbers; applied to the
-        training labels only.  Test draws always come from the clean recipe.
+    corruption: {'fraction': f in [0,1], 'scale': s}, numbers, each 0 if left
+        out; applied to the training labels only (test draws stay clean).
 
-    Both are given as mappings (or pairs) and kept as sorted tuples of
-    (key, value) pairs, so that a recipe, and every config that holds one,
-    hashes; :attr:`param_map` and :attr:`corruption_map` read them as
-    read-only mappings.
+    Both are given as mappings (or pairs) and kept, every default filled in,
+    as sorted tuples of (key, value) pairs that :attr:`param_map` and
+    :attr:`corruption_map` read as read-only mappings.  So a recipe holds each
+    value it draws with, and two spellings of it compare and hash equal.
     """
 
     kind: str
@@ -116,7 +117,7 @@ class DataRecipe:
     n_test: int
     seed: int
     params: tuple = ()
-    corruption: tuple = (("fraction", 0.0), ("scale", 0.0))
+    corruption: tuple = ()
 
     def __post_init__(self):
         if self.kind not in RECIPE_PARAMS:
@@ -124,28 +125,27 @@ class DataRecipe:
         numbers_as_declared(self)
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be at least 1")
-        defaults = RECIPE_PARAMS[self.kind]
+        defaults, clean = RECIPE_PARAMS[self.kind], {"fraction": 0.0, "scale": 0.0}
         params, corruption = (dict(pairs) if isinstance(pairs, tuple) else pairs
                               for pairs in (self.params, self.corruption))
         check_keys(params, f"{self.kind} params", defaults,
                    [key for key, value in defaults.items() if value is None])
-        check_keys(corruption, "corruption", ("fraction", "scale"))
+        check_keys(corruption, "corruption", clean)
+        # every default is filled in here and read by value everywhere else;
         # a param with no default (a file's path) is no number
         object.__setattr__(self, "params", tuple(sorted(
             (key, value if defaults[key] is None else as_number(value, key, type(defaults[key])))
-            for key, value in params.items())))
+            for key, value in {**defaults, **params}.items())))
         object.__setattr__(self, "corruption", tuple(sorted(
-            (key, as_number(value, f"corruption {key}")) for key, value in corruption.items())))
-        if not 0.0 <= self.corruption_map.get("fraction", 0.0) <= 1.0:
+            (key, as_number(value, f"corruption {key}"))
+            for key, value in {**clean, **corruption}.items())))
+        params, corruption = self.param_map, self.corruption_map
+        if not 0.0 <= corruption["fraction"] <= 1.0:
             raise ValueError("corruption fraction must be in [0, 1]")
-        # the generators draw noise only for noise_sd > 0, so a negative or
-        # NaN one would give noise-free labels in silence
-        noise_sd = self.param_map.get("noise_sd", 0.0)
-        scale = self.corruption_map.get("scale", 0.0)
-        if not 0.0 <= noise_sd < math.inf:
-            raise ValueError(f"noise_sd must be finite and at least 0, not {noise_sd!r}")
-        if not math.isfinite(scale):
-            raise ValueError(f"corruption scale must be finite, not {scale!r}")
+        if "noise_sd" in params:     # a file recipe draws no noise
+            nonnegative(params["noise_sd"], "noise_sd")
+        if not math.isfinite(corruption["scale"]):
+            raise ValueError(f"corruption scale must be finite, not {corruption['scale']!r}")
 
     @property
     def param_map(self) -> MappingProxyType:
@@ -171,7 +171,7 @@ class DataRecipe:
     def realize(self) -> tuple[Dataset, Dataset]:
         """Materialize (train, test); corruption touches only train labels."""
         shared_rng, train_rng, test_rng, corrupt_rng = self.streams()
-        params = {**RECIPE_PARAMS[self.kind], **self.param_map}
+        params, corruption = self.param_map, self.corruption_map
         if self.kind == "sine":
             train = gen_sine(params["d"], self.n_train, params["noise_sd"], train_rng)
             test = gen_sine(params["d"], self.n_test, params["noise_sd"], test_rng)
@@ -189,9 +189,8 @@ class DataRecipe:
                 full.xs[self.n_train : self.n_train + self.n_test],
                 full.ys[self.n_train : self.n_train + self.n_test],
             )
-        frac = self.corruption_map.get("fraction", 0.0)
-        if frac > 0.0:
-            train = corrupt_labels(train, frac, self.corruption_map.get("scale", 0.0), corrupt_rng)
+        if corruption["fraction"] > 0.0:
+            train = corrupt_labels(train, corruption["fraction"], corruption["scale"], corrupt_rng)
         return train, test
 
 

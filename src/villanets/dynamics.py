@@ -335,8 +335,7 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     ``eval_values``.  Every path takes the round(t_max / dt) steps
     that :func:`run_sde` states, or none is run.
     """
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be finite and at least 0, not {s!r}")
+    rules.nonnegative(s, "s")
     n_steps = rules.steps(t_max, dt, 1)
     if log_every < 1:
         raise ValueError("log_every must be at least 1")

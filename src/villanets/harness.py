@@ -179,9 +179,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     grid = np.full((len(cfg.lambdas), len(cfg.widths)), math.inf)
     per_cell = []
     if jobs > 1:
-        # imported here, so that no other command loads the process pool
+        # imported here, so that no other command loads the process pool;
+        # a worker more than the cells would only be forked to idle
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:
         outcomes = [_run_cell(t) for t in tasks]
@@ -216,9 +217,9 @@ class AblationConfig:
 
     def __post_init__(self):
         numbers_as_declared(self)
-        if self.recipe.corruption_map.get("fraction", 0.0) > 0.0:
-            raise ValueError("the ablation recipe must be clean: corrupt it through "
-                             "fractions and corruption_scale")
+        if any(self.recipe.corruption_map.values()):
+            raise ValueError("the ablation recipe must be clean (corruption fraction and scale "
+                             "0): corrupt it through fractions and corruption_scale")
         if not math.isfinite(self.corruption_scale):
             raise ValueError("corruption_scale must be finite")
         object.__setattr__(self, "sgd", SgdConfig(
@@ -237,17 +238,18 @@ class AblationCurves:
 
 
 def run_ablation(cfg: AblationConfig, fractions) -> dict:
-    """Train once per corruption fraction, each given once; track
+    """Train once per corruption fraction, each a number given once; track
     clean/noisy held-out MSE.
 
     The training labels (and a mirrored copy of the test labels) are
     corrupted per fraction; the clean test set is never touched, so the
     clean-test curve isolates what the corruption does to the learned map.
     """
+    fractions = [as_number(fraction, "fraction") for fraction in fractions]
     if len(fractions) == 0 or not all(0.0 <= fraction <= 1.0 for fraction in fractions):
         raise ValueError("fractions must be a non-empty list in [0, 1]")
     if len(set(fractions)) < len(fractions):
-        raise ValueError(f"fractions must not repeat: {list(fractions)}")
+        raise ValueError(f"fractions must not repeat: {fractions}")
     clean_train, clean_test = cfg.recipe.realize()
     out = {}
     for fraction in fractions:

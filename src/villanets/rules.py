@@ -1,6 +1,7 @@
 """Input rules that several layers apply, each written once: config keys,
-numbers, positive-and-finite values and the integrators' horizon.  The
-module imports the standard library only, so every layer can reach it.
+numbers, positive-and-finite and finite-non-negative values, and the
+integrators' horizon.  The module imports the standard library only, so
+every layer can reach it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ def positive(value: float, key: str) -> None:
     """Refuse a ``value`` that is not positive and finite (NaN included)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{key} must be positive and finite")
+
+
+def nonnegative(value: float, key: str) -> None:
+    """Refuse a ``value`` that is not finite and at least 0 (NaN included)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{key} must be finite and at least 0, not {value!r}")
 
 
 def steps(t_max: float, dt: float, least: int) -> int:

@@ -314,6 +314,18 @@ def test_gen_cli(workdir, capsys):
     assert meta["recipe"]["kind"] == "sine"
 
 
+def test_gen_sidecar_lists_every_value_the_data_was_drawn_with(workdir):
+    # RECIPE gives d alone: the sidecar names the defaults it was drawn with,
+    # and reads back as the same recipe
+    path = _write(workdir, "r.json", RECIPE)
+    assert cli.main(["gen", "--recipe", str(path), "--out", str(workdir / "g.csv")]) == 0
+    meta = json.loads((workdir / "g.meta.json").read_text())
+    assert meta["recipe"]["params"] == {"d": 3, "noise_sd": 0.5}
+    assert meta["recipe"]["corruption"] == {"fraction": 0.0, "scale": 0.0}
+    assert configio.load_recipe(_write(workdir, "meta_recipe.json", meta["recipe"])) == \
+        configio.load_recipe(path)
+
+
 def test_sweep_cli(workdir):
     config = {
         "lambdas": [0.01, 0.13],
@@ -615,6 +627,16 @@ def test_ablate_cli_refuses_a_corrupted_recipe(workdir, capsys, no_work):
     assert "recipe must be clean" in err and "corruption_scale" in err
 
 
+def test_ablate_cli_refuses_a_recipe_with_a_corruption_scale(workdir, capsys, no_work):
+    # a clean recipe has corruption fraction and scale 0; a scale alone
+    # would be ignored, so it is refused with the file named
+    recipe = {**RECIPE, "corruption": {"fraction": 0.0, "scale": 5.0}}
+    ablate = {"recipe": recipe, "fractions": [0.0, 0.5], "settings": [SETTING_REQUIRED]}
+    path = _write(workdir, "a.json", ablate)
+    err = _refused(workdir, capsys, "ablate", path)
+    assert err.startswith(f"configuration error: {path}: ") and "recipe must be clean" in err
+
+
 @pytest.mark.parametrize("change, message", [
     ({"lambdas": [0.01, -0.1]}, "lam must be a finite nonnegative real"),
     ({"lambdas": [0.01, math.nan]}, "lam must be a finite nonnegative real"),
@@ -735,7 +757,8 @@ def test_integer_fields_take_integral_floats(workdir):
     sweep = {**SWEEP_REQUIRED, "widths": [2.0, 3], "recipe": {**RECIPE, "params": {"d": 20.0}}}
     cfg = configio.load_sweep_config(_write(workdir, "w.json", sweep))
     assert cfg.widths == (2, 3) and all(type(width) is int for width in cfg.widths)
-    assert cfg.recipe.param_map == {"d": 20} and type(cfg.recipe.param_map["d"]) is int
+    assert cfg.recipe.param_map == {"d": 20, "noise_sd": 0.5}
+    assert [type(v) for v in cfg.recipe.param_map.values()] == [int, float]
 
 
 @pytest.mark.parametrize("command, obj, message", [

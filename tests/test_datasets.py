@@ -31,6 +31,14 @@ class TestSine:
         with pytest.raises(ValueError):
             datasets.gen_sine(0, 10, 0.0, seed=0)
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, math.nan])
+    def test_refuses_a_noise_level_it_would_skip(self, noise_sd):
+        # noise is drawn only for noise_sd > 0, so these would give
+        # noise-free labels in silence
+        with pytest.raises(ValueError,
+                           match=f"noise_sd must be finite and at least 0, not {noise_sd!r}"):
+            datasets.gen_sine(2, 5, noise_sd, 0)
+
 
 class TestTeacher:
     def test_label_magnitude_bound(self):
@@ -194,13 +202,37 @@ class TestRecipe:
     def test_params_and_corruption_take_the_types_of_their_defaults(self):
         recipe = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2.0, "noise_sd": 0},
                             corruption={"fraction": 1, "scale": 2})
-        assert recipe.param_map == {"d": 2, "noise_sd": 0.0}
-        assert [type(v) for v in recipe.param_map.values()] == [int, float]
+        assert recipe.param_map == {"d": 2, "noise_sd": 0.0, "p_teacher": 5}
+        assert [type(v) for v in recipe.param_map.values()] == [int, float, int]
         assert [type(v) for v in recipe.corruption_map.values()] == [float, float]
         given = DataRecipe("teacher", 30, 10, seed=3, params={"d": 2, "noise_sd": 0.0},
                            corruption={"fraction": 1.0, "scale": 2.0})
         for got, want in zip(recipe.realize(), given.realize()):
             np.testing.assert_array_equal(got.ys, want.ys)
+
+    @pytest.mark.parametrize("kind, partial, spelled_out", [
+        ("sine", {}, {"params": {"d": 20, "noise_sd": 0.5},
+                      "corruption": {"fraction": 0.0, "scale": 0.0}}),
+        ("teacher", {"params": {"p_teacher": 2}, "corruption": {"fraction": 0.5}},
+         {"params": {"d": 20, "p_teacher": 2, "noise_sd": 0.1},
+          "corruption": {"fraction": 0.5, "scale": 0.0}}),
+        ("file", {"params": {"path": "data.csv"}, "corruption": {"scale": 2.0}},
+         {"params": {"path": "data.csv"}, "corruption": {"fraction": 0.0, "scale": 2.0}}),
+    ], ids=["sine", "teacher", "file"])
+    def test_a_partial_recipe_equals_its_spelled_out_twin(self, tmp_path, monkeypatch, kind,
+                                                          partial, spelled_out):
+        # every default is filled in at build, so a recipe holds each value
+        # it draws with, whichever of them its maker wrote out
+        monkeypatch.chdir(tmp_path)
+        oracles.write_data_csv(datasets.gen_sine(2, 30, 0.1, seed=4), tmp_path / "data.csv")
+        recipe, twin = (DataRecipe(kind, 20, 10, seed=3, **given) for given in (partial, spelled_out))
+        assert recipe == twin and hash(recipe) == hash(twin)
+        assert (recipe.params, recipe.corruption) == (twin.params, twin.corruption)
+        assert recipe.to_dict() == {"kind": kind, "n_train": 20, "n_test": 10, "seed": 3,
+                                    **spelled_out}
+        for got, want in zip(recipe.realize(), twin.realize()):
+            assert got.xs.tobytes() == want.xs.tobytes()
+            assert got.ys.tobytes() == want.ys.tobytes()
 
     def test_params_left_out_take_the_table_defaults(self):
         for kind in ("sine", "teacher"):

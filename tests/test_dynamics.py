@@ -445,6 +445,11 @@ class TestRunSde:
         with pytest.raises(ValueError, match="log_every"):
             dynamics.run_sde_paths(spec, 0.1, 0.1, 1.0, seeds=[0, 1], log_every=-1)
 
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+    def test_refuses_a_noise_scale_that_is_not_finite_and_at_least_0(self, s):
+        with pytest.raises(ValueError, match=f"s must be finite and at least 0, not {s!r}"):
+            dynamics.run_sde_paths(small_spec(), s, 0.1, 1.0, seeds=[0, 1])
+
     # inf, NaN and an overflowing ratio; 0.001 / 1 and exactly 0.5 round to
     # no step (Python rounds 0.5 to even), and a negative horizon or step, or
     # an infinite step, to none.  The message is the horizon rule's, at

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -61,6 +62,32 @@ class TestSweep:
         r1 = harness.run_sweep(tiny_sweep())
         r2 = harness.run_sweep(tiny_sweep())
         np.testing.assert_array_equal(r1.grid, r2.grid)
+
+    def test_pool_is_sized_by_the_cells(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process, so
+        # that no worker is started: a pool forks all its workers at once
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        one_cell = tiny_sweep(lambdas=(0.05,), widths=(3,))
+        result = harness.run_sweep(one_cell, jobs=64)
+        np.testing.assert_array_equal(result.grid, harness.run_sweep(one_cell).grid)
+        for jobs in (64, 3):
+            harness.run_sweep(tiny_sweep(steps=50), jobs=jobs)
+        assert asked == [1, 4, 3]
 
     def test_parallel_matches_serial(self):
         r1 = harness.run_sweep(tiny_sweep(restarts=2), jobs=1)
@@ -234,6 +261,24 @@ class TestAblation:
                                     init=InitSpec("gaussian", tau=cfg.init_tau),
                                     log_every=cfg.log_every)
 
+    def test_refuses_a_recipe_with_any_corruption_value(self):
+        # the ablation reads neither value, so a scale alone would be ignored
+        recipe = DataRecipe("sine", 60, 60, seed=3, params={"d": 4},
+                            corruption={"fraction": 0.0, "scale": 5.0})
+        with pytest.raises(ValueError, match="recipe must be clean"):
+            replace(self.ablation_cfg(), recipe=recipe)
+
+    @pytest.mark.parametrize("fraction", [True, "0.5"], ids=["bool", "string"])
+    def test_fractions_are_numbers_as_given(self, monkeypatch, fraction):
+        # as in an ablate file: no fraction trains or keys its curves as 1
+        monkeypatch.setattr(harness, "run_sgd", _no_training)
+        with pytest.raises(TypeError, match=f"fraction must be a number, not {fraction!r}"):
+            harness.run_ablation(self.ablation_cfg(), [fraction])
+
+    def test_a_numpy_fraction_keys_its_curves_as_a_float(self):
+        (key,) = harness.run_ablation(self.ablation_cfg(), [np.float64(0.5)])
+        assert type(key) is float and key == 0.5
+
     def test_repeated_fraction_rejected_before_any_training(self, monkeypatch):
         monkeypatch.setattr(harness, "run_sgd", _no_training)
         with pytest.raises(ValueError, match="repeat"):
@@ -280,5 +325,6 @@ def test_equal_recipes_and_configs_hash_alike():
         assert first == second and hash(first) == hash(second)
     with pytest.raises(TypeError):
         recipes[0].param_map["d"] = 5    # the mapping is a read-only view
-    assert recipes[0].param_map == {"d": 4, "noise_sd": 0.0}
+    assert recipes[0].param_map == {"d": 4, "noise_sd": 0.0, "p_teacher": 5}
+    assert [type(v) for v in recipes[0].param_map.values()] == [int, float, int]
     assert recipes[0].to_dict()["corruption"] == {"fraction": 0.0, "scale": 0.0}
