@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import activations, datasets, diagnostics, dynamics, fpe, harness, model
+from . import activations, datasets, diagnostics, dynamics, fpe, harness, model, rules
 from .configio import (
     load_ablate_config,
     load_recipe,
@@ -178,13 +178,12 @@ def _rate(count: int, wall: float, what: str) -> str:
 
 
 def _cmd_sde(args) -> int:
-    if args.paths < 1:
-        raise ValueError("--paths must be at least 1")
+    n_paths = rules.at_least(args.paths, "--paths", 1, int)
     spec = load_spec(args.spec)
     t0 = time.perf_counter()
     paths = dynamics.run_sde_paths(
         spec, s=args.s, dt=args.dt, t_max=args.tmax,
-        seeds=[args.seed + path_idx for path_idx in range(args.paths)],
+        seeds=[args.seed + path_idx for path_idx in range(n_paths)],
         log_every=args.log_every,
     )
     wall = time.perf_counter() - t0

@@ -32,7 +32,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from . import activations, datasets
+from . import activations, datasets, rules
 from .datasets import DataRecipe
 from .dynamics import InitSpec, SgdConfig
 from .harness import AblationConfig, SweepConfig, build_cell_spec
@@ -136,7 +136,7 @@ def load_ablate_config(path) -> tuple[list[AblationConfig], list[float]]:
 def _parse_ablate(obj: dict, folder: Path) -> tuple[list[AblationConfig], list[float]]:
     check_keys(obj, "ablate", (*_ABLATE_SHARED, "fractions", "settings"),
                ("recipe", "fractions", "settings"))
-    fractions = [as_number(f, "fraction") for f in _array(obj["fractions"], "fractions")]
+    fractions = [rules.fraction(f, "fraction") for f in _array(obj["fractions"], "fractions")]
     if not _array(obj["settings"], "settings"):
         raise ValueError("settings must be a non-empty list")
     shared = {key: obj[key] for key in _ABLATE_SHARED if key in obj}

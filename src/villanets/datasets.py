@@ -17,16 +17,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import activations
+from . import activations, rules
 from .model import Dataset
-from .rules import as_number, check_keys, nonnegative, numbers_as_declared
+from .rules import as_number, check_keys, numbers_as_declared
 
 
 def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
     """x ~ Uniform[0,1)^d, y = sin(pi * ||x||^2 / d) + N(0, noise_sd^2)."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    nonnegative(noise_sd, "noise_sd")
+    d, noise_sd = rules.at_least(d, "d", 1, int), rules.at_least(noise_sd, "noise_sd", 0)
     rng = np.random.default_rng(seed)   # a Generator is returned as is
     xs = rng.random((n, d))
     ys = np.sin(np.pi * np.sum(xs * xs, axis=1) / d)
@@ -37,8 +35,7 @@ def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
 
 def sample_teacher(d: int, p_teacher: int, rng: np.random.Generator):
     """Hidden teacher parameters: a_i ~ N(0,1)/sqrt(p), W entries ~ N(0,1)."""
-    if d < 1 or p_teacher < 1:
-        raise ValueError("d and p_teacher must be at least 1")
+    d, p_teacher = rules.at_least(d, "d", 1, int), rules.at_least(p_teacher, "p_teacher", 1, int)
     a = rng.standard_normal(p_teacher) / math.sqrt(p_teacher)
     w = rng.standard_normal((p_teacher, d))
     return a, w
@@ -56,8 +53,7 @@ def corrupt_labels(ds: Dataset, fraction: float, scale: float, seed) -> Dataset:
     That common-random-numbers coupling is what makes fraction ordering
     comparisons well-posed.  Bounds are re-certified on the returned dataset.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
+    fraction = rules.fraction(fraction, "fraction")
     rng = np.random.default_rng(seed)
     n = ds.n
     k = int(math.floor(fraction * n))
@@ -123,29 +119,25 @@ class DataRecipe:
         if self.kind not in RECIPE_PARAMS:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
         numbers_as_declared(self)
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be at least 1")
-        defaults, clean = RECIPE_PARAMS[self.kind], {"fraction": 0.0, "scale": 0.0}
+        for key in ("n_train", "n_test"):
+            rules.at_least(getattr(self, key), key, 1, int)
+        defaults = RECIPE_PARAMS[self.kind]
+        rule = {"fraction": rules.fraction, "scale": rules.finite}     # of each corruption key
         params, corruption = (dict(pairs) if isinstance(pairs, tuple) else pairs
                               for pairs in (self.params, self.corruption))
         check_keys(params, f"{self.kind} params", defaults,
                    [key for key, value in defaults.items() if value is None])
-        check_keys(corruption, "corruption", clean)
+        check_keys(corruption, "corruption", rule)
         # every default is filled in here and read by value everywhere else;
         # a param with no default (a file's path) is no number
         object.__setattr__(self, "params", tuple(sorted(
             (key, value if defaults[key] is None else as_number(value, key, type(defaults[key])))
             for key, value in {**defaults, **params}.items())))
-        object.__setattr__(self, "corruption", tuple(sorted(
-            (key, as_number(value, f"corruption {key}"))
-            for key, value in {**clean, **corruption}.items())))
-        params, corruption = self.param_map, self.corruption_map
-        if not 0.0 <= corruption["fraction"] <= 1.0:
-            raise ValueError("corruption fraction must be in [0, 1]")
-        if "noise_sd" in params:     # a file recipe draws no noise
-            nonnegative(params["noise_sd"], "noise_sd")
-        if not math.isfinite(corruption["scale"]):
-            raise ValueError(f"corruption scale must be finite, not {corruption['scale']!r}")
+        object.__setattr__(self, "corruption", tuple(   # both keys, each 0 if left out
+            (key, check(corruption.get(key, 0.0), f"corruption {key}"))
+            for key, check in rule.items()))
+        if "noise_sd" in self.param_map:     # a file recipe draws no noise
+            rules.at_least(self.param_map["noise_sd"], "noise_sd", 0)
 
     @property
     def param_map(self) -> MappingProxyType:

@@ -22,7 +22,7 @@ from .model import LossSpec
 
 def v_s(spec: LossSpec, s: float, w=None) -> float:
     """||grad||_F^2 / s - laplacian, the divergence diagnostic."""
-    rules.positive(s, "s")
+    s = rules.positive(s, "s")
     g, lap = model.evaluate(spec, model.weights(spec, w), ("grad", "laplacian"))
     return float(np.sum(g * g) / s - lap)
 
@@ -110,12 +110,11 @@ class VillaniReport:
 
 def scan_radii(r_max: float) -> np.ndarray:
     """Geometric radii 1, 2, 4, ... capped with r_max as the last entry."""
-    if not 10 <= r_max < math.inf:
-        raise ValueError("r_max must be finite and at least 10")
+    r_max = rules.at_least(r_max, "r_max", 10)
     radii = [1.0]
     while radii[-1] * 2.0 < r_max:
         radii.append(radii[-1] * 2.0)
-    radii.append(float(r_max))
+    radii.append(r_max)
     return np.array(radii)
 
 
@@ -132,9 +131,8 @@ def villani_scan(
     sphere), drawn from a seeded generator for reproducibility.  Every
     evaluation point also checks the two pointwise bounds.
     """
-    rules.positive(s, "s")
-    if ray_count < 8:
-        raise ValueError("ray_count must be at least 8")
+    s = rules.positive(s, "s")
+    ray_count = rules.at_least(ray_count, "ray_count", 8, int)
     radii = scan_radii(r_max)
     rng = np.random.default_rng(seed)
     grad_bound, laplacian_bound = _bounds(spec)

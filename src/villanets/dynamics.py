@@ -131,12 +131,8 @@ class SgdConfig:
     def __post_init__(self):
         numbers_as_declared(self)
         rules.positive(self.step_size, "step_size")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be at least 1")
+        for key in ("batch_size", "steps", "log_every"):
+            rules.at_least(getattr(self, key), key, 1, int)
 
 
 @dataclass(eq=False)
@@ -232,7 +228,7 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
             if k and not _all_finite(w):
                 diverged = dict.fromkeys(np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist(),
                                          "weights")
-            at_log = k % log_every == 0 or k == n_steps
+            at_log = k == logged.item(t)    # a Python bool, so t stays an int
             grads = None
             if at_log:
                 values, grads = model.evaluate(spec, w, ("loss", "grad"))
@@ -335,10 +331,9 @@ def run_sde_paths(spec: LossSpec, s: float, dt: float, t_max: float, seeds,
     ``eval_values``.  Every path takes the round(t_max / dt) steps
     that :func:`run_sde` states, or none is run.
     """
-    rules.nonnegative(s, "s")
+    s = rules.at_least(s, "s", 0)
     n_steps = rules.steps(t_max, dt, 1)
-    if log_every < 1:
-        raise ValueError("log_every must be at least 1")
+    log_every = rules.at_least(log_every, "log_every", 1, int)
     dt_op, noise_scale = np.array(float(dt)), np.array(math.sqrt(s * dt))
 
     def draw(rng, size):

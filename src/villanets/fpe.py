@@ -177,10 +177,8 @@ def build_grid(spec: LossSpec, half_width: float, m: int, s: float, init=None) -
     dim = spec.p * spec.d
     if dim not in (1, 2):
         raise ValueError(f"density solver supports p*d in {{1, 2}}, got {dim}")
-    rules.positive(half_width, "half_width")
-    rules.positive(s, "s")
-    if m < 8:
-        raise ValueError(f"m must be at least 8, not {m}")
+    half_width, s = rules.positive(half_width, "half_width"), rules.positive(s, "s")
+    m = rules.at_least(m, "m", 8, int)
     size = m**dim
     if size > MAX_OPERATOR_SIZE:
         raise ValueError(f"operator size {size} exceeds {MAX_OPERATOR_SIZE}")
@@ -516,7 +514,7 @@ def suggest_half_width(spec: LossSpec, s: float) -> float:
     """
     from statistics import NormalDist    # imported here: it pulls in decimal and fractions
 
-    rules.positive(s, "s")
+    s = rules.positive(s, "s")
     if spec.lam <= 0:
         raise ValueError("half-width rule needs lam > 0 (coercive tail)")
     dim = spec.p * spec.d

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import activations, model
+from . import activations, model, rules
 from .datasets import DataRecipe, corrupt_labels
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, outer_weights
@@ -52,8 +52,7 @@ class SweepConfig:
         for name, values in (("lambdas", self.lambdas), ("widths", self.widths)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat: {list(values)}")
-        if self.restarts_per_cell < 1:
-            raise ValueError("restarts_per_cell must be at least 1")
+        rules.at_least(self.restarts_per_cell, "restarts_per_cell", 1, int)
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.sgd.seed != 0:
@@ -70,10 +69,9 @@ def _check_cells(lambdas, widths, a_mode: str, sgd: SgdConfig, recipe: DataRecip
     """Raise the error that building or training any of these (lambda,
     width) cells on ``recipe``'s training split would raise."""
     for lam in lambdas:
-        model.check_lam(lam)
+        rules.at_least(lam, "lam", 0)
     for width in widths:
-        if width < 1:
-            raise ValueError(f"width must be at least 1, not {width}")
+        rules.at_least(width, "width", 1, int)
     model.check_outer_mode(a_mode)
     if sgd.batch_size > recipe.n_train:
         raise ValueError(f"batch_size must be in [1, {recipe.n_train}]")
@@ -168,8 +166,7 @@ def _run_cell(task: _CellTask):
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Train every (lambda, width) cell and assemble the metric grid."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    jobs = rules.at_least(jobs, "jobs", 1, int)
     train, test = cfg.recipe.realize()
     tasks = [
         _CellTask(i_lam, i_width, train, test, cfg)
@@ -220,8 +217,7 @@ class AblationConfig:
         if any(self.recipe.corruption_map.values()):
             raise ValueError("the ablation recipe must be clean (corruption fraction and scale "
                              "0): corrupt it through fractions and corruption_scale")
-        if not math.isfinite(self.corruption_scale):
-            raise ValueError("corruption_scale must be finite")
+        rules.finite(self.corruption_scale, "corruption_scale")
         object.__setattr__(self, "sgd", SgdConfig(
             step_size=self.step_size, batch_size=self.batch_size, steps=self.steps,
             seed=cell_seed(self.base_seed, 0, 0, 0),
@@ -245,9 +241,9 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
     corrupted per fraction; the clean test set is never touched, so the
     clean-test curve isolates what the corruption does to the learned map.
     """
-    fractions = [as_number(fraction, "fraction") for fraction in fractions]
-    if len(fractions) == 0 or not all(0.0 <= fraction <= 1.0 for fraction in fractions):
-        raise ValueError("fractions must be a non-empty list in [0, 1]")
+    fractions = [rules.fraction(fraction, "fraction") for fraction in fractions]
+    if not fractions:
+        raise ValueError("fractions must be a non-empty list")
     if len(set(fractions)) < len(fractions):
         raise ValueError(f"fractions must not repeat: {fractions}")
     clean_train, clean_test = cfg.recipe.realize()
@@ -260,12 +256,14 @@ def run_ablation(cfg: AblationConfig, fractions) -> dict:
                                     cell_seed(cfg.base_seed, 2, 0, 0))
         spec = build_cell_spec(train, cfg.width, cfg.lam, activations.sigmoid(1.0),
                                cfg.a_mode)
-        traj = run_sgd(
-            spec,
-            cfg.sgd,
-            eval_fn=lambda w: np.stack([test_mse(spec, clean_test, w),
-                                        test_mse(spec, noisy_test, w)], axis=-1),
-        )
+
+        def eval_fn(w):
+            # one forward pass: the noisy test set has the clean inputs
+            pred = model.predict(spec, clean_test.xs, w)
+            return np.stack([np.mean(r * r, axis=-1)
+                             for r in (pred - clean_test.ys, pred - noisy_test.ys)], axis=-1)
+
+        traj = run_sgd(spec, cfg.sgd, eval_fn=eval_fn)
         out[fraction] = AblationCurves(
             steps=traj.steps,
             train_losses=traj.losses,

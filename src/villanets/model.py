@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rules
 from .activations import Activation
 
 
@@ -126,8 +127,7 @@ def normalized_outer(p: int, x_bound: float, signed: bool = False) -> np.ndarray
     even p (useful when the targets are not one-sided); the norm, and hence
     every constant derived from it, is unchanged.
     """
-    if p < 1 or x_bound <= 0:
-        raise ValueError("need p >= 1 and x_bound > 0")
+    p, x_bound = rules.at_least(p, "p", 1, int), rules.positive(x_bound, "x_bound")
     a = np.full(p, 1.0 / (math.sqrt(p) * x_bound))
     if signed:
         a = a * np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
@@ -140,11 +140,6 @@ OUTER_MODES = ("normalized", "normalized_signed", "ones")
 def check_outer_mode(mode: str) -> None:
     if mode not in OUTER_MODES:
         raise ValueError(f"unknown a_mode {mode!r}; expected one of {OUTER_MODES}")
-
-
-def check_lam(lam: float) -> None:
-    if lam < 0 or not math.isfinite(lam):
-        raise ValueError("lam must be a finite nonnegative real")
 
 
 def outer_weights(mode: str, p: int, x_bound: float) -> np.ndarray:
@@ -164,10 +159,10 @@ class LossSpec:
     """Net + data + ridge strength; the unit every operation acts on.
 
     Immutable.  Like :class:`Net` and :class:`Dataset`, whose fields are
-    arrays, a spec compares and hashes by identity.  ``lam_op``,
-    ``half_lam_op`` and ``ridge_trace_op`` are lam, lam / 2 and the ridge
-    term's Hessian trace lam * p * d as 0-d array operands of
-    :func:`evaluate`.
+    arrays, a spec compares and hashes by identity.  ``lam`` is stored as a
+    float.  ``lam_op``, ``half_lam_op`` and ``ridge_trace_op`` are lam,
+    lam / 2 and the ridge term's Hessian trace lam * p * d as 0-d array
+    operands of :func:`evaluate`.
     """
 
     net: Net
@@ -178,12 +173,12 @@ class LossSpec:
     ridge_trace_op: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_lam(self.lam)
+        lam = rules.at_least(self.lam, "lam", 0)
         if self.net.d != self.data.d:
             raise ValueError(
                 f"net input dim {self.net.d} does not match data dim {self.data.d}"
             )
-        lam = float(self.lam)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam_op", _readonly(lam))
         object.__setattr__(self, "half_lam_op", _readonly(0.5 * lam))
         object.__setattr__(self, "ridge_trace_op", _readonly(lam * self.p * self.d))

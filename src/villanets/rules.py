@@ -1,6 +1,8 @@
 """Input rules that several layers apply, each written once: config keys,
-numbers, positive-and-finite and finite-non-negative values, and the
-integrators' horizon.  The module imports the standard library only, so
+numbers, and the ranges of a number (positive and finite, finite and at
+least a bound, a count, a fraction, finite), and the integrators' horizon.
+Each range rule first passes its value through :func:`as_number` and returns
+the number it checked.  The module imports the standard library only, so
 every layer can reach it.
 """
 
@@ -50,23 +52,46 @@ def numbers_as_declared(obj) -> None:
             object.__setattr__(obj, f.name, as_number(value, f.name, kind))
 
 
-def positive(value: float, key: str) -> None:
-    """Refuse a ``value`` that is not positive and finite (NaN included)."""
+def positive(value, key: str) -> float:
+    """``value`` as a float, refused unless positive and finite (NaN included)."""
+    value = as_number(value, key)
     if not 0 < value < math.inf:
         raise ValueError(f"{key} must be positive and finite")
+    return value
 
 
-def nonnegative(value: float, key: str) -> None:
-    """Refuse a ``value`` that is not finite and at least 0 (NaN included)."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{key} must be finite and at least 0, not {value!r}")
+def at_least(value, key: str, least, kind=float):
+    """``value`` as a ``kind``, refused unless at least ``least`` and, for a
+    float, finite (NaN included); with ``kind=int`` it is the count rule."""
+    value = as_number(value, key, kind)
+    if not least <= value < math.inf:
+        finite = "" if kind is int else "finite and "
+        raise ValueError(f"{key} must be {finite}at least {least}, not {value!r}")
+    return value
 
 
-def steps(t_max: float, dt: float, least: int) -> int:
+def fraction(value, key: str) -> float:
+    """``value`` as a float, refused unless in [0, 1] (NaN included)."""
+    value = as_number(value, key)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{key} must be in [0, 1], not {value!r}")
+    return value
+
+
+def finite(value, key: str) -> float:
+    """``value`` as a float, refused unless finite."""
+    value = as_number(value, key)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, not {value!r}")
+    return value
+
+
+def steps(t_max, dt, least: int) -> int:
     """round(t_max / dt), the steps of dt that end nearest ``t_max``.  A
     ``dt`` that is not positive, or a ratio that is not finite or rounds to
     fewer than ``least`` steps, is a ValueError naming both values, so no
     run is stretched past ``t_max`` or overflows counting its steps."""
+    t_max, dt = as_number(t_max, "t_max"), as_number(dt, "dt")
     if not (0 < dt and 0 < t_max / dt < math.inf and (n := round(t_max / dt)) >= least):
         raise ValueError(f"need dt > 0 and a finite t_max / dt that rounds to {least} or more "
                          f"steps; got t_max = {t_max}, dt = {dt}")

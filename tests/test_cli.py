@@ -592,7 +592,7 @@ def test_a_value_of_the_wrong_json_type_is_named_as_such(workdir, capsys, no_wor
 
 @pytest.mark.parametrize("change, message", [
     ({"step_size": 0.0}, "step_size must be positive and finite"),
-    ({"lambda": -0.1}, "lam must be a finite nonnegative real"),
+    ({"lambda": -0.1}, "lam must be finite and at least 0"),
     ({"width": 0}, "width must be at least 1"),
     ({"batch_size": 31}, "batch_size must be in [1, 30]"),
 ], ids=["step_size", "lambda", "width", "batch_size"])
@@ -601,6 +601,13 @@ def test_ablate_cli_checks_every_setting_before_training_any(workdir, capsys, no
     settings = [SETTING_REQUIRED, {**SETTING_REQUIRED, "lambda": 0.13, **change}]
     ablate = {"recipe": RECIPE, "fractions": [0.0, 0.5], "settings": settings}
     assert message in _refused(workdir, capsys, "ablate", _write(workdir, "a.json", ablate))
+
+
+def test_ablate_cli_names_the_file_of_a_fraction_out_of_range(workdir, capsys, no_work):
+    ablate = {"recipe": RECIPE, "fractions": [0.0, 1.5], "settings": [SETTING_REQUIRED]}
+    path = _write(workdir, "a.json", ablate)
+    err = _refused(workdir, capsys, "ablate", path)
+    assert err.startswith(f"configuration error: {path}: fraction must be in [0, 1], not 1.5")
 
 
 @pytest.mark.parametrize("command", ["gen", "sweep", "ablate"])
@@ -638,8 +645,8 @@ def test_ablate_cli_refuses_a_recipe_with_a_corruption_scale(workdir, capsys, no
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"lambdas": [0.01, -0.1]}, "lam must be a finite nonnegative real"),
-    ({"lambdas": [0.01, math.nan]}, "lam must be a finite nonnegative real"),
+    ({"lambdas": [0.01, -0.1]}, "lam must be finite and at least 0"),
+    ({"lambdas": [0.01, math.nan]}, "lam must be finite and at least 0"),
     ({"lambdas": [0.01, 0.01]}, "lambdas must not repeat"),
     ({"widths": [2, 0]}, "width must be at least 1"),
     ({"widths": [2, 2]}, "widths must not repeat"),

@@ -58,7 +58,8 @@ class TestTeacher:
 
     @pytest.mark.parametrize("params", [{"d": 0}, {"p_teacher": 0}])
     def test_rejects_bad_dimensions(self, params):
-        with pytest.raises(ValueError, match="d and p_teacher must be at least 1"):
+        (key,) = params
+        with pytest.raises(ValueError, match=f"^{key} must be at least 1, not 0$"):
             DataRecipe("teacher", 5, 5, seed=1, params=params).realize()
 
 

@@ -466,6 +466,15 @@ class TestRunSde:
             rules.steps(t_max, dt, 1)
         assert str(got.value) == str(rule.value)
 
+    def test_an_integral_float_log_every_is_the_integer(self):
+        by_int = dynamics.run_sde(small_spec(), 0.1, 0.1, 1.0, log_every=2)
+        by_float = dynamics.run_sde(small_spec(), 0.1, 0.1, 1.0, log_every=2.0)
+        assert by_float.steps.dtype.kind == "i"
+        np.testing.assert_array_equal(by_float.steps, by_int.steps)
+        np.testing.assert_array_equal(by_float.losses, by_int.losses)
+        with pytest.raises(ValueError, match="^log_every must be an integer, not 1.5$"):
+            dynamics.run_sde(small_spec(), 0.1, 0.1, 1.0, log_every=1.5)
+
     # the least ratio that rounds to a step, and a half that rounds to even
     @pytest.mark.parametrize("t_max, steps", [(0.6, 1), (2.5, 2)])
     def test_takes_the_rounded_count_of_steps(self, t_max, steps):

@@ -131,8 +131,8 @@ class TestSweep:
                         sgd=SgdConfig(0.05, 8, 10), metric="bogus")
 
     @pytest.mark.parametrize("change, match", [
-        ({"lambdas": (0.01, -0.1)}, "lam must be a finite nonnegative real"),
-        ({"lambdas": (0.01, math.inf)}, "lam must be a finite nonnegative real"),
+        ({"lambdas": (0.01, -0.1)}, "lam must be finite and at least 0"),
+        ({"lambdas": (0.01, math.inf)}, "lam must be finite and at least 0"),
         ({"lambdas": (0.01, 0.01)}, "lambdas must not repeat"),
         ({"widths": (2, 0)}, "width must be at least 1"),
         ({"widths": (2, 2)}, "widths must not repeat"),
@@ -221,7 +221,7 @@ class TestAblation:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("change, match", [
-        ({"lam": -0.1}, "lam must be a finite nonnegative real"),
+        ({"lam": -0.1}, "lam must be finite and at least 0"),
         ({"width": 0}, "width must be at least 1"),
         ({"a_mode": "signed"}, "unknown a_mode"),
         ({"step_size": 0.0}, "step_size must be positive and finite"),
@@ -292,13 +292,14 @@ class TestAblation:
         np.testing.assert_array_equal(curves[0.0].clean_test, curves[0.0].noisy_test)
 
     def test_fraction_validation(self):
-        for fractions in ([0.0, 1.5], []):
-            with pytest.raises(ValueError, match="fractions"):
+        for fractions, match in (([0.0, 1.5], r"^fraction must be in \[0, 1\], not 1.5$"),
+                                 ([], "^fractions must be a non-empty list$")):
+            with pytest.raises(ValueError, match=match):
                 harness.run_ablation(self.ablation_cfg(), fractions)
 
     def test_fractions_checked_before_any_training(self, monkeypatch):
         monkeypatch.setattr(harness, "run_sgd", _no_training)
-        with pytest.raises(ValueError, match="fractions"):
+        with pytest.raises(ValueError, match=r"^fraction must be in \[0, 1\], not 1.5$"):
             harness.run_ablation(self.ablation_cfg(), [0.0, 1.5])
 
     def test_csv_emission(self, tmp_path):

@@ -340,8 +340,9 @@ class TestDataset:
                               (np.array([math.inf]), np.ones((1, 1)), "must be finite")):
             with pytest.raises(ValueError, match=message):
                 Net(a, w, act)
-        for p, x_bound in ((0, 1.0), (2, 0.0)):
-            with pytest.raises(ValueError, match="need p >= 1 and x_bound > 0"):
+        for p, x_bound, message in ((0, 1.0, "^p must be at least 1, not 0$"),
+                                    (2, 0.0, "^x_bound must be positive and finite$")):
+            with pytest.raises(ValueError, match=message):
                 normalized_outer(p, x_bound)
 
     def test_normalized_outer_invariant(self):
@@ -361,6 +362,10 @@ class TestDataset:
         np.testing.assert_array_equal(model.outer_weights("ones", 3, 2.0), np.ones(3))
         with pytest.raises(ValueError, match="unknown a_mode 'signed'"):
             model.outer_weights("signed", 4, 2.0)
+
+    def test_lam_is_stored_as_a_float(self):
+        lam = make_spec(lam=1).lam
+        assert lam == 1.0 and type(lam) is float
 
     def test_lambda_mismatch_and_dim_checks(self):
         data = Dataset(np.ones((2, 3)), np.ones(2))
