@@ -13,9 +13,10 @@ generator, so an ensemble of seeds advances as one stack of weight
 matrices (:func:`run_sgd_chains`, :func:`run_sde_paths`) and every chain
 in it ends exactly as its lone run does.
 
-One step of the toy chains (p=2, d=2, b=4) costs ~16 us in ``run_sgd`` (min
-of 7 runs of 50,000 steps on a 2-vCPU Xeon, Python 3.11, numpy 2.4), nearly
-all of it fixed per-call cost rather than arithmetic, so the step path
+One step of the toy chains (p=2, d=2, b=4) costs ~13 us in ``run_sgd`` (min
+of 7 runs of 50,000 steps logged every 500, one BLAS thread, on a 2-vCPU
+Xeon, Python 3.11, numpy 2.4), nearly all of it fixed per-call cost rather
+than arithmetic, so the step path
 (:func:`_integrate` -> :func:`sgd_step`, full batch plus the noise in the
 Euler-Maruyama step -> :func:`~villanets.model.evaluate` ->
 ``Activation.derivs``) keeps four rules:
@@ -26,8 +27,11 @@ Euler-Maruyama step -> :func:`~villanets.model.evaluate` ->
 * every operand is an array, 0-d for a scalar: numpy converts a Python
   float operand on every call (~0.6 us on these arrays), and a 0-d array
   holds the same double, so no bit changes;
-* each step's weights are checked by :func:`_all_finite`, whose exact
-  pre-check is one dot product;
+* the loop calls only the step between two events (a log point or the end
+  of a block of draws), and checks the stack's weights once per segment,
+  at its end, by :func:`_all_finite`, whose exact pre-check is one dot
+  product; a chain that fails the check is replayed from the segment's
+  start, one checked step at a time, to find the step at which it left;
 * on the path a workload measures, each temporary is written in place,
   into an array that the same call allocated, by the same IEEE operation
   on the same operands (operands may swap; nothing is regrouped and no
@@ -35,12 +39,14 @@ Euler-Maruyama step -> :func:`~villanets.model.evaluate` ->
   out.  Nothing the caller owns is written: not the
   input of ``derivs``, not the ``w`` given to ``evaluate`` or
   :func:`sgd_step` (:func:`_integrate` keeps the previous stack for
-  ``DivergenceError.last_w``), not the data arrays.
+  ``DivergenceError.last_w`` and a segment's first stack for its replay),
+  not the data arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +59,12 @@ from .rules import as_number, numbers_as_declared
 DIVERGENCE_LIMIT = 1e12
 # Random numbers one chain draws per call: the integrators draw a chain's
 # minibatch indices or noise for a block of up to BLOCK_NUMBERS // (numbers
-# per step) steps at once.  A block consumes the generator exactly as the
-# same steps drawn one by one, so the size trades memory (8 bytes per number
-# and chain) against call overhead and changes no result.
+# per step) steps at once, and a full-batch run, which draws nothing, takes
+# blocks as its p * d noise numbers per step would.  A block consumes the
+# generator exactly as the same steps drawn one by one, so the size trades
+# memory (8 bytes per number and chain) against call overhead, and bounds
+# the steps a diverged chain takes before the check that finds it, but
+# changes no result.
 BLOCK_NUMBERS = 1 << 14
 
 
@@ -162,8 +171,10 @@ def sgd_step(spec: LossSpec, w: np.ndarray, batch_indices, s) -> np.ndarray:
     """One update W <- (1 - s*lam) W + (s/b) sum_{i in B} (y_i - f(x_i)) grad_W f(x_i).
 
     ``batch_indices`` None is the full batch.  ``s`` is a float or, from the
-    integrators, the same float as a 0-d array.  ``w`` must be finite; the
-    integrators check the weights of every step."""
+    integrators, the same float as a 0-d array.  The integrators check the
+    weights once per segment of steps, so a row of a stacked ``w`` may be
+    non-finite; its row of the result is then non-finite too, and no other
+    row changes."""
     if batch_indices is not None:
         batch_indices = np.asarray(batch_indices)
         if batch_indices.size == 0:
@@ -209,6 +220,20 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     first log point whose loss exceeds ``DIVERGENCE_LIMIT``.  A diverged
     chain leaves the stack; the others go on.  Overflow on the way to a
     divergence is not warned about, since the check above reports it.
+
+    Between two events, a log point or the end of a block of draws (a
+    full-batch run, which draws nothing, takes blocks of the size the noise
+    of ``run_sde`` would), the loop only calls ``step``, and it checks the
+    stack's weights once, at the segment's end.  That finds every chain
+    that left the finite regime within the segment because ``step`` must
+    map weights with a non-finite entry to weights with a non-finite entry.
+    Both integrators' steps do: each entry of the next weights is that
+    entry of ``w`` minus the step times the gradient's entry (plus the
+    noise's), and an IEEE sum or difference with an infinite or NaN operand
+    is not finite (inf - inf is NaN).  The chains that fail the check are
+    replayed from the segment's start by :func:`_replay`, which finds the
+    step at which each left; so a diverged chain takes at most one block of
+    steps past its divergence.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     out = [None] * len(rngs)
@@ -220,14 +245,15 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     live = np.arange(len(rngs))                      # the chain of each stack row
     rows, t = slice(None), 0     # the live chains' log rows (all until one leaves), log column
     w = w_prev = np.stack([init.sample(rng, spec.p, spec.d, spec.lam, init_s) for rng in rngs])
-    block = n_steps if draw is None else max(1, BLOCK_NUMBERS // math.prod(draw_shape))
-    drawn, j, size = None, 0, 0      # drawn: (R, size, *draw_shape); drawn[:, j] is next
+    block = max(1, BLOCK_NUMBERS // math.prod(draw_shape if draw is not None else w.shape[1:]))
+    drawn, j, size = None, 0, 0      # drawn: (size, R, *draw_shape); drawn[j] is next
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            diverged = {}                            # stack row -> what left the finite regime
-            if k and not _all_finite(w):
-                diverged = dict.fromkeys(np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist(),
-                                         "weights")
+        while True:
+            diverged = {}                            # stack row -> its DivergenceError
+            if k and not _all_finite(w):                 # the check of the segment to k
+                bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist()
+                diverged = _replay(step, bad, w_start, draws, n, k - n)
             at_log = k == logged.item(t)    # a Python bool, so t stays an int
             grads = None
             if at_log:
@@ -236,19 +262,20 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
                 flat = grads.reshape(len(live), 1, -1)
                 gnorms[rows, t] = np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
                 for i, value in enumerate(values.tolist()):
-                    if not value <= DIVERGENCE_LIMIT:  # also true for NaN
-                        diverged.setdefault(i, f"loss ({value!r})")
+                    if not value <= DIVERGENCE_LIMIT and i not in diverged:  # also for NaN
+                        diverged[i] = DivergenceError(
+                            f"loss ({value!r}) left the finite regime at step {k}",
+                            last_w=w_prev[i].copy(), step=k)
             if diverged:
-                for i, what in diverged.items():
-                    out[live[i]] = DivergenceError(f"{what} left the finite regime at step {k}",
-                                                   last_w=w_prev[i].copy(), step=k)
+                for i, error in diverged.items():
+                    out[live[i]] = error
                 keep = [i not in diverged for i in range(len(live))]
                 rows = live = live[keep]
                 w = w[keep]
                 if not len(live):
                     break
                 if drawn is not None:
-                    drawn = drawn[keep]
+                    drawn = drawn[:, keep]
                 if grads is not None:
                     grads = grads[keep]
             if at_log and eval_fn is not None:
@@ -265,14 +292,46 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
             if j == size:
                 size, j = min(n_steps - k, block), 0
                 if draw is not None:
-                    drawn = np.stack([draw(rngs[c], (size, *draw_shape)) for c in live])
-            w_prev, w = w, step(w, None if drawn is None else drawn[:, j], grads)
-            j += 1
+                    drawn = np.stack([draw(rngs[c], (size, *draw_shape)) for c in live], axis=1)
+            # the segment: the n steps to the next log point or the block's end
+            n = min(logged.item(t), k + size - j) - k
+            w_start, draws = w, None if drawn is None else drawn[j:j + n]
+            steps = itertools.repeat(None, n) if draws is None else iter(draws)
+            w_prev, w = w, step(w, next(steps), grads)
+            for x in steps:
+                w_prev, w = w, step(w, x, None)
+            j, k = j + n, k + n
     for i, c in enumerate(live.tolist()):
         out[c] = Trajectory(logged * dt, logged.copy(), losses[c].copy(), gnorms[c].copy(),
                             w[i].copy(), _digest(rngs[c]),
                             None if evals is None else evals[c].copy())
     return out
+
+
+def _replay(step, bad: list, w: np.ndarray, draws, n: int, k: int) -> dict:
+    """The :class:`DivergenceError` of each stack row in ``bad``, a row whose
+    weights were not finite at the end of the segment of ``n`` steps that
+    began at step ``k`` from the finite stack ``w`` and drew ``draws`` (None
+    without).  The rows take the segment's steps again, one checked step at
+    a time, and each leaves at the first step whose weights are not finite,
+    with the weights before that step.  The rows of a stacked step are
+    independent, so the replay repeats the segment's steps bit for bit; its
+    first step evaluates its own gradients, which a logged step at ``k``
+    had descended along, bit for bit, and written over."""
+    v, errors = w[bad], {}
+    for j in range(n):
+        v_prev, v = v, step(v, None if draws is None else draws[j, bad], None)
+        left = ~np.isfinite(v).all(axis=(1, 2))
+        if left.any():
+            for i in np.flatnonzero(left).tolist():
+                errors[bad[i]] = DivergenceError(
+                    f"weights left the finite regime at step {k + j + 1}",
+                    last_w=v_prev[i].copy(), step=k + j + 1)
+            bad = [row for row, gone in zip(bad, left.tolist()) if not gone]
+            if not bad:
+                break
+            v = v[~left]
+    return errors
 
 
 def run_sgd_chains(spec: LossSpec, config: SgdConfig, seeds, eval_fn=None) -> list:

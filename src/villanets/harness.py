@@ -45,7 +45,8 @@ class SweepConfig:
     def __post_init__(self):
         """Check every cell, so that a bad one fails before any trains."""
         numbers_as_declared(self)
-        object.__setattr__(self, "lambdas", tuple(as_number(v, "lambda") for v in self.lambdas))
+        object.__setattr__(self, "lambdas",
+                           tuple(rules.at_least(v, "lambda", 0) for v in self.lambdas))
         object.__setattr__(self, "widths", tuple(as_number(v, "width", int) for v in self.widths))
         if not self.lambdas or not self.widths:
             raise ValueError("lambdas and widths must be non-empty")

@@ -236,7 +236,8 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     (b,) array for all of ``w``, or a (k, b) array whose row i is the batch
     of ``w[i]``, exactly as k single evaluations would give.  ``w``
     is not checked here, in the inner loop, but where weights enter
-    (:func:`weights`, the integrators), so it must be finite.
+    (:func:`weights`, the integrators): a row of a stack that is not finite
+    gives outputs that mean nothing in its own row and changes no other.
 
     This is the inner loop of every SGD and Euler-Maruyama step, whose
     arrays are small enough that per-call costs outweigh the arithmetic:

@@ -645,8 +645,8 @@ def test_ablate_cli_refuses_a_recipe_with_a_corruption_scale(workdir, capsys, no
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"lambdas": [0.01, -0.1]}, "lam must be finite and at least 0"),
-    ({"lambdas": [0.01, math.nan]}, "lam must be finite and at least 0"),
+    ({"lambdas": [0.01, -0.1]}, "lambda must be finite and at least 0"),
+    ({"lambdas": [0.01, math.nan]}, "lambda must be finite and at least 0"),
     ({"lambdas": [0.01, 0.01]}, "lambdas must not repeat"),
     ({"widths": [2, 0]}, "width must be at least 1"),
     ({"widths": [2, 2]}, "widths must not repeat"),

@@ -21,6 +21,19 @@ def small_spec(kind="sigmoid", seed=0, p=2, d=2, n=8, lam_mult=1.5, beta=1.0):
     return LossSpec(net, data, lam_mult * model.lambda_c(net, data))
 
 
+def poisoned_spec():
+    """p = d = 2, lam = 0: seven samples at x = 0 and one at x = (1, 0.5)
+    with label 1e6.  A batch without the last sample has gradient exactly 0,
+    so at s = 1e305 a step leaves the weights as they are until its batch
+    draws that sample, and then overflows them; the loss stays below
+    ``DIVERGENCE_LIMIT`` until then."""
+    xs, ys = np.zeros((8, 2)), np.zeros(8)
+    xs[-1], ys[-1] = (1.0, 0.5), 1e6
+    data = Dataset(xs, ys)
+    net = Net(normalized_outer(2, data.x_bound), np.zeros((2, 2)), activations.sigmoid(1.0))
+    return LossSpec(net, data, 0.0)
+
+
 def ridge_only_spec(p, d, lam):
     """a = 0 turns the objective into a pure quadratic in W."""
     act = activations.make("sigmoid", 1.0)
@@ -69,6 +82,47 @@ class TestSgdStep:
             for s in (0.03, np.array(0.03)):
                 assert np.array_equal(dynamics.sgd_step(spec, w, batch, s), want)
             assert np.array_equal(w, given)
+
+    # minibatch and full-batch SGD, a full-batch step along the logged
+    # gradient, and Euler-Maruyama
+    @pytest.mark.parametrize("mode", ["minibatch", "full", "logged", "EM"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("kind, beta", [("sigmoid", 1.0), ("sigmoid", 2.0), ("tanh", 1.0),
+                                            ("softplus", 2.0)])
+    def test_non_finite_rows_persist_alone(self, kind, beta, lam, mode):
+        # a stacked step maps a row with a non-finite entry to a non-finite
+        # row and every other row to its lone step: the integrators check
+        # the stack once per segment of steps, which finds every chain that
+        # left the finite regime in it because a non-finite row stays so,
+        # and replay the chains that did, which repeats their steps because
+        # no row reads another
+        base = small_spec(kind, p=2, d=3, beta=beta)
+        rng = np.random.default_rng(31)
+        s = np.array(0.05)
+
+        def step(spec, w, batch, noise):
+            if mode == "logged":
+                return dynamics._descend(w, model.evaluate(spec, w, ("loss", "grad"))[1], s)
+            w = dynamics.sgd_step(spec, w, batch, s)
+            if mode == "EM":
+                w += noise
+            return w
+
+        for a in (base.net.a, np.array([base.net.a[0], 0.0])):    # also a zero outer weight
+            spec = LossSpec(Net(a, np.zeros((2, 3)), base.net.act), base.data, lam)
+            for bad, row, j, k in itertools.product((math.nan, math.inf, -math.inf), range(3),
+                                                    range(2), range(3)):
+                w = rng.standard_normal((3, 2, 3))
+                w[row, j, k] = bad
+                batch = rng.integers(0, spec.n, (3, 4)) if mode == "minibatch" else None
+                noise = rng.standard_normal((3, 2, 3))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stepped = step(spec, w, batch, noise)
+                    lone = [step(spec, w[i], None if batch is None else batch[i], noise[i])
+                            for i in range(3)]
+                assert not np.isfinite(stepped[row]).all()
+                for i in {0, 1, 2} - {row}:
+                    assert np.array_equal(stepped[i], lone[i])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -591,24 +645,70 @@ class TestEnsembles:
             assert _outcome(entry) == _lone(dynamics.run_sgd, spec,
                                             dataclasses.replace(cfg, seed=seed))
 
-    def test_last_w_is_the_last_finite_row_of_the_update_formula(self):
-        # s * lam ~ 190: every chain's weights overflow between log points
-        spec = small_spec()
-        cfg = SgdConfig(step_size=1e3, batch_size=4, steps=1000, seed=0,
-                        init=InitSpec("gaussian", tau=1.0), log_every=1000)
-        seeds = [0, 1, 2]
-        for seed, entry in zip(seeds, dynamics.run_sgd_chains(spec, cfg, seeds), strict=True):
-            assert isinstance(entry, DivergenceError) and 0 < entry.step < cfg.steps
+    # Where some chain's weights first overflow, with (spec, step size, batch
+    # size (None: full), steps, log_every, BLOCK_NUMBERS, seeds, the
+    # divergence step that must occur):
+    # - between: between log points (s * lam ~ 190 overflows every chain);
+    # - after, before, onto: on the first step after a log point, the last
+    #   step before one, and the step onto one;
+    # - inblock: inside a block (of 4 steps) that ends between log points;
+    # - full: in a full-batch run whose log_every exceeds its steps, where
+    #   s * lam = 3.75 overflows the weights at step 701 or 702, inside the
+    #   22nd block of 32 steps, and no chain survives.
+    SEGMENT_EDGES = {
+        "between": (small_spec, 1e3, 4, 1000, 1000, dynamics.BLOCK_NUMBERS, range(3),
+                    lambda k: 0 < k < 1000),
+        "after": (poisoned_spec, 1e305, 1, 16, 4, dynamics.BLOCK_NUMBERS, range(12),
+                  lambda k: k > 1 and (k - 1) % 4 == 0),
+        "before": (poisoned_spec, 1e305, 1, 16, 6, dynamics.BLOCK_NUMBERS, range(12),
+                   lambda k: (k + 1) % 6 == 0),
+        "onto": (poisoned_spec, 1e305, 1, 16, 5, dynamics.BLOCK_NUMBERS, range(12),
+                 lambda k: k % 5 == 0),
+        "inblock": (poisoned_spec, 1e305, 1, 20, 20, 4, range(12), lambda k: 8 < k < 12),
+        "full": (small_spec, 20.0, None, 760, 761, 32 * 4, range(6), lambda k: k % 32 != 0),
+    }
+
+    @pytest.mark.parametrize("edge", list(SEGMENT_EDGES))
+    def test_last_w_is_the_last_finite_row_of_the_update_formula(self, monkeypatch, edge):
+        # each chain leaves with the error of the per-step update formula, and
+        # takes fewer than one block of steps past its divergence before the
+        # replay that finds it
+        make, s, b, steps, log_every, numbers, seeds, at_edge = self.SEGMENT_EDGES[edge]
+        monkeypatch.setattr(dynamics, "BLOCK_NUMBERS", numbers)
+        spec = make()
+        b = b or spec.n
+        block = numbers // (b if b < spec.n else spec.p * spec.d)
+        cfg = SgdConfig(step_size=s, batch_size=b, steps=steps, seed=0,
+                        init=InitSpec("gaussian", tau=1.0), log_every=log_every)
+        stacked = dynamics.run_sgd_chains(spec, cfg, list(seeds))
+        past, real = [], dynamics.sgd_step
+
+        def sgd_step(spec, w, batch, s):
+            past.append(not np.isfinite(w).all())
+            return real(spec, w, batch, s)
+
+        monkeypatch.setattr(dynamics, "sgd_step", sgd_step)
+        left = []
+        for seed, entry in zip(seeds, stacked, strict=True):
+            past.clear()
+            lone = _lone(dynamics.run_sgd, spec, dataclasses.replace(cfg, seed=seed))
             rng = np.random.default_rng(seed)
-            w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, cfg.step_size)
+            w = cfg.init.sample(rng, spec.p, spec.d, spec.lam, s)
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(entry.step - 1):
-                    w = oracles.sgd_step_reference(spec, w, rng.integers(0, spec.n, size=4),
-                                                   cfg.step_size)
-                last = oracles.sgd_step_reference(spec, w, rng.integers(0, spec.n, size=4),
-                                                  cfg.step_size)
-            assert np.isfinite(w).all() and not np.isfinite(last).all()
-            assert np.array_equal(entry.last_w, w)
+                for k in range(1, steps + 1):
+                    batch = rng.integers(0, spec.n, size=b) if b < spec.n else None
+                    last = oracles.sgd_step_reference(spec, w, batch, s)
+                    if not np.isfinite(last).all():
+                        break
+                    w = last
+            if np.isfinite(last).all():         # a survivor
+                assert _outcome(entry) == lone
+                continue
+            left.append(k)
+            assert _outcome(entry) == lone == (
+                "diverged", f"weights left the finite regime at step {k}", k, w.tobytes())
+            assert sum(past) < block
+        assert any(map(at_edge, left))
 
     @pytest.mark.parametrize("dt, t_max, log_every", [(0.01, 3.0, 40), (11.5, 1150.0, 5)])
     def test_sde_paths_equal_lone_runs(self, dt, t_max, log_every):

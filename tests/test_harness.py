@@ -131,8 +131,8 @@ class TestSweep:
                         sgd=SgdConfig(0.05, 8, 10), metric="bogus")
 
     @pytest.mark.parametrize("change, match", [
-        ({"lambdas": (0.01, -0.1)}, "lam must be finite and at least 0"),
-        ({"lambdas": (0.01, math.inf)}, "lam must be finite and at least 0"),
+        ({"lambdas": (0.01, -0.1)}, "lambda must be finite and at least 0"),
+        ({"lambdas": (0.01, math.inf)}, "lambda must be finite and at least 0"),
         ({"lambdas": (0.01, 0.01)}, "lambdas must not repeat"),
         ({"widths": (2, 0)}, "width must be at least 1"),
         ({"widths": (2, 2)}, "widths must not repeat"),
