@@ -121,6 +121,7 @@ class DataRecipe:
         numbers_as_declared(self)
         for key in ("n_train", "n_test"):
             rules.at_least(getattr(self, key), key, 1, int)
+        rules.at_least(self.seed, "seed", 0, int)
         defaults = RECIPE_PARAMS[self.kind]
         rule = {"fraction": rules.fraction, "scale": rules.finite}     # of each corruption key
         params, corruption = (dict(pairs) if isinstance(pairs, tuple) else pairs

@@ -134,7 +134,7 @@ def villani_scan(
     s = rules.positive(s, "s")
     ray_count = rules.at_least(ray_count, "ray_count", 8, int)
     radii = scan_radii(r_max)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rules.at_least(seed, "seed", 0, int))
     grad_bound, laplacian_bound = _bounds(spec)
     v_values = np.empty((ray_count, len(radii)))
     grad_viol = 0

@@ -27,11 +27,12 @@ Euler-Maruyama step -> :func:`~villanets.model.evaluate` ->
 * every operand is an array, 0-d for a scalar: numpy converts a Python
   float operand on every call (~0.6 us on these arrays), and a 0-d array
   holds the same double, so no bit changes;
-* the loop calls only the step between two events (a log point or the end
-  of a block of draws), and checks the stack's weights once per segment,
-  at its end, by :func:`_all_finite`, whose exact pre-check is one dot
-  product; a chain that fails the check is replayed from the segment's
-  start, one checked step at a time, to find the step at which it left;
+* the loop walks one list of segment edges per run (the log points and the
+  first step of each block of draws), calls only the step between two
+  edges, and checks the stack's weights once per segment, at its end, by
+  :func:`_all_finite`, whose exact pre-check is one dot product; the chains
+  that fail it are replayed from the segment's start, one checked step at
+  a time and keeping the rows that have left, to find where each left;
 * on the path a workload measures, each temporary is written in place,
   into an array that the same call allocated, by the same IEEE operation
   on the same operands (operands may swap; nothing is regrouped and no
@@ -46,7 +47,6 @@ Euler-Maruyama step -> :func:`~villanets.model.evaluate` ->
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -142,6 +142,7 @@ class SgdConfig:
         rules.positive(self.step_size, "step_size")
         for key in ("batch_size", "steps", "log_every"):
             rules.at_least(getattr(self, key), key, 1, int)
+        rules.at_least(self.seed, "seed", 0, int)
 
 
 @dataclass(eq=False)
@@ -201,7 +202,8 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     """Advance one chain per seed for ``n_steps`` steps of length ``dt``, all
     chains as one (R, p, d) stack; the loop of both integrators.
 
-    Chain r samples its initial weights from its own
+    Each seed must be a count, and is checked before any work.  Chain r
+    samples its initial weights from its own
     ``np.random.default_rng(seeds[r])``, then ``draw(rng, (K, *draw_shape))``
     draws its random numbers for the next K steps in one call, which
     consumes the generator exactly as K per-step draws would.
@@ -221,46 +223,46 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     chain leaves the stack; the others go on.  Overflow on the way to a
     divergence is not warned about, since the check above reports it.
 
-    Between two events, a log point or the end of a block of draws (a
+    The loop walks the segment edges, one sorted list made before the first
+    step: the log points and the first step of each block of draws (a
     full-batch run, which draws nothing, takes blocks of the size the noise
-    of ``run_sde`` would), the loop only calls ``step``, and it checks the
-    stack's weights once, at the segment's end.  That finds every chain
-    that left the finite regime within the segment because ``step`` must
-    map weights with a non-finite entry to weights with a non-finite entry.
-    Both integrators' steps do: each entry of the next weights is that
-    entry of ``w`` minus the step times the gradient's entry (plus the
+    of ``run_sde`` would).  Between two edges it only calls ``step``, and it
+    checks the stack's weights once, at the segment's end.  That finds every
+    chain that left the finite regime within the segment because ``step``
+    must map weights with a non-finite entry to weights with a non-finite
+    entry.  Both integrators' steps do: each entry of the next weights is
+    that entry of ``w`` minus the step times the gradient's entry (plus the
     noise's), and an IEEE sum or difference with an infinite or NaN operand
     is not finite (inf - inf is NaN).  The chains that fail the check are
     replayed from the segment's start by :func:`_replay`, which finds the
     step at which each left; so a diverged chain takes at most one block of
     steps past its divergence.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(rules.at_least(seed, "seed", 0, int)) for seed in seeds]
     out = [None] * len(rngs)
     if not rngs:
         return out
     logged = np.append(np.arange(0, n_steps, log_every), n_steps)    # the log points' steps
     losses, gnorms = np.empty((2, len(rngs), len(logged)))
     evals = None                  # (R, log points, *row), sized by eval_fn's first rows
-    live = np.arange(len(rngs))                      # the chain of each stack row
-    rows, t = slice(None), 0     # the live chains' log rows (all until one leaves), log column
+    live, t = np.arange(len(rngs)), 0             # the chain of each stack row, log column
     w = w_prev = np.stack([init.sample(rng, spec.p, spec.d, spec.lam, init_s) for rng in rngs])
     block = max(1, BLOCK_NUMBERS // math.prod(draw_shape if draw is not None else w.shape[1:]))
-    drawn, j, size = None, 0, 0      # drawn: (size, R, *draw_shape); drawn[j] is next
-    k = 0
+    edges = np.union1d(logged, np.arange(0, n_steps, block)).tolist()
+    drawn = None                                  # the block's draws, (size, R, *draw_shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+        for k, end in zip(edges, [*edges[1:], None]):
             diverged = {}                            # stack row -> its DivergenceError
             if k and not _all_finite(w):                 # the check of the segment to k
                 bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))).tolist()
-                diverged = _replay(step, bad, w_start, draws, n, k - n)
+                diverged = _replay(step, bad, w_start, draws, k - len(draws))
             at_log = k == logged.item(t)    # a Python bool, so t stays an int
             grads = None
             if at_log:
                 values, grads = model.evaluate(spec, w, ("loss", "grad"))
-                losses[rows, t] = values         # a diverging chain's entries are not read
+                losses[live, t] = values         # a diverging chain's entries are not read
                 flat = grads.reshape(len(live), 1, -1)
-                gnorms[rows, t] = np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
+                gnorms[live, t] = np.sqrt(flat @ flat.swapaxes(1, 2)).reshape(-1)
                 for i, value in enumerate(values.tolist()):
                     if not value <= DIVERGENCE_LIMIT and i not in diverged:  # also for NaN
                         diverged[i] = DivergenceError(
@@ -270,37 +272,30 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
                 for i, error in diverged.items():
                     out[live[i]] = error
                 keep = [i not in diverged for i in range(len(live))]
-                rows = live = live[keep]
-                w = w[keep]
-                if not len(live):
-                    break
+                live, w = live[keep], w[keep]
                 if drawn is not None:
                     drawn = drawn[:, keep]
                 if grads is not None:
                     grads = grads[keep]
-            if at_log and eval_fn is not None:
+            if at_log and eval_fn is not None and len(live):
                 got = np.asarray(eval_fn(w), dtype=np.float64)
                 if got.shape[:1] != live.shape:
                     raise ValueError(f"eval_fn must return one row per chain, {len(live)} rows, "
                                      f"not an array of shape {got.shape}")
                 if evals is None:
                     evals = np.empty((len(rngs), len(logged), *(got.shape[1:] or (1,))))
-                evals[rows, t] = got if got.ndim > 1 else got[:, None]
+                evals[live, t] = got if got.ndim > 1 else got[:, None]
             t += at_log
-            if k == n_steps:
+            if end is None or not len(live):
                 break
-            if j == size:
-                size, j = min(n_steps - k, block), 0
-                if draw is not None:
-                    drawn = np.stack([draw(rngs[c], (size, *draw_shape)) for c in live], axis=1)
-            # the segment: the n steps to the next log point or the block's end
-            n = min(logged.item(t), k + size - j) - k
-            w_start, draws = w, None if drawn is None else drawn[j:j + n]
-            steps = itertools.repeat(None, n) if draws is None else iter(draws)
-            w_prev, w = w, step(w, next(steps), grads)
-            for x in steps:
+            if draw is not None and k % block == 0:
+                drawn = np.stack([draw(rngs[c], (min(block, n_steps - k), *draw_shape))
+                                  for c in live], axis=1)
+            j = k % block               # the segment's first step within its block
+            draws = [None] * (end - k) if draw is None else drawn[j:j + end - k]
+            w_start, w_prev, w = w, w, step(w, draws[0], grads)
+            for x in draws[1:]:
                 w_prev, w = w, step(w, x, None)
-            j, k = j + n, k + n
     for i, c in enumerate(live.tolist()):
         out[c] = Trajectory(logged * dt, logged.copy(), losses[c].copy(), gnorms[c].copy(),
                             w[i].copy(), _digest(rngs[c]),
@@ -308,29 +303,27 @@ def _integrate(spec: LossSpec, seeds, init: InitSpec, init_s: float, n_steps: in
     return out
 
 
-def _replay(step, bad: list, w: np.ndarray, draws, n: int, k: int) -> dict:
+def _replay(step, bad: list, w: np.ndarray, draws, k: int) -> dict:
     """The :class:`DivergenceError` of each stack row in ``bad``, a row whose
-    weights were not finite at the end of the segment of ``n`` steps that
-    began at step ``k`` from the finite stack ``w`` and drew ``draws`` (None
-    without).  The rows take the segment's steps again, one checked step at
-    a time, and each leaves at the first step whose weights are not finite,
-    with the weights before that step.  The rows of a stacked step are
-    independent, so the replay repeats the segment's steps bit for bit; its
-    first step evaluates its own gradients, which a logged step at ``k``
-    had descended along, bit for bit, and written over."""
+    weights were not finite at the end of the segment that began at step
+    ``k`` from the finite stack ``w``, one step per entry of ``draws`` (None
+    without draws).  The rows retake the segment's steps, one checked step
+    at a time, until each has left at the first step whose weights are not
+    finite, with the weights before that step; a row that has left stays,
+    as a step keeps it non-finite and changes no other row.  The rows of a
+    stacked step are independent, so the replay repeats the segment's steps
+    bit for bit; its first step evaluates its own gradients, which a logged
+    step at ``k`` had descended along, bit for bit, and written over."""
     v, errors = w[bad], {}
-    for j in range(n):
-        v_prev, v = v, step(v, None if draws is None else draws[j, bad], None)
-        left = ~np.isfinite(v).all(axis=(1, 2))
-        if left.any():
-            for i in np.flatnonzero(left).tolist():
+    for j, x in enumerate(draws, k + 1):
+        v_prev, v = v, step(v, None if x is None else x[bad], None)
+        for i in np.flatnonzero(~np.isfinite(v).all(axis=(1, 2))).tolist():
+            if bad[i] not in errors:
                 errors[bad[i]] = DivergenceError(
-                    f"weights left the finite regime at step {k + j + 1}",
-                    last_w=v_prev[i].copy(), step=k + j + 1)
-            bad = [row for row, gone in zip(bad, left.tolist()) if not gone]
-            if not bad:
-                break
-            v = v[~left]
+                    f"weights left the finite regime at step {j}",
+                    last_w=v_prev[i].copy(), step=j)
+        if len(errors) == len(bad):
+            break
     return errors
 
 

@@ -24,7 +24,7 @@ from . import activations, model, rules
 from .datasets import DataRecipe, corrupt_labels
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, outer_weights
-from .rules import as_number, numbers_as_declared
+from .rules import numbers_as_declared
 
 METRICS = ("best_test_loss", "final_train_loss")
 
@@ -47,32 +47,30 @@ class SweepConfig:
         numbers_as_declared(self)
         object.__setattr__(self, "lambdas",
                            tuple(rules.at_least(v, "lambda", 0) for v in self.lambdas))
-        object.__setattr__(self, "widths", tuple(as_number(v, "width", int) for v in self.widths))
+        object.__setattr__(self, "widths",
+                           tuple(rules.at_least(v, "width", 1, int) for v in self.widths))
         if not self.lambdas or not self.widths:
             raise ValueError("lambdas and widths must be non-empty")
         for name, values in (("lambdas", self.lambdas), ("widths", self.widths)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat: {list(values)}")
         rules.at_least(self.restarts_per_cell, "restarts_per_cell", 1, int)
+        rules.at_least(self.base_seed, "base_seed", 0, int)
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.sgd.seed != 0:
             raise ValueError(f"sgd.seed is not read ({self.sgd.seed}): "
                              "the cells are seeded from base_seed")
         self.activation()            # raises on an unknown kind or a bad beta
-        _check_cells(self.lambdas, self.widths, self.a_mode, self.sgd, self.recipe)
+        _check_cells(self.a_mode, self.sgd, self.recipe)
 
     def activation(self):
         return activations.make(self.act_kind, self.act_beta)
 
 
-def _check_cells(lambdas, widths, a_mode: str, sgd: SgdConfig, recipe: DataRecipe) -> None:
-    """Raise the error that building or training any of these (lambda,
-    width) cells on ``recipe``'s training split would raise."""
-    for lam in lambdas:
-        rules.at_least(lam, "lam", 0)
-    for width in widths:
-        rules.at_least(width, "width", 1, int)
+def _check_cells(a_mode: str, sgd: SgdConfig, recipe: DataRecipe) -> None:
+    """Raise the error that building or training a cell, whatever its
+    lambda and width, on ``recipe``'s training split would raise."""
     model.check_outer_mode(a_mode)
     if sgd.batch_size > recipe.n_train:
         raise ValueError(f"batch_size must be in [1, {recipe.n_train}]")
@@ -215,6 +213,9 @@ class AblationConfig:
 
     def __post_init__(self):
         numbers_as_declared(self)
+        rules.at_least(self.lam, "lam", 0)
+        rules.at_least(self.width, "width", 1, int)
+        rules.at_least(self.base_seed, "base_seed", 0, int)
         if any(self.recipe.corruption_map.values()):
             raise ValueError("the ablation recipe must be clean (corruption fraction and scale "
                              "0): corrupt it through fractions and corruption_scale")
@@ -223,7 +224,7 @@ class AblationConfig:
             step_size=self.step_size, batch_size=self.batch_size, steps=self.steps,
             seed=cell_seed(self.base_seed, 0, 0, 0),
             init=InitSpec("gaussian", tau=self.init_tau), log_every=self.log_every))
-        _check_cells((self.lam,), (self.width,), self.a_mode, self.sgd, self.recipe)
+        _check_cells(self.a_mode, self.sgd, self.recipe)
 
 
 @dataclass(eq=False)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -709,6 +710,32 @@ class TestEnsembles:
                 "diverged", f"weights left the finite regime at step {k}", k, w.tobytes())
             assert sum(past) < block
         assert any(map(at_edge, left))
+
+    @pytest.mark.parametrize("run", ["minibatch", "full", "em"])
+    def test_each_segment_is_checked_once_and_each_step_taken_once(self, monkeypatch, run):
+        # 16 numbers make blocks of 4 steps (b = 4, or p * d = 4 noise
+        # numbers), and the 22 steps are logged every 6: the segment edges
+        # are 0, 4, 6, 8, 12, 16, 18, 20 and 22, so block ends and log points
+        # interleave, and the stack is checked at each of the 8 segment ends
+        monkeypatch.setattr(dynamics, "BLOCK_NUMBERS", 16)
+        spec = small_spec()
+        calls = collections.Counter()
+        for name in ("_all_finite", "sgd_step", "_descend"):
+            def spy(*args, real=getattr(dynamics, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(dynamics, name, spy)
+        if run == "em":
+            out = dynamics.run_sde_paths(spec, 0.01, 0.01, 0.22, range(3), log_every=6)
+        else:
+            cfg = SgdConfig(0.05, 4 if run == "minibatch" else spec.n, 22, log_every=6)
+            out = dynamics.run_sgd_chains(spec, cfg, range(3))
+        assert all(isinstance(entry, dynamics.Trajectory) for entry in out)
+        # every step descends once; a full-batch step at a log point below
+        # the horizon (0, 6, 12 and 18) descends along the logged gradient,
+        # so it takes no sgd_step
+        reused = 0 if run == "minibatch" else 4
+        assert calls == {"_all_finite": 8, "_descend": 22, "sgd_step": 22 - reused}
 
     @pytest.mark.parametrize("dt, t_max, log_every", [(0.01, 3.0, 40), (11.5, 1150.0, 5)])
     def test_sde_paths_equal_lone_runs(self, dt, t_max, log_every):

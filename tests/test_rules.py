@@ -72,9 +72,12 @@ def test_each_range_rule_names_the_key_and_the_value(rule, args, value, message)
         rule(value, "x", *args)
 
 
-def _sweep(jobs):
-    cfg = harness.SweepConfig((0.1,), (2,), DataRecipe("sine", 8, 8, 0, params={"d": 1}),
-                              SgdConfig(0.1, 4, 10))
+def _recipe(seed=0):
+    return DataRecipe("sine", 8, 8, seed, params={"d": 1})
+
+
+def _sweep(jobs=1, base_seed=0):
+    cfg = harness.SweepConfig((0.1,), (2,), _recipe(), SgdConfig(0.1, 4, 10), base_seed=base_seed)
     return harness.run_sweep(cfg, jobs)
 
 
@@ -113,6 +116,19 @@ SCALARS = [
     ("normalized_outer", "x_bound", lambda v, rng: model.normalized_outer(2, v), float, 0.0),
     ("LossSpec", "lam", lambda v, rng: scalar_spec(v), float, -0.5),
     ("run_sweep", "jobs", lambda v, rng: _sweep(v), int, 0),
+    # every seed is a count; an integrator checks each of its seeds
+    *((run, "seed", call, int, -1) for run, call in (
+        ("run_sde", lambda v, rng: dynamics.run_sde(scalar_spec(), 0.1, 0.1, 1.0, seed=v)),
+        ("run_sde_paths",
+         lambda v, rng: dynamics.run_sde_paths(scalar_spec(), 0.1, 0.1, 1.0, [0, v])),
+        ("run_sgd_chains",
+         lambda v, rng: dynamics.run_sgd_chains(scalar_spec(), SgdConfig(0.1, 1, 10), [0, v])),
+        ("SgdConfig", lambda v, rng: SgdConfig(0.1, 1, 10, seed=v)),
+        ("DataRecipe", lambda v, rng: _recipe(v)),
+        ("villani_scan", lambda v, rng: diagnostics.villani_scan(scalar_spec(), 0.1, seed=v)))),
+    ("SweepConfig", "base_seed", lambda v, rng: _sweep(base_seed=v), int, -1),
+    ("AblationConfig", "base_seed",
+     lambda v, rng: harness.AblationConfig(_recipe(), 0.1, 2, 0.1, 4, 10, base_seed=v), int, -1),
 ]
 
 
@@ -132,8 +148,9 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("call, key, value, error", _scalar_cases())
 def test_every_scalar_is_checked_by_its_rule_before_any_work(monkeypatch, call, key, value,
                                                              error):
-    # the entry points compute through these, or draw from the generator handed in
-    for owner, attr in ((model, "evaluate"), (model, "predict"), (dynamics, "_integrate"),
+    # the entry points compute through these, or draw from the generator
+    # handed in; an integrator's first work is to sample its initial weights
+    for owner, attr in ((model, "evaluate"), (model, "predict"), (dynamics.InitSpec, "sample"),
                         (DataRecipe, "realize")):
         monkeypatch.setattr(owner, attr, _no_work)
     rng = np.random.default_rng(0)
