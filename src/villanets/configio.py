@@ -19,11 +19,13 @@ number (a field, a ``lambdas``, ``widths``, ``fractions`` or ``w0`` entry, a
 recipe param or corruption entry, a spec's ``beta``) passes
 ``rules.as_number``: no bool, no string, and for an int no fraction
 (``1e4`` is one).  The dataclasses, ``Activation`` included, apply that
-rule to their own fields, so library code is held to it too.  A
-``file`` recipe's relative ``path``, like a spec's ``data_path``, is read
-against the folder of the config file that holds it.  Each failure, a JSON
-syntax error and a value of the wrong JSON type (a string for an array)
-included, is a ``ValueError`` that names the file.
+rule to their own fields, so library code is held to it too; each config
+stores a number as the one rule that checks it returns it.  A spec's
+``lambda`` (at least 0) and ``p`` (at least 1) are checked here, under the
+keys the file uses.  A ``file`` recipe's relative ``path``, like a spec's
+``data_path``, is read against the folder of the config file that holds
+it.  Each failure, a JSON syntax error and a value of the wrong JSON type
+(a string for an array) included, is a ``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -85,13 +87,14 @@ def _parse_spec(obj: dict, folder: Path):
     check_keys(obj, "spec", ("activation", "beta", "p", "d", "lambda", "a_mode", "data_path"),
                ("activation", "p", "d", "lambda", "data_path"))
     act = activations.make(obj["activation"], obj.get("beta", 1.0))
-    p, d = as_number(obj["p"], "p", int), as_number(obj["d"], "d", int)
+    p, d = rules.at_least(obj["p"], "p", 1, int), as_number(obj["d"], "d", int)
+    lam = rules.at_least(obj["lambda"], "lambda", 0)
     data_path = folder / obj["data_path"]
     data = datasets.load_csv(data_path)
     if data.d != d:
         raise ValueError(f"spec says d={d} but {data_path} has d={data.d}")
     a_mode = {"a_mode": obj["a_mode"]} if "a_mode" in obj else {}
-    return build_cell_spec(data, p, as_number(obj["lambda"], "lambda"), act, **a_mode)
+    return build_cell_spec(data, p, lam, act, **a_mode)
 
 
 def parse_init(obj: dict | None) -> InitSpec:

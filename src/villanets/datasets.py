@@ -19,7 +19,7 @@ import numpy as np
 
 from . import activations, rules
 from .model import Dataset
-from .rules import as_number, check_keys, numbers_as_declared
+from .rules import check_keys
 
 
 def gen_sine(d: int, n: int, noise_sd: float, seed) -> Dataset:
@@ -97,8 +97,8 @@ class DataRecipe:
 
     kind: 'sine', 'teacher', or 'file'.
     params: generator arguments, the ``RECIPE_PARAMS`` of the kind, each a
-        number of its default's type; one left out takes its default there,
-        and an unknown one is refused.
+        number of its default's type, an int at least 1 and a float at least
+        0; one left out takes its default there, and an unknown one is refused.
     corruption: {'fraction': f in [0,1], 'scale': s}, numbers, each 0 if left
         out; applied to the training labels only (test draws stay clean).
 
@@ -118,10 +118,8 @@ class DataRecipe:
     def __post_init__(self):
         if self.kind not in RECIPE_PARAMS:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
-        numbers_as_declared(self)
-        for key in ("n_train", "n_test"):
-            rules.at_least(getattr(self, key), key, 1, int)
-        rules.at_least(self.seed, "seed", 0, int)
+        for key, least in (("n_train", 1), ("n_test", 1), ("seed", 0)):
+            object.__setattr__(self, key, rules.at_least(getattr(self, key), key, least, int))
         defaults = RECIPE_PARAMS[self.kind]
         rule = {"fraction": rules.fraction, "scale": rules.finite}     # of each corruption key
         params, corruption = (dict(pairs) if isinstance(pairs, tuple) else pairs
@@ -132,13 +130,12 @@ class DataRecipe:
         # every default is filled in here and read by value everywhere else;
         # a param with no default (a file's path) is no number
         object.__setattr__(self, "params", tuple(sorted(
-            (key, value if defaults[key] is None else as_number(value, key, type(defaults[key])))
+            (key, value if defaults[key] is None else rules.at_least(
+                value, key, 1 if type(defaults[key]) is int else 0, type(defaults[key])))
             for key, value in {**defaults, **params}.items())))
         object.__setattr__(self, "corruption", tuple(   # both keys, each 0 if left out
             (key, check(corruption.get(key, 0.0), f"corruption {key}"))
             for key, check in rule.items()))
-        if "noise_sd" in self.param_map:     # a file recipe draws no noise
-            rules.at_least(self.param_map["noise_sd"], "noise_sd", 0)
 
     @property
     def param_map(self) -> MappingProxyType:
@@ -201,6 +198,8 @@ def load_csv(path) -> Dataset:
     if table.shape[1] != columns:
         raise ValueError(f"dataset CSV {path} has rows of {table.shape[1]} values "
                          f"under a header of {columns} columns")
+    if not np.isfinite(table).all():
+        raise ValueError(f"dataset CSV {path} has an entry that is not finite")
     return Dataset(table[:, :-1], table[:, -1])
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import model, rules
 from .model import LossSpec
-from .rules import as_number, numbers_as_declared
+from .rules import as_number
 
 DIVERGENCE_LIMIT = 1e12
 # Random numbers one chain draws per call: the integrators draw a chain's
@@ -105,9 +105,8 @@ class InitSpec:
         for name, mode in (("tau", "gaussian"), ("w0", "explicit")):
             if getattr(self, name) is not None and self.mode != mode:
                 raise ValueError(f"{name} is read only in {mode} mode, not in {self.mode} mode")
-        numbers_as_declared(self)
         if self.tau is not None:
-            rules.positive(self.tau, "tau")
+            object.__setattr__(self, "tau", rules.positive(self.tau, "tau"))
         if self.mode == "explicit":
             rows = [] if (arr := np.asarray(self.w0, dtype=object)).ndim != 2 else arr.tolist()
             w0 = tuple(tuple(as_number(v, "w0 entry") for v in row) for row in rows)
@@ -138,11 +137,9 @@ class SgdConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        numbers_as_declared(self)
-        rules.positive(self.step_size, "step_size")
-        for key in ("batch_size", "steps", "log_every"):
-            rules.at_least(getattr(self, key), key, 1, int)
-        rules.at_least(self.seed, "seed", 0, int)
+        object.__setattr__(self, "step_size", rules.positive(self.step_size, "step_size"))
+        for key, least in (("batch_size", 1), ("steps", 1), ("log_every", 1), ("seed", 0)):
+            object.__setattr__(self, key, rules.at_least(getattr(self, key), key, least, int))
 
 
 @dataclass(eq=False)

@@ -24,7 +24,6 @@ from . import activations, model, rules
 from .datasets import DataRecipe, corrupt_labels
 from .dynamics import DivergenceError, InitSpec, SgdConfig, run_sgd, run_sgd_chains
 from .model import Dataset, LossSpec, Net, outer_weights
-from .rules import numbers_as_declared
 
 METRICS = ("best_test_loss", "final_train_loss")
 
@@ -44,7 +43,6 @@ class SweepConfig:
 
     def __post_init__(self):
         """Check every cell, so that a bad one fails before any trains."""
-        numbers_as_declared(self)
         object.__setattr__(self, "lambdas",
                            tuple(rules.at_least(v, "lambda", 0) for v in self.lambdas))
         object.__setattr__(self, "widths",
@@ -54,14 +52,17 @@ class SweepConfig:
         for name, values in (("lambdas", self.lambdas), ("widths", self.widths)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat: {list(values)}")
-        rules.at_least(self.restarts_per_cell, "restarts_per_cell", 1, int)
-        rules.at_least(self.base_seed, "base_seed", 0, int)
+        for key, least in (("restarts_per_cell", 1), ("base_seed", 0)):
+            object.__setattr__(self, key, rules.at_least(getattr(self, key), key, least, int))
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.sgd.seed != 0:
             raise ValueError(f"sgd.seed is not read ({self.sgd.seed}): "
                              "the cells are seeded from base_seed")
-        self.activation()            # raises on an unknown kind or a bad beta
+        # raises on an unknown kind or a bad beta; kept as built, so "SIGMOID" is "sigmoid"
+        act = activations.make(self.act_kind, rules.as_number(self.act_beta, "act_beta"))
+        object.__setattr__(self, "act_kind", act.kind)
+        object.__setattr__(self, "act_beta", act.beta)
         _check_cells(self.a_mode, self.sgd, self.recipe)
 
     def activation(self):
@@ -212,18 +213,22 @@ class AblationConfig:
     sgd: SgdConfig = field(init=False, compare=False)
 
     def __post_init__(self):
-        numbers_as_declared(self)
-        rules.at_least(self.lam, "lam", 0)
-        rules.at_least(self.width, "width", 1, int)
-        rules.at_least(self.base_seed, "base_seed", 0, int)
+        object.__setattr__(self, "lam", rules.at_least(self.lam, "lam", 0))
+        for key, least in (("width", 1), ("base_seed", 0)):
+            object.__setattr__(self, key, rules.at_least(getattr(self, key), key, least, int))
         if any(self.recipe.corruption_map.values()):
             raise ValueError("the ablation recipe must be clean (corruption fraction and scale "
                              "0): corrupt it through fractions and corruption_scale")
-        rules.finite(self.corruption_scale, "corruption_scale")
-        object.__setattr__(self, "sgd", SgdConfig(
-            step_size=self.step_size, batch_size=self.batch_size, steps=self.steps,
-            seed=cell_seed(self.base_seed, 0, 0, 0),
-            init=InitSpec("gaussian", tau=self.init_tau), log_every=self.log_every))
+        object.__setattr__(self, "corruption_scale",
+                           rules.finite(self.corruption_scale, "corruption_scale"))
+        object.__setattr__(self, "init_tau", rules.as_number(self.init_tau, "init_tau"))
+        # the SGD config checks the step fields, and they are kept as it holds them
+        sgd = SgdConfig(step_size=self.step_size, batch_size=self.batch_size, steps=self.steps,
+                        seed=cell_seed(self.base_seed, 0, 0, 0),
+                        init=InitSpec("gaussian", tau=self.init_tau), log_every=self.log_every)
+        for key in ("step_size", "batch_size", "steps", "log_every"):
+            object.__setattr__(self, key, getattr(sgd, key))
+        object.__setattr__(self, "sgd", sgd)
         _check_cells(self.a_mode, self.sgd, self.recipe)
 
 

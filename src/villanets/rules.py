@@ -2,15 +2,15 @@
 numbers, and the ranges of a number (positive and finite, finite and at
 least a bound, a count, a fraction, finite), and the integrators' horizon.
 Each range rule first passes its value through :func:`as_number` and returns
-the number it checked.  The module imports the standard library only, so
-every layer can reach it.
+the number it checked, which the config dataclasses store: each of their
+numbers is parsed once, by the rule that checks it.  The module imports the
+standard library only, so every layer can reach it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import fields
 
 
 def check_keys(obj: dict, what: str, known, required=()) -> None:
@@ -37,19 +37,6 @@ def as_number(value, key: str, kind=float):
     if kind is int and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return kind(value)
-
-
-def numbers_as_declared(obj) -> None:
-    """Pass each field of the dataclass ``obj`` that is declared ``int`` or
-    ``float`` through :func:`as_number`, in place; a ``float | None``
-    field whose default is None also takes None."""
-    for f in fields(obj):
-        kind = {"int": int, "float": float}.get(f.type.removesuffix(" | None"))
-        if kind is None:
-            continue
-        value = getattr(obj, f.name)
-        if value is not None or f.default is not None:
-            object.__setattr__(obj, f.name, as_number(value, f.name, kind))
 
 
 def positive(value, key: str) -> float:

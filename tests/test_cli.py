@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 
 import oracles
 import villanets
-from villanets import activations, cli, datasets, dynamics, fpe, harness, model
+from villanets import activations, cli, datasets, dynamics, fpe, harness, model, rules
 from villanets import configio
 from villanets.configio import load_spec
 from villanets.datasets import DataRecipe
@@ -617,7 +619,10 @@ def test_ablate_cli_names_the_file_of_a_fraction_out_of_range(workdir, capsys, n
      "noise_sd must be finite and at least 0"),
     ({**RECIPE, "corruption": {"fraction": 0.5, "scale": math.nan}},
      "corruption scale must be finite"),
-], ids=["noise-negative", "noise-nan", "scale-nan"])
+    ({**RECIPE, "params": {"d": 0}}, "d must be at least 1, not 0"),
+    ({**RECIPE, "kind": "teacher", "params": {"p_teacher": 0}},
+     "p_teacher must be at least 1, not 0"),
+], ids=["noise-negative", "noise-nan", "scale-nan", "d-zero", "p_teacher-zero"])
 def test_a_recipe_number_out_of_range_names_the_file(workdir, capsys, no_work, command, recipe,
                                                      message):
     obj = {"gen": recipe, "sweep": {**SWEEP_REQUIRED, "recipe": recipe},
@@ -625,6 +630,22 @@ def test_a_recipe_number_out_of_range_names_the_file(workdir, capsys, no_work, c
     path = _write(workdir, "noise.json", obj[command])
     err = _refused(workdir, capsys, command, path)
     assert err.startswith(f"configuration error: {path}: {message}")
+
+
+@pytest.mark.parametrize("command", ["constants", "train"])
+@pytest.mark.parametrize("change, message", [
+    ({"lambda": -1}, "lambda must be finite and at least 0, not -1.0"),
+    ({"lambda": True}, "lambda must be a number, not True"),
+    ({"p": -1, "a_mode": "ones"}, "p must be at least 1, not -1"),
+    ({"p": 0, "a_mode": "ones"}, "p must be at least 1, not 0"),
+    ({"p": 0, "a_mode": "normalized"}, "p must be at least 1, not 0"),
+], ids=["lambda-negative", "lambda-bool", "p-negative", "p-zero-ones", "p-zero-normalized"])
+def test_a_spec_number_is_refused_under_its_key(workdir, capsys, no_work, command, change,
+                                                message):
+    # one entry, one key, whatever the fault and the outer-weight mode
+    path = _write(workdir, "spec_bad.json", {**SPEC, **change})
+    err = _refused(workdir, capsys, command, path)
+    assert err.startswith(f"configuration error: {path}: ") and err.endswith(f"{message}\n")
 
 
 def test_ablate_cli_refuses_a_corrupted_recipe(workdir, capsys, no_work):
@@ -766,6 +787,77 @@ def test_integer_fields_take_integral_floats(workdir):
     assert cfg.widths == (2, 3) and all(type(width) is int for width in cfg.widths)
     assert cfg.recipe.param_map == {"d": 20, "noise_sd": 0.5}
     assert [type(v) for v in cfg.recipe.param_map.values()] == [int, float]
+    # every int and float field of the config dataclasses, given a number of
+    # the other type: an integral float is stored as an int, an int as a float
+    sgd, recipe = SgdConfig(0.05, 8, 100), DataRecipe(**RECIPE)
+    bases = [InitSpec(tau=0.5), sgd, recipe, SweepConfig((0.1,), (2,), recipe, sgd),
+             AblationConfig(recipe, 0.05, 2, 0.05, 8, 100)]
+    values = {"tau": 2, "step_size": 1, "batch_size": 8, "steps": 100, "seed": 3,
+              "log_every": 10, "n_train": 30, "n_test": 30, "restarts_per_cell": 2,
+              "base_seed": 5, "act_beta": 2, "lam": 1, "width": 2, "corruption_scale": 1,
+              "init_tau": 2}
+    checked = []
+    for base in bases:
+        for f in dataclasses.fields(base):
+            kind = {"int": int, "float": float}.get(f.type.removesuffix(" | None"))
+            if kind is not None:
+                given = {int: float, float: int}[kind](values[f.name])
+                stored = getattr(replace(base, **{f.name: given}), f.name)
+                assert type(stored) is kind and stored == given, (type(base), f.name)
+                checked.append(f.name)
+    assert sorted(set(checked)) == sorted(values)
+    # and so do a sweep's lambdas and every recipe param
+    lambdas = replace(bases[3], lambdas=(1, 2)).lambdas
+    assert lambdas == (1.0, 2.0) and all(type(v) is float for v in lambdas)
+    teacher = DataRecipe("teacher", 30, 30, seed=2, params={"d": 3.0, "p_teacher": 4.0,
+                                                              "noise_sd": 1})
+    assert [(key, v, type(v)) for key, v in teacher.params] == [
+        ("d", 3, int), ("noise_sd", 1.0, float), ("p_teacher", 4, int)]
+
+
+def test_each_config_number_is_parsed_once(workdir, monkeypatch):
+    # every rule parses through as_number, so a key counted twice is a
+    # number parsed twice; Activation's own parse of beta is not counted
+    parse, parsed = rules.as_number, collections.Counter()
+
+    def counted(value, key, kind=float):
+        parsed[key] += 1
+        return parse(value, key, kind)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("villanets") and vars(module).get("as_number") is parse:
+            monkeypatch.setattr(module, "as_number", counted)
+
+    def counts(build) -> dict:
+        parsed.clear()
+        build()
+        parsed.pop("beta", None)
+        return dict(parsed)
+
+    def once(*keys) -> dict:
+        return dict.fromkeys(keys, 1)
+
+    sgd, recipe = SgdConfig(0.05, 8, 100), DataRecipe(**RECIPE)
+    assert counts(lambda: InitSpec(tau=0.5)) == once("tau")
+    sgd_keys = ("step_size", "batch_size", "steps", "seed", "log_every")
+    assert counts(lambda: SgdConfig(0.05, 8, 100, seed=1, log_every=10)) == once(*sgd_keys)
+    recipe_keys = ("n_train", "n_test", "seed", "d", "noise_sd", "corruption fraction",
+                   "corruption scale")
+    assert counts(lambda: DataRecipe("teacher", 30, 30, seed=2, params={"d": 3},
+                                     corruption={"fraction": 0.5})) == once(
+        *recipe_keys, "p_teacher")
+    assert counts(lambda: SweepConfig((0.1, 0.2), (2, 3), recipe, sgd, restarts_per_cell=2,
+                                      act_kind="softplus", act_beta=2.0)) == {
+        "lambda": 2, "width": 2, **once("restarts_per_cell", "base_seed", "act_beta")}
+    # an ablation setting's own SGD config parses its seed and its init's tau
+    setting_keys = ("lam", "width", "step_size", "batch_size", "steps", "log_every",
+                    "base_seed", "corruption_scale", "init_tau", "tau", "seed")
+    assert counts(lambda: AblationConfig(recipe, 0.05, 2, 0.05, 8, 100)) == once(*setting_keys)
+    # a file: each fraction once, and the recipe's seed beside the setting's
+    ablate = {"recipe": RECIPE, "fractions": [0.0, 0.5], "settings": [SETTING_REQUIRED]}
+    path = _write(workdir, "a.json", ablate)
+    assert counts(lambda: configio.load_ablate_config(path)) == {
+        **once(*recipe_keys, *setting_keys), "fraction": 2, "seed": 2}
 
 
 @pytest.mark.parametrize("command, obj, message", [

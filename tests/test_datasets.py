@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from villanets import activations, configio, datasets
+from villanets import activations, configio, datasets, rules
 from villanets.datasets import DataRecipe
 
 
@@ -60,7 +60,7 @@ class TestTeacher:
     def test_rejects_bad_dimensions(self, params):
         (key,) = params
         with pytest.raises(ValueError, match=f"^{key} must be at least 1, not 0$"):
-            DataRecipe("teacher", 5, 5, seed=1, params=params).realize()
+            DataRecipe("teacher", 5, 5, seed=1, params=params)
 
 
 class TestCorruption:
@@ -271,6 +271,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="rows of 3 values under a header of 2 columns"):
             datasets.load_csv(path)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_csv_entries_must_be_finite(self, tmp_path, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,y\n1,2\n3,{entry}\n")
+        with pytest.raises(ValueError) as error:
+            datasets.load_csv(path)
+        assert str(error.value) == f"dataset CSV {path} has an entry that is not finite"
+
     def test_file_recipe_split(self, tmp_path):
         ds = datasets.gen_sine(3, 30, 0.0, seed=17)
         path = tmp_path / "full.csv"
@@ -287,20 +295,20 @@ class TestSerialization:
 class TestAsNumber:
     def test_numbers_keep_their_values(self):
         for value in (0.1, 1e-300, -3, np.float64(0.13), np.int64(7)):
-            got = datasets.as_number(value, "x")
+            got = rules.as_number(value, "x")
             assert type(got) is float and got == value
         for value in (7, 1e4, 20.0, np.int64(7), np.float64(-2.0)):
-            got = datasets.as_number(value, "n", int)
+            got = rules.as_number(value, "n", int)
             assert type(got) is int and got == value
 
     @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, [1.0], {"x": 1}])
     def test_non_numbers_are_type_errors(self, value):
         for kind, noun in ((float, "a number"), (int, "an integer")):
             with pytest.raises(TypeError, match=f"x must be {noun}, not "):
-                datasets.as_number(value, "x", kind)
+                rules.as_number(value, "x", kind)
 
     @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, np.float64(0.5)])
     def test_fractions_are_no_integers(self, value):
         with pytest.raises(ValueError) as error:
-            datasets.as_number(value, "n", int)
+            rules.as_number(value, "n", int)
         assert str(error.value) == f"n must be an integer, not {value!r}"

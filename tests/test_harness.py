@@ -157,6 +157,14 @@ class TestSweep:
         with pytest.raises(error, match=message):
             replace(tiny_sweep(), **{field: value})
 
+    def test_the_activation_is_kept_as_it_is_built(self):
+        # two spellings of one activation build the same config
+        upper = replace(tiny_sweep(), act_kind="SoftPlus", act_beta=2)
+        lower = replace(tiny_sweep(), act_kind="softplus", act_beta=2.0)
+        assert upper == lower and hash(upper) == hash(lower)
+        assert (upper.act_kind, type(upper.act_beta)) == ("softplus", float)
+        assert upper.activation() == activations.softplus(2.0)
+
 
 class TestReports:
     def test_csv_round_trip(self, tmp_path):
