@@ -198,9 +198,10 @@ def load_csv(path) -> Dataset:
     if table.shape[1] != columns:
         raise ValueError(f"dataset CSV {path} has rows of {table.shape[1]} values "
                          f"under a header of {columns} columns")
-    if not np.isfinite(table).all():
-        raise ValueError(f"dataset CSV {path} has an entry that is not finite")
-    return Dataset(table[:, :-1], table[:, -1])
+    try:
+        return Dataset(table[:, :-1], table[:, -1])
+    except ValueError as err:  # here only a non-finite entry
+        raise ValueError(f"dataset CSV {path}: {err}") from None
 
 
 def content_hash(ds: Dataset) -> str:

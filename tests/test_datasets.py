@@ -277,7 +277,7 @@ class TestSerialization:
         path.write_text(f"x0,y\n1,2\n3,{entry}\n")
         with pytest.raises(ValueError) as error:
             datasets.load_csv(path)
-        assert str(error.value) == f"dataset CSV {path} has an entry that is not finite"
+        assert str(error.value) == f"dataset CSV {path}: dataset entries must be finite"
 
     def test_file_recipe_split(self, tmp_path):
         ds = datasets.gen_sine(3, 30, 0.0, seed=17)
