@@ -147,14 +147,17 @@ def _cmd_constants(args) -> int:
 
 def _cmd_villani_scan(args) -> int:
     spec = load_spec(args.spec)
+    t0 = time.perf_counter()
     report = diagnostics.villani_scan(
         spec, s=args.s, ray_count=args.rays, r_max=args.rmax, seed=args.seed
     )
+    wall = time.perf_counter() - t0
     _write_json(args.out, report.to_dict())
     print(
         f"diverging={report.diverging} "
         f"grad_violations={report.grad_bound_violations} "
-        f"laplacian_violations={report.laplacian_bound_violations}"
+        f"laplacian_violations={report.laplacian_bound_violations}; "
+        f"{_rate(report.v_values.size, wall, 'points')}"
     )
     return 0
 

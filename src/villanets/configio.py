@@ -142,9 +142,10 @@ def _parse_ablate(obj: dict, folder: Path) -> tuple[list[AblationConfig], list[f
     fractions = [rules.fraction(f, "fraction") for f in _array(obj["fractions"], "fractions")]
     if not _array(obj["settings"], "settings"):
         raise ValueError("settings must be a non-empty list")
+    # the recipe is parsed once, and every setting holds the same DataRecipe
     shared = {key: obj[key] for key in _ABLATE_SHARED if key in obj}
-    parse = {"recipe": lambda recipe: _parse_recipe(recipe, folder)}
+    shared["recipe"] = _parse_recipe(obj["recipe"], folder)
     configs = [_build(AblationConfig, setting, "ablate setting", spelt={"lam": "lambda"},
-                      parse=parse, drop=_ABLATE_SHARED, shared=shared)
+                      drop=_ABLATE_SHARED, shared=shared)
                for setting in obj["settings"]]
     return configs, fractions

@@ -130,12 +130,24 @@ def villani_scan(
     Directions are normalized Gaussian matrices (uniform on the Frobenius
     sphere), drawn from a seeded generator for reproducibility.  Every
     evaluation point also checks the two pointwise bounds.
+
+    Each ray runs one forward pass, D @ xs.T at its direction D, with the
+    kernel's own expression.  At a radius r that is a power of two, every
+    radius but perhaps ``r_max``, the kernel takes ``r * (D @ xs.T)`` in
+    place of its own matmul: multiplying by r is exact in IEEE arithmetic,
+    so each product and partial sum of ``(r * D) @ xs.T`` is r times that of
+    ``D @ xs.T`` and the two agree bit for bit, absent overflow and
+    subnormal products (see :func:`villanets.model.evaluate`).  Any other
+    radius runs the kernel's own forward pass.
     """
     s = rules.positive(s, "s")
     ray_count = rules.at_least(ray_count, "ray_count", 8, int)
     radii = scan_radii(r_max)
     rng = np.random.default_rng(rules.at_least(seed, "seed", 0, int))
     grad_bound, laplacian_bound = _bounds(spec)
+    xs_t = spec.data.xs.swapaxes(-1, -2)
+    # frexp's mantissa is 0.5 exactly at a power of two
+    exact = [math.frexp(r)[0] == 0.5 for r in radii]
     v_values = np.empty((ray_count, len(radii)))
     grad_viol = 0
     lap_viol = 0
@@ -144,9 +156,11 @@ def villani_scan(
         for i in range(ray_count):
             direction = rng.standard_normal((spec.p, spec.d))
             direction /= np.linalg.norm(direction)
+            z1 = direction @ xs_t
             for k, r in enumerate(radii):
                 w = r * direction
-                g, lap = model.evaluate(spec, w, ("grad", "laplacian"))
+                g, lap = model.evaluate(spec, w, ("grad", "laplacian"),
+                                        forward=r * z1 if exact[k] else None)
                 # np.sum's and np.linalg.norm's own reductions, without their wrappers
                 gsq = float(np.add.reduce(g * g, axis=None))
                 v_values[i, k] = gsq / s - lap

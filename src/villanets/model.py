@@ -225,7 +225,7 @@ def _count(n: int) -> np.ndarray:
     return _readonly(n)
 
 
-def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
+def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None, forward=None) -> tuple:
     """The ``outputs`` named, a tuple of any of 'loss', 'grad' and
     'laplacian', in the order named, from one forward pass at ``w``.
 
@@ -238,6 +238,17 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     is not checked here, in the inner loop, but where weights enter
     (:func:`weights`, the integrators): a row of a stack that is not finite
     gives outputs that mean nothing in its own row and changes no other.
+
+    ``forward``, if given, is the caller's pre-activations ``w @ xs.T`` over
+    the full data, used in place of this call's own matmul and never
+    written; it is refused together with ``batch``, and not otherwise
+    checked.  The outputs are bit for bit the kernel's own when ``forward``
+    holds the bits that matmul gives.  One way to get them for w = r * D,
+    with r a power of two: IEEE multiplication by r only moves the
+    exponent, so every product and partial sum of ``(r * D) @ xs.T`` is r
+    times that of ``D @ xs.T`` under the same BLAS call, and
+    ``r * (D @ xs.T)`` is exact.  This holds absent overflow and subnormal
+    products, whose rounding depends on the exponent.
 
     This is the inner loop of every SGD and Euler-Maruyama step, whose
     arrays are small enough that per-call costs outweigh the arithmetic:
@@ -266,9 +277,13 @@ def evaluate(spec: LossSpec, w: np.ndarray, outputs, batch=None) -> tuple:
     data, net = spec.data, spec.net
     xs, ys = data.xs, data.ys
     if batch is not None:
+        if forward is not None:
+            raise ValueError("forward holds the full data's pre-activations: it takes no batch")
         xs, ys = xs.take(batch, axis=0), ys.take(batch, axis=0)
+    if forward is None:
+        forward = w @ xs.swapaxes(-1, -2)
     n = _count(xs.shape[-2])
-    sig = net.act.derivs(w @ xs.swapaxes(-1, -2), _max_order(outputs))   # each (..., p, n)
+    sig = net.act.derivs(forward, _max_order(outputs))   # each (..., p, n)
     r = net.a @ sig[0]                                    # (..., n)
     r -= ys
     spare = sig[0]            # sigma's array, which nothing reads after r

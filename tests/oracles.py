@@ -11,7 +11,8 @@ sparse symmetrized generator, or in 1-D from a tridiagonal eigensolver on G.
 The kernel references write the formulas of ``Activation.derivs``,
 ``model.evaluate`` and ``dynamics.sgd_step`` out, one fresh array per
 operation, in the order of operations that the library's in-place kernel
-must reproduce bit for bit.  ``write_data_csv`` writes test data as
+must reproduce bit for bit; the ray-scan reference runs the kernel's own
+forward pass at every point.  ``write_data_csv`` writes test data as
 ``villanets gen`` writes its CSV.
 """
 
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from villanets import activations, cli, fpe, model
+from villanets import activations, cli, diagnostics, fpe, model
 from villanets.activations import Activation
 from villanets.model import Dataset, LossSpec, Net
 
@@ -91,6 +92,33 @@ def evaluate_reference(spec: LossSpec, w: np.ndarray, batch=None) -> tuple:
     curv_term = net.a @ (sig[2] @ (r * xsq)[..., None])
     laplacian = (sq_term + curv_term)[..., 0] / n + spec.lam * spec.p * spec.d
     return loss, grad, laplacian
+
+
+def villani_scan_reference(spec: LossSpec, s: float, ray_count: int, r_max: float,
+                           seed: int) -> tuple:
+    """(v_values, grad bound violations, Laplacian bound violations,
+    diverging) of ``diagnostics.villani_scan``, point by point, each point
+    one ``model.evaluate`` at ``r * direction`` that runs its own matmul."""
+    grad_bound, laplacian_bound = diagnostics._bounds(spec)
+    radii = diagnostics.scan_radii(r_max)
+    rng = np.random.default_rng(seed)
+    v_values = np.empty((ray_count, len(radii)))
+    grad_viol = lap_viol = 0
+    with np.errstate(over="ignore"):
+        for i in range(ray_count):
+            direction = rng.standard_normal((spec.p, spec.d))
+            direction /= np.linalg.norm(direction)
+            for k, r in enumerate(radii):
+                w = r * direction
+                g, lap = model.evaluate(spec, w, ("grad", "laplacian"))
+                gsq = float(np.sum(g * g))
+                v_values[i, k] = gsq / s - lap
+                wn = float(np.linalg.norm(w))
+                grad_viol += gsq < grad_bound(wn)
+                lap_viol += lap > laplacian_bound(wn)
+    tail = v_values[:, -3:]
+    diverging = bool(np.all(tail > 0) and np.all(tail[:, 1:] >= tail[:, :-1]))
+    return v_values, grad_viol, lap_viol, diverging
 
 
 def sgd_step_reference(spec: LossSpec, w: np.ndarray, batch, s) -> np.ndarray:

@@ -192,6 +192,15 @@ def test_train_and_sde_print_wall_time_and_rate(workdir, capsys):
     assert match and float(match[1]) > 0 and int(match[2]) > 0
 
 
+def test_villani_scan_prints_wall_time_and_rate(workdir, capsys):
+    assert cli.main(["villani-scan", "--spec", str(workdir / "spec.json"), "--s", "0.1",
+                     "--rays", "8", "--rmax", "100", "--out", str(workdir / "r.json")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(r"diverging=True grad_violations=0 laplacian_violations=0; "
+                         r"wall (\S+) s, (\d+) points/s", line)
+    assert match and float(match[1]) > 0 and int(match[2]) > 0
+
+
 def test_sde_cli_paths_are_seeded_lone_runs(workdir):
     # path i is the lone run with seed --seed + i; rows stay path-major
     out = workdir / "paths.csv"
@@ -858,6 +867,13 @@ def test_each_config_number_is_parsed_once(workdir, monkeypatch):
     path = _write(workdir, "a.json", ablate)
     assert counts(lambda: configio.load_ablate_config(path)) == {
         **once(*recipe_keys, *setting_keys), "fraction": 2, "seed": 2}
+    # three settings share one recipe, parsed once: each setting's own keys thrice
+    ablate["settings"] = [SETTING_REQUIRED] * 3
+    path = _write(workdir, "a3.json", ablate)
+    loaded = []
+    assert counts(lambda: loaded.extend(configio.load_ablate_config(path)[0])) == {
+        **once(*recipe_keys), **dict.fromkeys(setting_keys, 3), "fraction": 2, "seed": 4}
+    assert len(loaded) == 3 and all(cfg.recipe is loaded[0].recipe for cfg in loaded)
 
 
 @pytest.mark.parametrize("command, obj, message", [

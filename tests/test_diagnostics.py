@@ -199,6 +199,36 @@ class TestVillaniScan:
         assert report.diverging
         assert report.grad_bound_violations == report.laplacian_bound_violations == 0
 
+    @pytest.mark.parametrize("r_max", [64.0, 100.0, 1e200])
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softplus"])
+    def test_matches_the_per_point_oracle_bit_for_bit(self, kind, r_max):
+        # 1e200 takes the scan past the radii where ||g||^2 overflows to inf
+        for size in ((2, 2, 6), (50, 20, 200)):
+            spec = small_spec(kind, p=size[0], d=size[1], n=size[2], seed=sum(size))
+            report = diagnostics.villani_scan(spec, s=0.1, ray_count=8, r_max=r_max, seed=4)
+            v_values, grad_viol, lap_viol, diverging = oracles.villani_scan_reference(
+                spec, 0.1, 8, r_max, 4)
+            assert np.array_equal(report.v_values, v_values)
+            assert (report.grad_bound_violations, report.laplacian_bound_violations,
+                    report.diverging) == (grad_viol, lap_viol, diverging)
+
+    @pytest.mark.parametrize("r_max", [64.0, 100.0, 1e3, 1e200])
+    def test_kernel_runs_its_own_matmul_only_off_powers_of_two(self, monkeypatch, r_max):
+        spec = small_spec("sigmoid", p=3, d=2, n=7)
+        evaluate, own = model.evaluate, []
+
+        def spy(spec, w, outputs, batch=None, forward=None):
+            own.append(forward is None)
+            # a forward pass handed in is the one the kernel would compute
+            assert forward is None or np.array_equal(forward, w @ spec.data.xs.T)
+            return evaluate(spec, w, outputs, batch, forward)
+
+        monkeypatch.setattr(model, "evaluate", spy)
+        report = diagnostics.villani_scan(spec, s=0.1, ray_count=8, r_max=r_max)
+        off_powers = [r != 2.0 ** round(math.log2(r)) for r in report.radii]
+        assert own == off_powers * 8
+        assert off_powers[-1] == (r_max != 64.0) and not any(off_powers[:-1])
+
     def test_seeded_determinism(self):
         spec = small_spec("sigmoid")
         r1 = diagnostics.villani_scan(spec, s=0.1, ray_count=8, r_max=100.0, seed=5)

@@ -197,6 +197,28 @@ class TestEvaluate:
                         assert np.array_equal(out, want[name])
                 assert np.array_equal(w, given)
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "softplus"])
+    def test_forward_given_gives_the_kernels_own_outputs(self, kind):
+        # every set of outputs, at one matrix and a stack; forward is never written
+        rng = np.random.default_rng(53)
+        named = [names for k in (1, 2, 3) for names in itertools.permutations(self.OUTPUTS, k)]
+        for _ in range(3):
+            spec = oracles.random_spec(rng, oracles.make_activation(kind, 2.5))
+            for w in (rng.standard_normal((spec.p, spec.d)),
+                      rng.standard_normal((4, spec.p, spec.d))):
+                forward = w @ spec.data.xs.T
+                forward.setflags(write=False)
+                for outputs in named:
+                    got = model.evaluate(spec, w, outputs, forward=forward)
+                    for out, want in zip(got, model.evaluate(spec, w, outputs), strict=True):
+                        assert np.array_equal(out, want)
+
+    def test_forward_takes_no_batch(self):
+        spec = oracles.random_spec(np.random.default_rng(5), activations.sigmoid())
+        w = spec.net.w
+        with pytest.raises(ValueError, match="batch"):
+            model.evaluate(spec, w, ("grad",), batch=np.arange(1), forward=w @ spec.data.xs.T)
+
     def test_outputs_come_in_the_order_named(self):
         spec = oracles.random_spec(np.random.default_rng(3), activations.tanh())
         lap, value = model.evaluate(spec, spec.net.w, ("laplacian", "loss"))
